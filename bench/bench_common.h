@@ -27,9 +27,7 @@ namespace coopnet::bench {
 
 /// Base swarm scenario selected by --scale={small,mid,paper}; paper is the
 /// Section V-A setup (1000 peers, 128 MB file). Individual knobs are
-/// overridable: --n, --file-mb, --seed, --max-time, --threads (intra-run
-/// worker threads for the engine's batched prepare phase, DESIGN §11;
-/// byte-identical results at any value, orthogonal to --jobs).
+/// overridable: --n, --file-mb, --seed, --max-time.
 inline sim::SwarmConfig scenario_from_cli(const util::Cli& cli,
                                           const std::string& default_scale =
                                               "paper") {
@@ -55,7 +53,6 @@ inline sim::SwarmConfig scenario_from_cli(const util::Cli& cli,
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
   // Cap the run so pure reciprocity (which never completes) terminates.
   config.max_time = cli.get_double_in("max-time", 4000.0, 1e-6, 1e9);
-  config.threads = cli.get_count("threads", 1, 256);
   return config;
 }
 

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <string>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,19 +71,8 @@ struct ChurnDriver {
 };
 
 template <typename Engine>
-std::uint64_t run_churn(std::size_t pending, std::uint64_t budget,
-                        bool batched = false) {
+std::uint64_t run_churn(std::size_t pending, std::uint64_t budget) {
   ChurnDriver<Engine> driver;
-  // Batched staging with a no-op prepare hook isolates the pure
-  // bookkeeping cost of --threads mode (stage, hint copy, commit-time
-  // merge) from any prepare win. Only the optimized engine has the mode.
-  if constexpr (std::is_same_v<Engine, sim::SimEngine>) {
-    if (batched) {
-      driver.engine.set_parallel([](const std::uint32_t*, std::size_t) {});
-    }
-  } else {
-    (void)batched;
-  }
   driver.budget = budget;
   for (std::size_t i = 0; i < pending; ++i) {
     driver.engine.schedule(driver.rng.uniform(0.0, 2.0),
@@ -277,28 +265,13 @@ int emit_bench_json(const std::string& path) {
     std::tie(ref.events, ref.wall_s) = best_of(
         [&w] { return run_churn<sim::ReferenceEngine>(w.pending, w.budget); });
 
-    // The same workload through the batched (--threads) staging path
-    // with a no-op hook: its events must equal the sequential run's
-    // (determinism gate) and its events/s tracks the staging overhead.
-    BenchRecord bat;
-    bat.name = std::string("engine_batched_") + w.name;
-    std::tie(bat.events, bat.wall_s) = best_of([&w] {
-      return run_churn<sim::SimEngine>(w.pending, w.budget, /*batched=*/true);
-    });
-    bat.extra.push_back(
-        {"overhead_vs_sequential",
-         opt.events_per_sec() / bat.events_per_sec()});
-
     opt.extra.push_back(
         {"speedup_vs_reference", opt.events_per_sec() / ref.events_per_sec()});
-    std::printf("%-28s %12.0f events/s  (reference %12.0f, speedup %.2fx, "
-                "batched-noop %12.0f)\n",
+    std::printf("%-28s %12.0f events/s  (reference %12.0f, speedup %.2fx)\n",
                 w.name, opt.events_per_sec(), ref.events_per_sec(),
-                opt.events_per_sec() / ref.events_per_sec(),
-                bat.events_per_sec());
+                opt.events_per_sec() / ref.events_per_sec());
     records.push_back(std::move(opt));
     records.push_back(std::move(ref));
-    records.push_back(std::move(bat));
   }
 
   {

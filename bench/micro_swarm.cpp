@@ -6,8 +6,7 @@
 // experiments do.
 //
 //   micro_swarm [--json-out FILE] [--max-n N] [--seed S]
-//   micro_swarm --peers N [--horizon SECS] [--threads K] [--json-out FILE]
-//              [--seed S]
+//   micro_swarm --peers N [--horizon SECS] [--json-out FILE] [--seed S]
 //
 // --json-out writes the BENCH_swarm.json document consumed by
 // tools/ci_bench_gate.sh; bench/baselines/BENCH_swarm.json is the
@@ -19,12 +18,9 @@
 // --peers switches to the single-run scale leg: one BitTorrent swarm of N
 // peers over a small file (8 MB / 32 pieces) and a fixed simulated
 // horizon, sized so N = 100,000 fits a CI wall-clock budget. Emits
-// BENCH_swarm_scale.json-style records (one `scale/n=N` row, suffixed
-// `/threads=K` when --threads K > 1 enables the engine's batched prepare
-// phase); the document-level peak_rss_kb is the memory gate's input.
-// Event counts stay deterministic -- including across thread counts, by
-// the DESIGN §11 byte-identity contract -- so the gate diffs them
-// byte-for-byte.
+// BENCH_swarm_scale.json-style records (one `scale/n=N` row); the
+// document-level peak_rss_kb is the memory gate's input. Event counts are
+// deterministic, so the gate diffs them byte-for-byte.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -78,10 +74,8 @@ int run_scale_leg(const util::Cli& cli, std::uint64_t seed,
                   const std::string& json_out) {
   const std::size_t n = cli.get_count("peers", 100000, sim::kMaxPeerCount);
   const double horizon = cli.get_double_in("horizon", 120.0, 1e-6, 1e9);
-  const std::size_t threads = cli.get_count("threads", 1, 256);
 
-  auto config = scale_config(n, horizon, seed);
-  config.threads = threads;
+  const auto config = scale_config(n, horizon, seed);
   const double t_build = bench::wall_now();
   sim::Swarm swarm(config, strategy::make_strategy(config.algorithm));
   const double build_wall = bench::wall_now() - t_build;
@@ -90,21 +84,16 @@ int run_scale_leg(const util::Cli& cli, std::uint64_t seed,
   const double wall = bench::wall_now() - start;
 
   bench::BenchRecord r;
-  // threads = 1 keeps the record name the committed baseline gates on;
-  // threads > 1 rows carry the count so the gate's byte-equal events
-  // check pins parallel determinism at scale without forking a baseline
-  // per machine shape.
   r.name = "scale/n=" + std::to_string(n);
-  if (threads > 1) r.name += "/threads=" + std::to_string(threads);
   r.events = swarm.engine().events_processed();
   r.wall_s = wall;
   r.extra.emplace_back("build_wall_s", build_wall);
 
   util::Table table("micro_swarm: scale leg (BitTorrent, 8 MB file)");
-  table.set_header({"N", "threads", "horizon (s)", "events", "build (s)",
-                    "run (s)", "events/s"});
-  table.add_row({std::to_string(n), std::to_string(threads),
-                 util::Table::num(horizon, 0), std::to_string(r.events),
+  table.set_header({"N", "horizon (s)", "events", "build (s)", "run (s)",
+                    "events/s"});
+  table.add_row({std::to_string(n), util::Table::num(horizon, 0),
+                 std::to_string(r.events),
                  util::Table::num(build_wall, 3), util::Table::num(wall, 3),
                  util::Table::num(r.events_per_sec(), 0)});
   std::printf("%s", table.render().c_str());

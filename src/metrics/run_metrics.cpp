@@ -39,8 +39,7 @@ void RunMetrics::register_with(sim::Swarm& swarm) {
 void RunMetrics::install(sim::Swarm& swarm) {
   register_with(swarm);
   swarm.engine().schedule_tagged(
-      sample_interval_, sim::SimEngine::kNoHint,
-      sim::make_timer_tag(sim::kEvExternalTimer, 0),
+      sample_interval_, sim::make_timer_tag(sim::kEvExternalTimer, 0),
       [this, &swarm] { sample(swarm); });
 }
 
@@ -52,8 +51,7 @@ void RunMetrics::sample(sim::Swarm& swarm) {
   susceptibility_.add(swarm.engine().now(), current_susceptibility(swarm));
   if (swarm.engine().now() + sample_interval_ <= swarm.config().max_time) {
     swarm.engine().schedule_tagged(
-        sample_interval_, sim::SimEngine::kNoHint,
-        sim::make_timer_tag(sim::kEvExternalTimer, 0),
+        sample_interval_, sim::make_timer_tag(sim::kEvExternalTimer, 0),
         [this, &swarm] { sample(swarm); });
   }
 }

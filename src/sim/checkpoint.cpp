@@ -16,7 +16,7 @@ namespace coopnet::sim {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'O', 'P', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 
 // --- canonical config rendering ------------------------------------------
 
@@ -180,7 +180,6 @@ std::string canonical_config_string(const SwarmConfig& config) {
   put_double_field(out, "retry_interval", config.retry_interval);
   put_u64_field(out, "seed", config.seed);
   put_u64_field(out, "audit_every", config.audit_every);
-  // `threads` deliberately omitted: every K is byte-identical.
   return out;
 }
 
@@ -243,9 +242,8 @@ std::vector<SnapshotSection> decode_snapshot(const SwarmConfig& config,
         want_crc != util::crc32(fingerprint)) {
       throw CheckpointError(
           "checkpoint: config fingerprint mismatch -- the snapshot was "
-          "taken under a different cell configuration (any field but "
-          "--threads differs); resume with the identical configuration or "
-          "restart the cell from scratch");
+          "taken under a different cell configuration; resume with the "
+          "identical configuration or restart the cell from scratch");
     }
 
     const std::uint32_t count = src.get_u32();
@@ -313,7 +311,6 @@ std::vector<SnapshotSection> SwarmCheckpoint::save(const Swarm& swarm) {
     for (const SimEngine::QueueEntry& e : entries) {
       sink.put_double(e.time);
       sink.put_u64(e.seq);
-      sink.put_u32(e.hint);
       save_tag(sink, e.tag);
     }
     sections.push_back({kSectionQueue, sink.take()});
@@ -419,7 +416,6 @@ void SwarmCheckpoint::restore(Swarm& swarm,
         SimEngine::QueueEntry e;
         e.time = src.get_double();
         e.seq = src.get_u64();
-        e.hint = src.get_u32();
         e.tag = load_tag(src);
         if (e.tag.kind == kEvNone || e.tag.kind > kEvExternalTimer) {
           throw CheckpointError(

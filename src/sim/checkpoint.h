@@ -1,13 +1,12 @@
 // Deterministic mid-cell checkpoint/restore for a live Swarm.
 //
 // A snapshot captures everything a run's future depends on -- the engine's
-// event queue (as (time, seq, hint, tag) records; see sim/event_kinds.h),
+// event queue (as (time, seq, tag) records; see sim/event_kinds.h),
 // clock and counters, the RNG stream, the struct-of-arrays PeerStore, the
 // rarity index, per-strategy state, the reputation ledger, fault/churn
 // counters, and (in audit builds) the invariant auditor's shadow ledger --
 // such that a restored swarm continues BYTE-IDENTICAL to the uninterrupted
-// run: same reports, same JSONL trace bytes, same audit verdicts, at any
-// --threads K (the serialized form never depends on thread count; see
+// run: same reports, same JSONL trace bytes, same audit verdicts (see
 // DESIGN §13).
 //
 // Layering: SwarmCheckpoint::save/restore move swarm state to/from typed
@@ -56,7 +55,7 @@ struct SnapshotSection {
 /// SwarmCheckpoint; driver-owned ones by the exp/fleet layers.
 enum SnapshotSectionId : std::uint32_t {
   kSectionEngine = 1,    // clock, seq counter, processed count
-  kSectionQueue = 2,     // pending events: (time, seq, hint, tag) each
+  kSectionQueue = 2,     // pending events: (time, seq, tag) each
   kSectionRng = 3,       // xoshiro256** state words
   kSectionPeers = 4,     // PeerStore arrays + active registry + aggregates
   kSectionStrategy = 5,  // ExchangeStrategy::checkpoint_save payload
@@ -97,8 +96,6 @@ class SwarmCheckpoint {
 
 /// Canonical rendering of every result-affecting SwarmConfig field --
 /// doubles as IEEE-754 bit patterns, so equality means bit-equality.
-/// Excludes `threads` (any K is byte-identical, so a snapshot taken at
-/// --threads 4 restores under --threads 1 and vice versa).
 std::string canonical_config_string(const SwarmConfig& config);
 
 /// Wraps sections in the versioned container: magic, format version, a

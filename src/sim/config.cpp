@@ -78,9 +78,6 @@ void SwarmConfig::validate() const {
       attack.sybil_rate < 0.0) {
     throw std::invalid_argument("SwarmConfig: bad attack timings");
   }
-  if (threads < 1 || threads > 256) {
-    throw std::invalid_argument("SwarmConfig: threads outside [1, 256]");
-  }
   faults.validate();
 }
 

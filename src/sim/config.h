@@ -128,12 +128,6 @@ struct SwarmConfig {
   Seconds max_time = 36000.0;
   Seconds retry_interval = 1.0;   // idle-slot refill period
   std::uint64_t seed = 1;
-  /// Intra-run worker threads for the engine's batched prepare phase
-  /// (--threads). 1 (the default) runs the exact sequential code path;
-  /// any K produces byte-identical output -- event effects always commit
-  /// on one thread in (time, seq) order, extra threads only pre-warm the
-  /// per-edge interest memos (see DESIGN §11).
-  std::size_t threads = 1;
   /// Invariant-audit cadence: run a full InvariantAuditor check at every
   /// N-th swarm event (1 = every event). Only honored by builds configured
   /// with -DCOOPNET_AUDIT=ON; otherwise ignored at zero cost. 0 disables

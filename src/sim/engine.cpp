@@ -15,36 +15,26 @@ const EventTag kUntagged{};
 }  // namespace
 
 void SimEngine::schedule(Seconds delay, EventFn fn) {
-  schedule_hinted(delay, kNoHint, std::move(fn));
+  if (delay < 0.0) throw std::invalid_argument("SimEngine: negative delay");
+  schedule_at(now_ + delay, std::move(fn));
 }
 
 void SimEngine::schedule_at(Seconds at, EventFn fn) {
-  schedule_at_hinted(at, kNoHint, std::move(fn));
-}
-
-void SimEngine::schedule_hinted(Seconds delay, std::uint32_t hint,
-                                EventFn fn) {
-  if (delay < 0.0) throw std::invalid_argument("SimEngine: negative delay");
-  schedule_at_hinted(now_ + delay, hint, std::move(fn));
-}
-
-void SimEngine::schedule_at_hinted(Seconds at, std::uint32_t hint,
-                                   EventFn fn) {
   if (at < now_) {
     throw std::invalid_argument("SimEngine: scheduling into the past");
   }
   if (!fn) throw std::invalid_argument("SimEngine: empty event");
-  push_entry(at, hint, std::move(fn), kUntagged);
+  push_entry(at, next_seq_++, std::move(fn), kUntagged);
 }
 
-void SimEngine::schedule_tagged(Seconds delay, std::uint32_t hint,
-                                const EventTag& tag, EventFn fn) {
+void SimEngine::schedule_tagged(Seconds delay, const EventTag& tag,
+                                EventFn fn) {
   if (delay < 0.0) throw std::invalid_argument("SimEngine: negative delay");
-  schedule_at_tagged(now_ + delay, hint, tag, std::move(fn));
+  schedule_at_tagged(now_ + delay, tag, std::move(fn));
 }
 
-void SimEngine::schedule_at_tagged(Seconds at, std::uint32_t hint,
-                                   const EventTag& tag, EventFn fn) {
+void SimEngine::schedule_at_tagged(Seconds at, const EventTag& tag,
+                                   EventFn fn) {
   if (at < now_) {
     throw std::invalid_argument("SimEngine: scheduling into the past");
   }
@@ -52,10 +42,10 @@ void SimEngine::schedule_at_tagged(Seconds at, std::uint32_t hint,
   if (tags_enabled_ && tag.kind == 0) {
     throw std::invalid_argument("SimEngine: tagged schedule with kind 0");
   }
-  push_entry(at, hint, std::move(fn), tag);
+  push_entry(at, next_seq_++, std::move(fn), tag);
 }
 
-void SimEngine::push_entry(Seconds at, std::uint32_t hint, EventFn fn,
+void SimEngine::push_entry(Seconds at, std::uint64_t seq, EventFn fn,
                            const EventTag& tag) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -73,7 +63,7 @@ void SimEngine::push_entry(Seconds at, std::uint32_t hint, EventFn fn,
     if (slot >= tags_.size()) tags_.resize(pool_.size());
     tags_[slot] = tag;
   }
-  const Meta m{next_seq_++, slot, hint};
+  const Meta m{seq, slot};
   // Grow both halves, then sift the new entry up from the first free leaf.
   times_.push_back(at);
   meta_.push_back(m);
@@ -97,57 +87,6 @@ SimEngine::EventFn SimEngine::pop_top(Seconds& top_time) {
   EventFn fn = std::move(pool_[slot]);
   free_slots_.push_back(slot);
   return fn;
-}
-
-SimEngine::Staged SimEngine::pop_top_staged() {
-  Staged s;
-  s.time = times_[kRoot];
-  s.seq = meta_[kRoot].seq;
-  s.hint = meta_[kRoot].hint;
-  const std::uint32_t slot = meta_[kRoot].slot;
-  const Seconds last_time = times_.back();
-  const Meta last_meta = meta_.back();
-  times_.pop_back();
-  meta_.pop_back();
-  if (times_.size() > kRoot) sift_down_from_root(last_time, last_meta);
-  s.fn = std::move(pool_[slot]);
-  // The tag travels with the staged entry: the freed slot may be reused
-  // (and its tag overwritten) by a same-batch commit before this entry
-  // is restored.
-  if (tags_enabled_) s.tag = tags_[slot];
-  free_slots_.push_back(slot);
-  return s;
-}
-
-void SimEngine::push_restored(Staged&& s) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    pool_[slot] = std::move(s.fn);
-  } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(std::move(s.fn));
-  }
-  if (tags_enabled_) {
-    if (slot >= tags_.size()) tags_.resize(pool_.size());
-    tags_[slot] = s.tag;
-  }
-  // The ORIGINAL seq, not next_seq_: a restored entry must sort exactly
-  // where it did before staging, or the post-stop queue would replay in
-  // a different order than sequential execution would have.
-  const Meta m{s.seq, slot, s.hint};
-  times_.push_back(s.time);
-  meta_.push_back(m);
-  sift_up(times_.size() - 1, s.time, m);
-}
-
-void SimEngine::restore_staged(std::size_t from) {
-  for (std::size_t i = from; i < staged_.size(); ++i) {
-    push_restored(std::move(staged_[i]));
-  }
-  staged_.clear();
-  hints_.clear();
 }
 
 void SimEngine::sift_up(std::size_t i, Seconds time, Meta m) {
@@ -221,7 +160,7 @@ void SimEngine::after_event() {
 
 void SimEngine::enable_tags() {
   if (tags_enabled_) return;
-  if (times_.size() > kRoot || !staged_.empty()) {
+  if (times_.size() > kRoot) {
     throw std::logic_error(
         "SimEngine::enable_tags: events are already queued; tags for "
         "them cannot be reconstructed, so checkpointing must be enabled "
@@ -236,18 +175,12 @@ std::vector<SimEngine::QueueEntry> SimEngine::snapshot_queue() const {
     throw std::logic_error(
         "SimEngine::snapshot_queue: tags were never enabled");
   }
-  if (!staged_.empty()) {
-    throw std::logic_error(
-        "SimEngine::snapshot_queue: a staged batch is in flight; "
-        "snapshots are only valid between run calls");
-  }
   std::vector<QueueEntry> entries;
   entries.reserve(times_.size() - kRoot);
   for (std::size_t i = kRoot; i < times_.size(); ++i) {
     QueueEntry e;
     e.time = times_[i];
     e.seq = meta_[i].seq;
-    e.hint = meta_[i].hint;
     e.tag = tags_[meta_[i].slot];
     if (e.tag.kind == 0) {
       throw std::logic_error(
@@ -259,7 +192,7 @@ std::vector<SimEngine::QueueEntry> SimEngine::snapshot_queue() const {
     entries.push_back(e);
   }
   // Heap layout depends on insertion history, which chunked runs and
-  // batching may vary; (time, seq) order is the canonical, history-free
+  // restores may vary; (time, seq) order is the canonical, history-free
   // form every equivalent run serializes identically.
   std::sort(entries.begin(), entries.end(),
             [](const QueueEntry& a, const QueueEntry& b) {
@@ -279,30 +212,13 @@ void SimEngine::restore_entry(const QueueEntry& entry, EventFn fn) {
     throw std::invalid_argument(
         "SimEngine::restore_entry: kind-0 tag");
   }
-  Staged s;
-  s.time = entry.time;
-  s.seq = entry.seq;
-  s.hint = entry.hint;
-  s.fn = std::move(fn);
-  s.tag = entry.tag;
-  push_restored(std::move(s));
-}
-
-void SimEngine::set_parallel(PrepareHook hook, std::size_t batch_cap,
-                             std::size_t min_prepare) {
-  if (hook && batch_cap < 1) {
-    throw std::invalid_argument("SimEngine: batch_cap < 1");
-  }
-  prepare_ = std::move(hook);
-  batch_cap_ = batch_cap;
-  min_prepare_ = min_prepare;
+  // The ORIGINAL seq, not next_seq_: a restored entry must sort exactly
+  // where it did in the snapshotted run, or the queue would replay in a
+  // different order than the uninterrupted run.
+  push_entry(entry.time, entry.seq, std::move(fn), entry.tag);
 }
 
 void SimEngine::run() {
-  if (prepare_) {
-    run_batched(0.0, /*bounded=*/false);
-    return;
-  }
   while (times_.size() > kRoot && !stopped_) {
     Seconds at;
     // The slot is freed inside pop_top before the call: the callback may
@@ -316,10 +232,6 @@ void SimEngine::run() {
 }
 
 void SimEngine::run_until(Seconds deadline) {
-  if (prepare_) {
-    run_batched(deadline, /*bounded=*/true);
-    return;
-  }
   while (times_.size() > kRoot && !stopped_ && times_[kRoot] <= deadline) {
     Seconds at;
     EventFn fn = pop_top(at);
@@ -329,79 +241,6 @@ void SimEngine::run_until(Seconds deadline) {
     if (supervised_) after_event();
   }
   if (!stopped_ && now_ < deadline) now_ = deadline;
-}
-
-// The batched loop's output-equivalence argument, in full:
-//   * Staging pops a PREFIX of the queue in pop order, so the staged list
-//     is exactly the first events sequential execution would run.
-//   * Prepare is effect-free by contract, so running it (on any number of
-//     threads) changes no observable state.
-//   * Commit executes on this thread only, merging the staged list with
-//     the live heap under the same strict (time, seq) order the heap
-//     itself uses -- an event scheduled by a commit lands in the heap
-//     with a fresh (larger) seq and is picked up by the merge exactly
-//     when sequential execution would have popped it.
-//   * A stop (stop(), guard, event limit) pushes the unexecuted staged
-//     suffix back under its original seqs, leaving the queue equal as a
-//     set -- and therefore equal in all future pop orders -- to the
-//     sequential stop point.
-// Hence every fn() invocation happens at the same now_, in the same
-// order, with the same RNG stream position as sequential execution.
-void SimEngine::run_batched(Seconds deadline, bool bounded) {
-  while (times_.size() > kRoot && !stopped_ &&
-         (!bounded || times_[kRoot] <= deadline)) {
-    // Stage: the head's timestamp group plus conservative lookahead,
-    // cut after the first barrier-tagged event (the minimum in-flight
-    // transfer completion) or at the batch cap.
-    staged_.clear();
-    hints_.clear();
-    bool has_sweep = false;
-    while (times_.size() > kRoot && staged_.size() < batch_cap_ &&
-           (!bounded || times_[kRoot] <= deadline)) {
-      staged_.push_back(pop_top_staged());
-      const std::uint32_t hint = staged_.back().hint;
-      hints_.push_back(hint);
-      if ((hint & ~kHintBarrier) == kHintSweep) has_sweep = true;
-      if (hint & kHintBarrier) break;
-    }
-    // Prepare in parallel. Tiny batches skip it -- the fork-join dispatch
-    // costs more than warming a handful of memo rows saves -- unless the
-    // batch holds a population sweep, whose prewarm dwarfs the dispatch.
-    if (staged_.size() >= min_prepare_ || has_sweep) {
-      prepare_(hints_.data(), hints_.size());
-    }
-    // Commit in exact (time, seq) order.
-    for (std::size_t i = 0; i < staged_.size(); ++i) {
-      Staged& s = staged_[i];
-      // Events scheduled by earlier commits in this batch may sort
-      // before this staged entry; run them first.
-      while (!stopped_ && times_.size() > kRoot &&
-             (times_[kRoot] < s.time ||
-              (times_[kRoot] == s.time && meta_[kRoot].seq < s.seq))) {
-        Seconds at;
-        EventFn fn = pop_top(at);
-        now_ = at;
-        ++processed_;
-        fn();
-        if (supervised_) after_event();
-      }
-      if (stopped_) {
-        restore_staged(i);
-        return;
-      }
-      now_ = s.time;
-      ++processed_;
-      s.fn();
-      if (supervised_) after_event();
-      if (stopped_) {
-        restore_staged(i + 1);
-        return;
-      }
-    }
-    staged_.clear();
-    hints_.clear();
-  }
-  if (bounded && !stopped_ && now_ < deadline) now_ = deadline;
 }
 
 }  // namespace coopnet::sim

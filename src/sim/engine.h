@@ -46,13 +46,12 @@ class SimEngine {
  public:
   using EventFn = SmallEventFn;
 
-  /// One queued event as seen by a checkpoint: its heap key (time, seq),
-  /// prepare hint, and descriptive tag. The callback itself is NOT here
-  /// -- restore rebuilds it from the tag via the scheduler's dispatcher.
+  /// One queued event as seen by a checkpoint: its heap key (time, seq)
+  /// and descriptive tag. The callback itself is NOT here -- restore
+  /// rebuilds it from the tag via the scheduler's dispatcher.
   struct QueueEntry {
     Seconds time;
     std::uint64_t seq;
-    std::uint32_t hint;
     EventTag tag;
   };
 
@@ -84,11 +83,7 @@ class SimEngine {
   void reset_stop() { stopped_ = false; }
 
   bool stopped() const { return stopped_; }
-  /// Events currently queued in the heap. In batched mode (set_parallel)
-  /// events staged for the in-flight batch are not counted, so the value
-  /// read from *inside* an event can differ from sequential execution;
-  /// between run calls (staging always drains or restores) the two modes
-  /// agree exactly.
+  /// Events currently queued in the heap.
   std::size_t pending() const { return times_.size() - kRoot; }
   std::uint64_t events_processed() const { return processed_; }
 
@@ -115,58 +110,11 @@ class SimEngine {
   /// an empty fn removes the guard.
   void set_guard(std::uint64_t every, std::function<void()> fn);
 
-  // --- batched parallel execution (--threads K; see DESIGN §11) ----------
-  // The engine never runs two EVENTS concurrently: effects commit on the
-  // calling thread in exact (time, seq) order, so batching is invisible
-  // to results by construction. What parallelizes is a PREPARE phase:
-  // before committing a staged batch, a caller-installed hook sees the
-  // batch's hint tags and may warm caches (the swarm's interest memos)
-  // from worker threads. Prepare must be effect-free -- no scheduling, no
-  // RNG, no observable mutation -- so skipping it, or preparing against
-  // state a same-batch commit later invalidates, can never change output.
-
-  /// Hint tag carried by each scheduled event, opaque to the engine.
-  /// Low values identify a subject (a PeerId, always < 2^27) for the
-  /// prepare hook; the sentinels deliberately avoid the kHintBarrier bit
-  /// so default-hinted events never cut the batch window.
-  static constexpr std::uint32_t kNoHint = 0x7FFFFFFFu;
-  /// Prepare should warm the full population (population-sweep events).
-  static constexpr std::uint32_t kHintSweep = 0x7FFFFFFEu;
-  /// Flag bit: this event invalidates broad state when it commits
-  /// (transfer completion/failure, churn), so staging stops after it --
-  /// the first barrier in the queue is the minimum in-flight transfer
-  /// completion, giving the conservative lookahead bound.
-  static constexpr std::uint32_t kHintBarrier = 0x80000000u;
-
-  /// schedule()/schedule_at() carrying a prepare hint (they default to
-  /// kNoHint). Hints never affect execution order.
-  void schedule_hinted(Seconds delay, std::uint32_t hint, EventFn fn);
-  void schedule_at_hinted(Seconds at, std::uint32_t hint, EventFn fn);
-
-  /// Called between staging and commit with the staged events' hints (in
-  /// commit order). Must be effect-free as described above; it is the
-  /// hook's job to fan work out across threads (the engine itself never
-  /// spawns any).
-  using PrepareHook =
-      std::function<void(const std::uint32_t* hints, std::size_t count)>;
-
-  /// Enables batched execution: run()/run_until() stage up to
-  /// `batch_cap` events -- the head's same-timestamp group plus a
-  /// conservative lookahead that stops after the first kHintBarrier
-  /// event -- invoke `hook` (when the batch has at least `min_prepare`
-  /// events or contains a kHintSweep event; other small batches skip it,
-  /// dispatch overhead exceeding any win), then commit sequentially in
-  /// exact (time, seq) order, merging
-  /// in events the commits themselves schedule. An empty hook restores
-  /// plain sequential execution.
-  void set_parallel(PrepareHook hook, std::size_t batch_cap = 4096,
-                    std::size_t min_prepare = 16);
-
   // --- checkpoint support (see sim/checkpoint.h) -------------------------
   // Callbacks cannot be serialized, so checkpointable runs tag every
   // scheduled event with an EventTag describing it; a restore walks the
   // serialized tags and re-registers equivalent closures under their
-  // ORIGINAL (time, seq, hint) keys, leaving pop order -- and therefore
+  // ORIGINAL (time, seq) keys, leaving pop order -- and therefore
   // every downstream byte -- unchanged. All of it is opt-in: with tags
   // disabled (the default) no tag is stored or copied and the engine is
   // byte-for-byte the pre-checkpoint engine.
@@ -177,24 +125,21 @@ class SimEngine {
   void enable_tags();
   bool tags_enabled() const { return tags_enabled_; }
 
-  /// schedule_hinted/schedule_at_hinted carrying a descriptive tag.
-  /// Requires tag.kind != 0 when tags are enabled; with tags disabled the
-  /// tag is dropped (same event stream either way).
-  void schedule_tagged(Seconds delay, std::uint32_t hint,
-                       const EventTag& tag, EventFn fn);
-  void schedule_at_tagged(Seconds at, std::uint32_t hint,
-                          const EventTag& tag, EventFn fn);
+  /// schedule()/schedule_at() carrying a descriptive tag. Requires
+  /// tag.kind != 0 when tags are enabled; with tags disabled the tag is
+  /// dropped (same event stream either way).
+  void schedule_tagged(Seconds delay, const EventTag& tag, EventFn fn);
+  void schedule_at_tagged(Seconds at, const EventTag& tag, EventFn fn);
 
-  /// The queue's checkpoint view: every pending event's (time, seq,
-  /// hint, tag), sorted by the heap's own (time, seq) order so the
-  /// serialized form is canonical across heap layouts and thread counts.
-  /// Requires tags enabled, no staged batch in flight (true between run
-  /// calls), and every queued event tagged; throws std::logic_error when
-  /// an untagged event would make the snapshot unrestorable.
+  /// The queue's checkpoint view: every pending event's (time, seq, tag),
+  /// sorted by the heap's own (time, seq) order so the serialized form is
+  /// canonical across heap layouts. Requires tags enabled and every
+  /// queued event tagged; throws std::logic_error when an untagged event
+  /// would make the snapshot unrestorable.
   std::vector<QueueEntry> snapshot_queue() const;
 
   /// Re-inserts one snapshot entry with `fn` as its callback, preserving
-  /// the exact original (time, seq, hint). Restore-only: the caller owns
+  /// the exact original (time, seq). Restore-only: the caller owns
   /// seq consistency and must set_next_seq() past every restored seq.
   void restore_entry(const QueueEntry& entry, EventFn fn);
 
@@ -219,46 +164,24 @@ class SimEngine {
   /// of meta_. Parent of c is c/4 + 2.
   static constexpr std::size_t kRoot = 3;
 
-  /// The non-key half of a heap entry: tie-break sequence + pool slot +
-  /// prepare hint (the hint rides in what was struct padding).
+  /// The non-key half of a heap entry: tie-break sequence + pool slot.
   struct Meta {
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t hint;
-  };
-
-  /// One staged-but-uncommitted event: everything needed to commit it in
-  /// order, or to push it back (with its ORIGINAL seq, so ordering is
-  /// preserved) if a stop lands mid-batch. The tag rides along (copied
-  /// only when tags are enabled) so a restore after a mid-batch stop
-  /// leaves the queue checkpointable.
-  struct Staged {
-    Seconds time;
-    std::uint64_t seq;
-    std::uint32_t hint;
-    EventFn fn;
-    EventTag tag;
   };
 
   /// Supervision bookkeeping (event limit + guard cadence), kept out of
   /// the hot loop body behind the single `supervised_` branch.
   void after_event();
 
-  void push_entry(Seconds at, std::uint32_t hint, EventFn fn,
+  /// Stores `fn` and `tag` in a pool slot and sifts (at, seq) into the
+  /// heap. Scheduling passes next_seq_++; restore passes the original seq.
+  void push_entry(Seconds at, std::uint64_t seq, EventFn fn,
                   const EventTag& tag);
   /// Pops the root entry, frees its pool slot, and returns the callback.
   /// The slot is released *before* the caller invokes the callback, so
   /// events scheduled from inside events reuse hot slots immediately.
   EventFn pop_top(Seconds& top_time);
-  /// pop_top, but keeps (time, seq, hint) alongside the callback so the
-  /// entry can be committed later or restored verbatim.
-  Staged pop_top_staged();
-  /// Re-inserts a staged entry under its original sequence number.
-  void push_restored(Staged&& s);
-  /// Pushes staged_[from..] back into the heap (stop landed mid-batch).
-  void restore_staged(std::size_t from);
-  /// The batched run loop; `bounded` selects run_until semantics.
-  void run_batched(Seconds deadline, bool bounded);
   void sift_up(std::size_t i, Seconds time, Meta m);
   void sift_down_from_root(Seconds time, Meta m);
 
@@ -267,7 +190,7 @@ class SimEngine {
   // comparator). Kept split so the compare-heavy sift loops stay in the
   // times_ cache lines.
   std::vector<Seconds> times_ = std::vector<Seconds>(kRoot, 0.0);
-  std::vector<Meta> meta_ = std::vector<Meta>(kRoot, Meta{0, 0, kNoHint});
+  std::vector<Meta> meta_ = std::vector<Meta>(kRoot, Meta{0, 0});
   std::vector<EventFn> pool_;
   std::vector<std::uint32_t> free_slots_;
   /// Checkpoint tags, indexed by pool slot (empty until enable_tags();
@@ -279,13 +202,6 @@ class SimEngine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
-
-  // Batched-execution state (empty prepare_ == sequential mode).
-  PrepareHook prepare_;
-  std::size_t batch_cap_ = 0;
-  std::size_t min_prepare_ = 0;
-  std::vector<Staged> staged_;
-  std::vector<std::uint32_t> hints_;
 
   // Supervision state (cold; only `supervised_` is read per event).
   std::function<void()> guard_fn_;

@@ -336,9 +336,9 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
     free_ids_.push_back(id);
   }
 
-  // Interest memos are K-dependent pure caches (warmed by however many
-  // prepare threads the ORIGINAL run had); drop them and let the version
-  // stamps trigger exact, effect-free recomputation.
+  // Interest memos are pure caches whose warm set is not part of the
+  // snapshot; drop them and let the version stamps trigger exact,
+  // effect-free recomputation.
   memo_[0].clear();
   memo_[1].clear();
 }

@@ -229,14 +229,6 @@ class PeerStore {
     return lane_data.data() + nbr_offset_[id];
   }
 
-  /// Pre-sizes a memo lane. The lazy first-touch resize above is a data
-  /// race when the first touch can come from a parallel prepare shard
-  /// (--threads > 1), so the Swarm pre-allocates the lanes it will warm
-  /// before any worker thread sees them.
-  void ensure_memo_lane(int lane) {
-    if (memo_[lane].empty()) memo_[lane].resize(nbr_data_.size());
-  }
-
   // --- membership ----------------------------------------------------------
   /// The only way to change a peer's lifecycle state: keeps the active
   /// registry exact. Transition order is deterministic (driven solely by
@@ -274,8 +266,8 @@ class PeerStore {
   /// active registry in its exact transition-history order. NOT saved:
   /// the CSR neighbor arrays (rebuilt deterministically by the Swarm
   /// constructor from config + seed) and the interest-memo lanes (pure
-  /// caches whose warm set depends on --threads; load() leaves them cold
-  /// and the version stamps make recomputation automatic and exact).
+  /// caches; load() leaves them cold and the version stamps make
+  /// recomputation automatic and exact).
   void checkpoint_save(util::ByteSink& sink) const;
   /// Restores into a store already init()'d with the same shape; throws
   /// util::SerializeError when the serialized shape does not match.

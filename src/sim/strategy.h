@@ -142,7 +142,7 @@ class ExchangeStrategy {
   /// Returns the closure for the recurring timer attach() scheduled,
   /// identified by the strategy-local sub-id a kEvStrategyTimer tag
   /// carries; Swarm::rebuild_event re-registers it under the snapshot
-  /// entry's original (time, seq, hint), so the timer fires exactly when
+  /// entry's original (time, seq), so the timer fires exactly when
   /// the uninterrupted run would have fired it. Strategies that schedule
   /// no timers keep the throwing default: reaching it means a snapshot
   /// carried a timer tag the mechanism does not own.

@@ -1,7 +1,6 @@
 #include "sim/swarm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -32,6 +31,27 @@
 #endif
 
 namespace coopnet::sim {
+
+namespace {
+
+/// The memoized verdict of offer.can_offer(unavailable(n)) for one
+/// (uploader, neighbor) edge. The word scan is the per-neighbor hot cost
+/// of interest checks; its verdict only moves when one of the two sets
+/// does, so it reruns only when either version counter moved since `m`
+/// was filled.
+inline bool memo_can_offer(InterestMemo& m, const PieceSet& offer,
+                           std::uint32_t offer_ver, const PeerStore& store,
+                           PeerId n) {
+  const std::uint32_t avail_ver = store.unavail_ver(n);
+  if (m.offer_ver != offer_ver || m.avail_ver != avail_ver) {
+    m.offer_ver = offer_ver;
+    m.avail_ver = avail_ver;
+    m.can_offer = offer.can_offer(store.unavailable(n));
+  }
+  return m.can_offer;
+}
+
+}  // namespace
 
 #if COOPNET_AUDIT
 namespace {
@@ -209,56 +229,36 @@ void Swarm::run() {
   advance_until(config_.max_time);
 }
 
-void Swarm::setup_parallel() {
-  // --threads > 1: turn on the engine's batched prepare phase. Commits
-  // still run one at a time on this thread in exact (time, seq) order, so
-  // any thread count is byte-identical to sequential; the workers only
-  // pre-warm interest-memo rows (see DESIGN §11).
-  if (config_.threads > 1) {
-    store_.ensure_memo_lane(0);  // lazy first-touch resize races otherwise
-    prewarm_lane1_ = strategy_->seeder_delivers_locked();
-    if (prewarm_lane1_) store_.ensure_memo_lane(1);
-    prep_stamp_.assign(store_.size(), 0);
-    fork_join_ = std::make_unique<util::ForkJoin>(config_.threads - 1);
-    engine_.set_parallel([this](const std::uint32_t* hints,
-                                std::size_t count) {
-      prepare_batch(hints, count);
-    });
-  }
-}
-
 void Swarm::start() {
   if (ran_) throw std::logic_error("Swarm::start: already ran");
   ran_ = true;
 
   strategy_->attach(*this);
-  setup_parallel();
 
   // Seeders are live from t = 0; leechers arrive per the arrival process.
   for (std::size_t s = 0; s < seeder_count(); ++s) {
     const PeerId id = static_cast<PeerId>(leechers() + s);
-    engine_.schedule_at_tagged(0.0, id, make_peer_tag(kEvArrive, id),
+    engine_.schedule_at_tagged(0.0, make_peer_tag(kEvArrive, id),
                                [this, id] { arrive(id); });
   }
   for (std::size_t i = 0; i < leechers(); ++i) {
     const PeerId id = static_cast<PeerId>(i);
-    engine_.schedule_at_tagged(store_.arrival_time(id), id,
+    engine_.schedule_at_tagged(store_.arrival_time(id),
                                make_peer_tag(kEvArrive, id),
                                [this, id] { arrive(id); });
   }
 
   if (config_.attack.whitewashing) {
     engine_.schedule_tagged(config_.attack.whitewash_interval,
-                            SimEngine::kNoHint, make_kind_tag(kEvWhitewash),
+                            make_kind_tag(kEvWhitewash),
                             [this] { whitewash_timer(); });
   }
   if (config_.attack.sybil_praise) {
-    engine_.schedule_tagged(config_.attack.sybil_interval, SimEngine::kNoHint,
+    engine_.schedule_tagged(config_.attack.sybil_interval,
                             make_kind_tag(kEvSybil), [this] { sybil_timer(); });
   }
   if (config_.faults.seeder_outages_enabled()) {
     engine_.schedule_tagged(config_.faults.seeder_uptime,
-                            SimEngine::kNoHint | SimEngine::kHintBarrier,
                             make_kind_tag(kEvSeederOutageBegin),
                             [this] { seeder_outage_begin(); });
   }
@@ -267,91 +267,6 @@ void Swarm::start() {
 void Swarm::start_restored() {
   if (ran_) throw std::logic_error("Swarm::start_restored: already ran");
   ran_ = true;
-  setup_parallel();
-}
-
-void Swarm::prepare_batch(const std::uint32_t* hints, std::size_t count) {
-  // Dedupe the batch's subjects (a peer may appear under several staged
-  // events); a kHintSweep anywhere in the batch adds every active
-  // non-seeder uploader (the rechoke sweep re-plans all of them).
-  prep_ids_.clear();
-  ++prep_gen_;
-  bool sweep = false;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t h = hints[i] & ~SimEngine::kHintBarrier;
-    if (h == SimEngine::kNoHint) continue;
-    if (h == SimEngine::kHintSweep) {
-      sweep = true;
-      continue;
-    }
-    const PeerId id = static_cast<PeerId>(h);
-    if (id >= store_.size() || prep_stamp_[id] == prep_gen_) continue;
-    prep_stamp_[id] = prep_gen_;
-    prep_ids_.push_back(id);
-  }
-  if (sweep) {
-    for (const PeerId id : store_.active_ids()) {
-      // Free-riders never upload, so their rows are never read.
-      if (store_.kind(id) == PeerKind::kSeeder ||
-          store_.kind(id) == PeerKind::kFreeRider ||
-          prep_stamp_[id] == prep_gen_) {
-        continue;
-      }
-      prep_stamp_[id] = prep_gen_;
-      prep_ids_.push_back(id);
-    }
-  }
-  if (prep_ids_.empty()) return;
-
-  // Fan the rows out over the fork-join workers (this thread takes a
-  // shard too). Each subject's memo row is a disjoint CSR segment and the
-  // subjects are deduped, so shards never write the same bytes; shared
-  // peer state is read-only for the whole prepare. Work is claimed in
-  // chunks off one atomic counter -- which thread warms which row is
-  // nondeterministic, but the warmed values are pure functions of shared
-  // state, so the schedule cannot leak into results.
-  std::atomic<std::size_t> next{0};
-  constexpr std::size_t kChunk = 8;
-  fork_join_->run([&](std::size_t) {
-    for (;;) {
-      const std::size_t begin =
-          next.fetch_add(kChunk, std::memory_order_relaxed);
-      if (begin >= prep_ids_.size()) return;
-      const std::size_t end = std::min(begin + kChunk, prep_ids_.size());
-      for (std::size_t k = begin; k < end; ++k) {
-        refresh_interest_memos(prep_ids_[k], 0);
-        if (prewarm_lane1_) refresh_interest_memos(prep_ids_[k], 1);
-      }
-    }
-  });
-}
-
-void Swarm::refresh_interest_memos(PeerId uploader, int lane) {
-  // Mirrors the memo fill inside needy_neighbors, minus the filters that
-  // don't feed the memo (accepts_incoming, accepts_delivery -- those are
-  // evaluated at commit time). Runs on prepare shards: reads shared state,
-  // writes only this uploader's memo row.
-  const PieceSet& offer =
-      lane == 1 ? store_.transferable(uploader) : store_.pieces(uploader);
-  const std::uint32_t offer_ver = lane == 1 ? store_.transferable_ver(uploader)
-                                            : store_.pieces_ver(uploader);
-  InterestMemo* memo = store_.memo_lane(lane, uploader);
-  const PeerId* nbrs = store_.neighbors_begin(uploader);
-  const std::size_t n = store_.neighbor_count(uploader);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PeerId q = nbrs[i];
-    if (store_.state(q) != PeerState::kActive ||
-        store_.kind(q) == PeerKind::kSeeder) {
-      continue;
-    }
-    InterestMemo& m = memo[i];
-    const std::uint32_t avail_ver = store_.unavail_ver(q);
-    if (m.offer_ver != offer_ver || m.avail_ver != avail_ver) {
-      m.offer_ver = offer_ver;
-      m.avail_ver = avail_ver;
-      m.can_offer = offer.can_offer(store_.unavailable(q));
-    }
-  }
 }
 
 void Swarm::arrive(PeerId id) {
@@ -361,7 +276,7 @@ void Swarm::arrive(PeerId id) {
   strategy_->on_peer_activated(*this, id);
   try_fill(id);
   const std::uint32_t epoch = p.epoch();
-  engine_.schedule_tagged(config_.retry_interval, id,
+  engine_.schedule_tagged(config_.retry_interval,
                           make_epoch_tag(kEvTick, id, epoch),
                           [this, id, epoch] { tick(id, epoch); });
   if (config_.faults.churn_enabled() && !p.is_seeder()) schedule_churn(id);
@@ -376,14 +291,14 @@ void Swarm::tick(PeerId id, std::uint32_t epoch) {
     return;
   }
   try_fill(id);
-  engine_.schedule_tagged(config_.retry_interval, id,
+  engine_.schedule_tagged(config_.retry_interval,
                           make_epoch_tag(kEvTick, id, epoch),
                           [this, id, epoch] { tick(id, epoch); });
 }
 
 void Swarm::request_refill(PeerId id) {
   // A tiny delay batches cascading refills triggered within one event.
-  engine_.schedule_tagged(1e-6, id, make_peer_tag(kEvTryFill, id),
+  engine_.schedule_tagged(1e-6, make_peer_tag(kEvTryFill, id),
                           [this, id] { try_fill(id); });
 }
 
@@ -439,18 +354,9 @@ std::vector<PeerId> Swarm::needy_neighbors(PeerId uploader,
       continue;
     }
     if (!accepts_incoming(n)) continue;
-    // The word-scan over (offer & ~q.unavailable) is the per-neighbor hot
-    // cost; its verdict only moves when one of the two sets does, so it is
-    // memoized against the version counters (filter order is unchanged:
-    // active -> accepts_incoming -> can_offer -> accepts_delivery).
-    InterestMemo& m = memo[i];
-    const std::uint32_t avail_ver = store_.unavail_ver(n);
-    if (m.offer_ver != offer_ver || m.avail_ver != avail_ver) {
-      m.offer_ver = offer_ver;
-      m.avail_ver = avail_ver;
-      m.can_offer = offer.can_offer(store_.unavailable(n));
-    }
-    if (!m.can_offer) continue;
+    // Filter order: active -> accepts_incoming -> can_offer ->
+    // accepts_delivery.
+    if (!memo_can_offer(memo[i], offer, offer_ver, store_, n)) continue;
     if (!strategy_->accepts_delivery(*this, n)) continue;
     out.push_back(n);
   }
@@ -481,17 +387,9 @@ bool Swarm::neighbor_needs_from(PeerId uploader, std::size_t index,
       include_locked_offer ? up.transferable() : up.pieces();
   const std::uint32_t offer_ver =
       include_locked_offer ? up.transferable_ver() : up.pieces_ver();
-  // Same memoized word-scan as needy_neighbors; a prepare-warmed entry
-  // makes this a three-compare hit.
-  InterestMemo& m =
-      store_.memo_lane(include_locked_offer ? 1 : 0, uploader)[index];
-  const std::uint32_t avail_ver = store_.unavail_ver(n);
-  if (m.offer_ver != offer_ver || m.avail_ver != avail_ver) {
-    m.offer_ver = offer_ver;
-    m.avail_ver = avail_ver;
-    m.can_offer = offer.can_offer(store_.unavailable(n));
-  }
-  return m.can_offer;
+  return memo_can_offer(
+      store_.memo_lane(include_locked_offer ? 1 : 0, uploader)[index],
+      offer, offer_ver, store_, n);
 }
 
 PieceId Swarm::pick_piece(PeerId uploader, PeerId target,
@@ -579,16 +477,14 @@ bool Swarm::start_transfer_attempt(PeerId from, PeerId to, PieceId piece,
       // over the transfer's duration.
       const Seconds fail_after = rng_.uniform01() * duration;
       engine_.schedule_tagged(
-          fail_after, t.from | SimEngine::kHintBarrier,
-          make_transfer_tag(kEvFailLoss, t),
+          fail_after, make_transfer_tag(kEvFailLoss, t),
           [this, t] { fail_transfer(t, /*stalled=*/false); });
       doomed = true;
     } else if (faults.transfer_stall_rate > 0.0 &&
                rng_.bernoulli(faults.transfer_stall_rate)) {
       // The transfer hangs; the slot stays occupied until the timeout.
       engine_.schedule_tagged(
-          faults.stall_timeout, t.from | SimEngine::kHintBarrier,
-          make_transfer_tag(kEvFailStall, t),
+          faults.stall_timeout, make_transfer_tag(kEvFailStall, t),
           [this, t] { fail_transfer(t, /*stalled=*/true); });
       doomed = true;
     }
@@ -597,7 +493,7 @@ bool Swarm::start_transfer_attempt(PeerId from, PeerId to, PieceId piece,
   // sets, slots, refill storms), so they carry the barrier bit: staging a
   // batch never looks past the earliest in-flight resolution.
   if (!doomed) {
-    engine_.schedule_tagged(duration, t.from | SimEngine::kHintBarrier,
+    engine_.schedule_tagged(duration,
                             make_transfer_tag(kEvCompleteTransfer, t),
                             [this, t] { complete_transfer(t); });
   }
@@ -718,7 +614,6 @@ void Swarm::finish_peer(PeerId id) {
   if (config_.linger_time > 0.0 && !last_compliant) {
     // Stay and seed for a while before leaving.
     engine_.schedule_tagged(config_.linger_time,
-                            id | SimEngine::kHintBarrier,
                             make_peer_tag(kEvLingerDepart, id),
                             [this, id] { depart(id); });
     request_refill(id);
@@ -776,7 +671,6 @@ void Swarm::fail_transfer(Transfer t, bool stalled) {
     ++fault_stats_.retries_scheduled;
     strategy_->on_transfer_failed(*this, t, /*will_retry=*/true);
     engine_.schedule_tagged(config_.faults.backoff_for(t.attempt),
-                            t.from | SimEngine::kHintBarrier,
                             make_transfer_tag(kEvRetryTransfer, t),
                             [this, t] { retry_transfer(t); });
   } else {
@@ -828,8 +722,7 @@ void Swarm::retry_transfer(Transfer t) {
 void Swarm::schedule_churn(PeerId id) {
   const Seconds dt = rng_.exponential(config_.faults.churn_rate);
   const std::uint32_t epoch = store_.epoch(id);
-  engine_.schedule_tagged(dt, id | SimEngine::kHintBarrier,
-                          make_epoch_tag(kEvChurnCheck, id, epoch),
+  engine_.schedule_tagged(dt, make_epoch_tag(kEvChurnCheck, id, epoch),
                           [this, id, epoch] { churn_check(id, epoch); });
 }
 
@@ -868,8 +761,7 @@ void Swarm::churn_out(PeerId id) {
         config_.faults.mean_downtime <= 0.0
             ? 0.0
             : rng_.exponential(1.0 / config_.faults.mean_downtime);
-    engine_.schedule_tagged(downtime, id | SimEngine::kHintBarrier,
-                            make_peer_tag(kEvRejoin, id),
+    engine_.schedule_tagged(downtime, make_peer_tag(kEvRejoin, id),
                             [this, id] { rejoin(id); });
     AUDIT_CHECK();
     return;
@@ -901,7 +793,7 @@ void Swarm::rejoin(PeerId id) {
   }
   try_fill(id);
   const std::uint32_t epoch = p.epoch();
-  engine_.schedule_tagged(config_.retry_interval, id,
+  engine_.schedule_tagged(config_.retry_interval,
                           make_epoch_tag(kEvTick, id, epoch),
                           [this, id, epoch] { tick(id, epoch); });
   schedule_churn(id);
@@ -920,7 +812,6 @@ void Swarm::seeder_outage_begin() {
     strategy_->on_peer_departed(*this, p.id(), /*will_rejoin=*/true);
   }
   engine_.schedule_tagged(config_.faults.seeder_downtime,
-                          SimEngine::kNoHint | SimEngine::kHintBarrier,
                           make_kind_tag(kEvSeederOutageEnd),
                           [this] { seeder_outage_end(); });
   AUDIT_CHECK();
@@ -936,13 +827,12 @@ void Swarm::seeder_outage_end() {
     try_fill(p.id());
     const std::uint32_t epoch = p.epoch();
     const PeerId id = p.id();
-    engine_.schedule_tagged(config_.retry_interval, id,
+    engine_.schedule_tagged(config_.retry_interval,
                             make_epoch_tag(kEvTick, id, epoch),
                             [this, id, epoch] { tick(id, epoch); });
   }
   if (engine_.now() + config_.faults.seeder_uptime <= config_.max_time) {
     engine_.schedule_tagged(config_.faults.seeder_uptime,
-                            SimEngine::kNoHint | SimEngine::kHintBarrier,
                             make_kind_tag(kEvSeederOutageBegin),
                             [this] { seeder_outage_begin(); });
   }
@@ -993,7 +883,7 @@ void Swarm::whitewash_timer() {
   }
   if (engine_.now() + config_.attack.whitewash_interval <= config_.max_time) {
     engine_.schedule_tagged(config_.attack.whitewash_interval,
-                            SimEngine::kNoHint, make_kind_tag(kEvWhitewash),
+                            make_kind_tag(kEvWhitewash),
                             [this] { whitewash_timer(); });
   }
 }
@@ -1010,7 +900,7 @@ void Swarm::sybil_timer() {
     }
   }
   if (engine_.now() + config_.attack.sybil_interval <= config_.max_time) {
-    engine_.schedule_tagged(config_.attack.sybil_interval, SimEngine::kNoHint,
+    engine_.schedule_tagged(config_.attack.sybil_interval,
                             make_kind_tag(kEvSybil), [this] { sybil_timer(); });
   }
 }

@@ -27,7 +27,6 @@
 #include "sim/strategy.h"
 #include "sim/types.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace coopnet::sim {
 
@@ -81,14 +80,13 @@ class Swarm {
   /// simulator (no tag is ever stored).
   void enable_checkpoints() { engine_.enable_tags(); }
   /// Schedules the initial events (arrivals, attack/fault timers, strategy
-  /// attach) and sets up the --threads machinery, without executing
-  /// anything. run() == start() + advance_until(config().max_time).
+  /// attach) without executing anything.
+  /// run() == start() + advance_until(config().max_time).
   void start();
-  /// The post-restore counterpart of start(): performs only the
-  /// non-scheduling setup (fork-join workers, parallel prepare hook).
-  /// Strategy attach is NOT called -- attach-time state is restored by the
-  /// strategy's checkpoint_load -- and no event is queued: the queue
-  /// arrives via SwarmCheckpoint::restore.
+  /// The post-restore counterpart of start(): only marks the swarm as
+  /// run. Strategy attach is NOT called -- attach-time state is restored
+  /// by the strategy's checkpoint_load -- and no event is queued: the
+  /// queue arrives via SwarmCheckpoint::restore.
   void start_restored();
   /// Runs queued events with time <= deadline (see SimEngine::run_until).
   void advance_until(Seconds deadline) { engine_.run_until(deadline); }
@@ -164,9 +162,8 @@ class Swarm {
 
   /// needs_from for the `index`-th neighbor of `uploader` -- identical
   /// verdict, but routed through the per-edge interest memo so repeated
-  /// checks (and the --threads prepare prewarm) hit the cache instead of
-  /// re-scanning piece words. `index` must address the uploader's
-  /// neighbor list.
+  /// checks hit the cache instead of re-scanning piece words. `index`
+  /// must address the uploader's neighbor list.
   bool neighbor_needs_from(PeerId uploader, std::size_t index,
                            bool include_locked_offer = false);
 
@@ -243,10 +240,6 @@ class Swarm {
   friend class SwarmCheckpoint;
 
   void build_population();
-  /// Shared start()/start_restored() tail: the --threads > 1 batched
-  /// prepare machinery (fork-join workers + engine hook). Schedules
-  /// nothing.
-  void setup_parallel();
   std::vector<Seconds> draw_arrival_times();
   void arrive(PeerId id);
   void depart(PeerId id);
@@ -266,20 +259,10 @@ class Swarm {
 
   /// Restore-side inverse of the tagged schedule calls: re-registers the
   /// closure a snapshot queue entry describes under its original
-  /// (time, seq, hint). Swarm-owned kinds rebuild directly; strategy and
+  /// (time, seq). Swarm-owned kinds rebuild directly; strategy and
   /// external timers delegate to rebuild_timer / the installed rebuilder.
   void rebuild_event(const SimEngine::QueueEntry& entry);
 
-  // --- batched prepare (--threads > 1; see DESIGN §11) -------------------
-  /// Engine prepare hook: warms the interest-memo rows named by the
-  /// batch's hints across the fork-join workers. Effect-free by contract:
-  /// no scheduling, no RNG, no observable state -- memo contents are pure
-  /// functions of the version counters, so the warm is invisible to
-  /// results no matter how stale the hints are by commit time.
-  void prepare_batch(const std::uint32_t* hints, std::size_t count);
-  /// Recomputes every out-of-date entry of `uploader`'s memo row in
-  /// `lane` (0: pieces offers, 1: transferable offers).
-  void refresh_interest_memos(PeerId uploader, int lane);
 
   // --- fault injection (src/sim/faults.h) --------------------------------
   /// Aborts a lossy/stalled transfer, releases both endpoints' slot state,
@@ -314,18 +297,6 @@ class Swarm {
   /// Rebuilds kEvExternalTimer closures on restore (null when the run
   /// never schedules driver-owned timers).
   std::function<SimEngine::EventFn(std::uint32_t)> external_timer_rebuilder_;
-  /// Workers for the batched prepare phase (config.threads - 1 helpers;
-  /// null in sequential mode). Only prepare_batch ever runs on them.
-  std::unique_ptr<util::ForkJoin> fork_join_;
-  /// Whether prepare also warms lane 1 (transferable/locked offers) --
-  /// true exactly when the strategy forwards locked pieces (T-Chain).
-  bool prewarm_lane1_ = false;
-  /// Scratch for prepare_batch: deduped subject ids and a per-peer stamp
-  /// (stamp_[id] == stamp_gen_ means already queued this batch). Reused
-  /// across batches to avoid per-batch allocation.
-  std::vector<PeerId> prep_ids_;
-  std::vector<std::uint32_t> prep_stamp_;
-  std::uint32_t prep_gen_ = 0;
 #if COOPNET_AUDIT
   std::unique_ptr<InvariantAuditor> auditor_;
 #endif

@@ -11,11 +11,7 @@
 namespace coopnet::strategy {
 
 void BitTorrentStrategy::attach(sim::Swarm& swarm) {
-  // The rechoke sweep re-plans the whole population, so it carries the
-  // sweep hint: a batched prepare warms every active uploader's interest
-  // memos before the sweep (and its refill storm) commits.
   swarm.engine().schedule_tagged(swarm.config().rechoke_interval,
-                                 sim::SimEngine::kHintSweep,
                                  sim::make_timer_tag(sim::kEvStrategyTimer, 0),
                                  [this, &swarm] { rechoke_all(swarm); });
 }
@@ -37,7 +33,6 @@ void BitTorrentStrategy::rechoke_all(sim::Swarm& swarm) {
     swarm.request_refill(id);
   }
   swarm.engine().schedule_tagged(swarm.config().rechoke_interval,
-                                 sim::SimEngine::kHintSweep,
                                  sim::make_timer_tag(sim::kEvStrategyTimer, 0),
                                  [this, &swarm] { rechoke_all(swarm); });
 }
@@ -48,10 +43,9 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   PeerChokeState& st = state_[id];
 
   // Interested candidates: active neighbors we could serve. The check
-  // goes through the per-edge memo (warmed by a batched prepare under
-  // --threads); the verdicts -- and so the candidate list, the shuffle's
-  // draw count, and everything downstream -- are identical to the plain
-  // needs_from scan.
+  // goes through the per-edge memo; the verdicts -- and so the candidate
+  // list, the shuffle's draw count, and everything downstream -- are
+  // identical to the plain needs_from scan.
   const sim::NeighborRange nbrs = p.neighbors();
   std::vector<Pick> candidates;
   candidates.reserve(nbrs.size());

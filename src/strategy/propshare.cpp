@@ -12,7 +12,6 @@ namespace coopnet::strategy {
 
 void PropShareStrategy::attach(sim::Swarm& swarm) {
   swarm.engine().schedule_tagged(swarm.config().rechoke_interval,
-                                 sim::SimEngine::kNoHint,
                                  sim::make_timer_tag(sim::kEvStrategyTimer, 0),
                                  [this, &swarm] { reshare_all(swarm); });
 }
@@ -41,7 +40,6 @@ void PropShareStrategy::reshare_all(sim::Swarm& swarm) {
     swarm.request_refill(id);
   }
   swarm.engine().schedule_tagged(swarm.config().rechoke_interval,
-                                 sim::SimEngine::kNoHint,
                                  sim::make_timer_tag(sim::kEvStrategyTimer, 0),
                                  [this, &swarm] { reshare_all(swarm); });
 }

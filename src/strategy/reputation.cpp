@@ -13,12 +13,12 @@ namespace coopnet::strategy {
 
 void ReputationStrategy::attach(sim::Swarm& swarm) {
   swarm.engine().schedule_tagged(
-      swarm.config().rechoke_interval, sim::SimEngine::kNoHint,
+      swarm.config().rechoke_interval,
       sim::make_timer_tag(sim::kEvStrategyTimer, 0),
       [this, &swarm] { rotate_altruism_targets(swarm); });
   if (swarm.config().reputation_mode == sim::ReputationMode::kEigenTrust) {
     swarm.engine().schedule_tagged(
-        swarm.config().rechoke_interval, sim::SimEngine::kNoHint,
+        swarm.config().rechoke_interval,
         sim::make_timer_tag(sim::kEvStrategyTimer, 1),
         [this, &swarm] { recompute_eigentrust(swarm); });
   }
@@ -59,7 +59,7 @@ void ReputationStrategy::recompute_eigentrust(sim::Swarm& swarm) {
   if (swarm.engine().now() + swarm.config().rechoke_interval <=
       swarm.config().max_time) {
     swarm.engine().schedule_tagged(
-        swarm.config().rechoke_interval, sim::SimEngine::kNoHint,
+        swarm.config().rechoke_interval,
         sim::make_timer_tag(sim::kEvStrategyTimer, 1),
         [this, &swarm] { recompute_eigentrust(swarm); });
   }
@@ -84,7 +84,7 @@ void ReputationStrategy::rotate_altruism_targets(sim::Swarm& swarm) {
                       : needy[swarm.rng().uniform_u64(needy.size())];
   }
   swarm.engine().schedule_tagged(
-      swarm.config().rechoke_interval, sim::SimEngine::kNoHint,
+      swarm.config().rechoke_interval,
       sim::make_timer_tag(sim::kEvStrategyTimer, 0),
       [this, &swarm] { rotate_altruism_targets(swarm); });
 }

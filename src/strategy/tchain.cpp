@@ -17,7 +17,7 @@ void TChainStrategy::attach(sim::Swarm& swarm) {
                      : static_cast<std::size_t>(swarm.config().tchain_backlog);
   grace_ = swarm.config().tchain_grace;
   backlog_count_.assign(swarm.peer_count(), 0);
-  swarm.engine().schedule_tagged(grace_ / 2.0, sim::SimEngine::kNoHint,
+  swarm.engine().schedule_tagged(grace_ / 2.0,
                                  sim::make_timer_tag(sim::kEvStrategyTimer, 0),
                                  [this, &swarm] { grace_scan(swarm); });
 }
@@ -316,8 +316,7 @@ void TChainStrategy::grace_scan(sim::Swarm& swarm) {
   }
   if (now + grace_ / 2.0 <= swarm.config().max_time) {
     swarm.engine().schedule_tagged(
-        grace_ / 2.0, sim::SimEngine::kNoHint,
-        sim::make_timer_tag(sim::kEvStrategyTimer, 0),
+        grace_ / 2.0, sim::make_timer_tag(sim::kEvStrategyTimer, 0),
         [this, &swarm] { grace_scan(swarm); });
   }
 }

@@ -47,59 +47,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-ForkJoin::ForkJoin(std::size_t helpers) {
-  helpers_.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i) {
-    // Shard 0 is the caller's; helpers take 1..N.
-    helpers_.emplace_back([this, i] { helper_loop(i + 1); });
-  }
-}
-
-ForkJoin::~ForkJoin() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& t : helpers_) t.join();
-}
-
-void ForkJoin::run(const std::function<void(std::size_t)>& fn) {
-  if (helpers_.empty()) {
-    fn(0);  // sequential degenerate case: no locks at all
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
-    pending_ = helpers_.size();
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  fn(0);
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-  fn_ = nullptr;
-}
-
-void ForkJoin::helper_loop(std::size_t shard) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock,
-                     [&] { return stopping_ || generation_ != seen; });
-      if (stopping_) return;
-      seen = generation_;
-      fn = fn_;
-    }
-    (*fn)(shard);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
 }  // namespace coopnet::util

@@ -11,7 +11,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -73,53 +72,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
-};
-
-/// Reusable fork-join barrier for fine-grained data parallelism inside a
-/// single simulation run (sim::SimEngine's batched prepare phase).
-///
-/// ThreadPool's futures-based submit allocates a packaged_task and a
-/// future per task -- fine for whole-swarm experiment cells, far too
-/// heavy for a phase that fires thousands of times per simulated second.
-/// ForkJoin instead keeps `helpers` dedicated threads parked on a
-/// condition variable and reuses them for every run() call: the CALLING
-/// thread executes shard 0 inline while helpers execute shards 1..N, and
-/// run() returns only after every shard finished (a full barrier).
-///
-/// With helpers == 0, run() degenerates to a plain inline fn(0) call --
-/// no locks, no threads -- which is what makes `--threads 1` execute the
-/// exact sequential code path.
-class ForkJoin {
- public:
-  /// Spawns `helpers` dedicated threads (0 is valid: everything inline).
-  explicit ForkJoin(std::size_t helpers);
-
-  /// Joins the helpers; must not be called while run() is in progress.
-  ~ForkJoin();
-
-  ForkJoin(const ForkJoin&) = delete;
-  ForkJoin& operator=(const ForkJoin&) = delete;
-
-  /// Total shards per run(): the caller plus the helpers.
-  std::size_t shard_count() const { return helpers_.size() + 1; }
-
-  /// Executes fn(shard) for every shard in [0, shard_count()), shard 0 on
-  /// the calling thread, and returns after ALL shards completed. `fn`
-  /// must not throw (an exception on a helper thread would terminate);
-  /// shards must touch disjoint data. Not reentrant.
-  void run(const std::function<void(std::size_t)>& fn);
-
- private:
-  void helper_loop(std::size_t shard);
-
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::size_t pending_ = 0;
-  bool stopping_ = false;
-  std::vector<std::thread> helpers_;
 };
 
 }  // namespace coopnet::util

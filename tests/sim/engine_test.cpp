@@ -2,11 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace coopnet::sim {
 namespace {
+
+using Trace = std::vector<std::pair<Seconds, std::uint32_t>>;
+
+EventTag label_tag(std::uint32_t label) {
+  EventTag tag;
+  tag.kind = 1;
+  tag.a = label;
+  return tag;
+}
+
+/// An event that records (now, label) when it fires. Labels below 100
+/// that are multiples of 3 also schedule a tagged follow-up (label + 100)
+/// at the same instant or one second later, so nested scheduling
+/// interleaves with queued same-time ties.
+SimEngine::EventFn recorder(SimEngine& e, Trace& trace, std::uint32_t label) {
+  return [&e, &trace, label] {
+    trace.emplace_back(e.now(), label);
+    if (label < 100 && label % 3 == 0) {
+      e.schedule_tagged(label % 2, label_tag(label + 100),
+                        recorder(e, trace, label + 100));
+    }
+  };
+}
 
 TEST(SimEngine, StartsAtZero) {
   SimEngine e;
@@ -181,6 +205,59 @@ TEST(SimEngine, GuardDoesNotPerturbEventOrderOrClock) {
     return trace;
   };
   EXPECT_EQ(run_trace(false), run_trace(true));
+}
+
+TEST(SimEngine, RestoredQueuePopsInTheOriginalOrder) {
+  // restore_entry re-inserts each snapshot entry under its ORIGINAL seq,
+  // so a restored engine must replay the rest of the run exactly like the
+  // engine the snapshot came from: same-time ties keep their scheduling
+  // order and events scheduled after the restore sort behind them.
+  SimEngine original;
+  Trace original_trace;
+  original.enable_tags();
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    // Four timestamps, six events each: every timestamp is a tie group.
+    original.schedule_tagged(1.0 + 0.5 * (i % 4), label_tag(i),
+                             recorder(original, original_trace, i));
+  }
+  original.run_until(1.0);
+  ASSERT_FALSE(original_trace.empty());
+  const std::size_t executed = original_trace.size();
+  const std::vector<SimEngine::QueueEntry> queue = original.snapshot_queue();
+  ASSERT_FALSE(queue.empty());
+
+  SimEngine restored;
+  Trace restored_trace;
+  restored.enable_tags();
+  restored.set_now(original.now());
+  restored.set_next_seq(original.next_seq());
+  restored.set_processed(original.events_processed());
+  // Restore back to front: the heap position must come from (time, seq),
+  // not from the order entries are re-inserted in.
+  for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
+    restored.restore_entry(*it,
+                           recorder(restored, restored_trace, it->tag.a));
+  }
+  EXPECT_EQ(restored.pending(), original.pending());
+
+  // Post-restore scheduling on both engines, tying with restored events.
+  for (std::uint32_t label : {200u, 201u, 202u}) {
+    const Seconds delay = 0.5 * (label - 200);
+    original.schedule_tagged(delay, label_tag(label),
+                             recorder(original, original_trace, label));
+    restored.schedule_tagged(delay, label_tag(label),
+                             recorder(restored, restored_trace, label));
+  }
+
+  original.run();
+  restored.run();
+  const Trace tail(original_trace.begin() + executed, original_trace.end());
+  ASSERT_EQ(restored_trace.size(), tail.size());
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(restored_trace[i], tail[i]) << "pop " << i;
+  }
+  EXPECT_EQ(restored.now(), original.now());
+  EXPECT_EQ(restored.events_processed(), original.events_processed());
 }
 
 }  // namespace

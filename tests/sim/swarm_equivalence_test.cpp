@@ -99,9 +99,8 @@ struct CellResult {
   std::vector<std::string> trace_lines;
 };
 
-CellResult run_cell(const Cell& cell, std::size_t threads = 1) {
-  SwarmConfig config = cell_config(cell);
-  config.threads = threads;
+CellResult run_cell(const Cell& cell) {
+  const SwarmConfig config = cell_config(cell);
   Swarm swarm(config, strategy::make_strategy(config.algorithm));
   metrics::RunMetrics collector;
   collector.install(swarm);
@@ -221,31 +220,6 @@ TEST_P(SwarmEquivalence, MatchesSeedGolden) {
   Swarm swarm(config, strategy::make_strategy(config.algorithm));
   ASSERT_NE(swarm.auditor(), nullptr);
 #endif
-}
-
-// The --threads contract (DESIGN §11) says any thread count replays the
-// sequential run byte-for-byte -- so the parallel mode must reproduce
-// the *seed* goldens directly, not just match this build's sequential
-// output. Report JSON byte-equal; trace pinned through the same
-// line-count + FNV-1a meta fingerprint as the sequential check.
-TEST_P(SwarmEquivalence, MatchesSeedGoldenUnderThreads) {
-  const Cell cell = GetParam();
-  if (regen_requested()) {
-    GTEST_SKIP() << "goldens are regenerated by the sequential test";
-  }
-  std::string golden_json, golden_meta;
-  const std::string base = cell_name(cell);
-  ASSERT_TRUE(read_file(golden_path(base + ".json"), golden_json));
-  ASSERT_TRUE(read_file(golden_path(base + ".trace.meta"), golden_meta));
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    const CellResult result = run_cell(cell, threads);
-    EXPECT_EQ(result.report_json, golden_json)
-        << base << ": RunReport JSON diverged from the seed engine at "
-        << "--threads " << threads;
-    EXPECT_EQ(trace_meta(result), golden_meta)
-        << base << ": trace-sink stream diverged from the seed engine at "
-        << "--threads " << threads;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCells, SwarmEquivalence,

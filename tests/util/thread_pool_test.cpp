@@ -88,77 +88,6 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(ran.load(), 10);
 }
 
-TEST(ForkJoin, ZeroHelpersRunsInlineOnTheCaller) {
-  ForkJoin fj(0);
-  EXPECT_EQ(fj.shard_count(), 1u);
-  const auto caller = std::this_thread::get_id();
-  std::size_t runs = 0;
-  std::size_t seen_shard = 99;
-  fj.run([&](std::size_t shard) {
-    ++runs;
-    seen_shard = shard;
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-  EXPECT_EQ(runs, 1u);
-  EXPECT_EQ(seen_shard, 0u);
-}
-
-TEST(ForkJoin, EveryShardRunsExactlyOncePerRun) {
-  ForkJoin fj(3);
-  EXPECT_EQ(fj.shard_count(), 4u);
-  std::vector<std::atomic<int>> counts(4);
-  fj.run([&counts](std::size_t shard) { ++counts[shard]; });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ForkJoin, CallerTakesShardZero) {
-  ForkJoin fj(2);
-  const auto caller = std::this_thread::get_id();
-  std::atomic<bool> shard0_on_caller{false};
-  fj.run([&](std::size_t shard) {
-    if (shard == 0) {
-      shard0_on_caller = std::this_thread::get_id() == caller;
-    }
-  });
-  EXPECT_TRUE(shard0_on_caller.load());
-}
-
-TEST(ForkJoin, RunIsAFullBarrierAndReusable) {
-  // Many consecutive rounds through one ForkJoin: each round's shards all
-  // observe the value the previous round produced, proving run() returns
-  // only after every shard finished and the generation handshake never
-  // wedges or double-fires.
-  ForkJoin fj(3);
-  constexpr int kRounds = 200;
-  std::atomic<long> total{0};
-  for (int round = 0; round < kRounds; ++round) {
-    const long before = total.load();
-    std::atomic<int> hits{0};
-    fj.run([&](std::size_t) {
-      EXPECT_EQ(total.load() - before, 0);  // no shard from a prior round
-      ++hits;
-    });
-    EXPECT_EQ(hits.load(), 4);
-    total += hits.load();
-  }
-  EXPECT_EQ(total.load(), kRounds * 4);
-}
-
-TEST(ForkJoin, ShardsWritingDisjointRangesSumExactly) {
-  ForkJoin fj(3);
-  constexpr std::size_t kItems = 10000;
-  std::vector<std::uint64_t> out(kItems, 0);
-  const std::size_t shards = fj.shard_count();
-  fj.run([&out, shards](std::size_t shard) {
-    for (std::size_t i = shard; i < kItems; i += shards) {
-      out[i] = i * 3 + 1;
-    }
-  });
-  for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(out[i], i * 3 + 1) << "item " << i;
-  }
-}
-
 TEST(ThreadPool, ConcurrentSubmittersAreSafe) {
   ThreadPool pool(4);
   std::atomic<int> total{0};

@@ -27,9 +27,8 @@ run_pass() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" ${CTEST_ARGS}
 }
 
-# TSan over exactly the code that runs multi-threaded: the ThreadPool /
-# ForkJoin primitives, the engine's batched prepare phase, the swarm's
-# --threads byte-identity matrix, and the parallel experiment runner.
+# TSan over exactly the code that runs multi-threaded: the ThreadPool
+# primitive and the parallel experiment runner (--jobs).
 # Targeted build + -R filter keeps the pass minutes, not hours; the
 # unbuilt suites surface as *_NOT_BUILT entries that the filter excludes.
 tsan_pass() {
@@ -38,11 +37,10 @@ tsan_pass() {
   cmake -B "${dir}" -S . -DCOOPNET_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   echo "=== build ${dir} (concurrency suites) ==="
   cmake --build "${dir}" -j "${JOBS}" --target \
-    test_thread_pool test_engine_batch test_threads_determinism \
-    test_parallel_determinism
+    test_thread_pool test_parallel_determinism
   echo "=== ctest ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-    -R 'ThreadPool|ForkJoin|EngineBatch|ThreadsDeterminism|ParallelDeterminism'
+    -R 'ThreadPool|ParallelDeterminism'
 }
 
 # The fluid backend's CLI round trip at the N = 10^6 extrapolation cell

@@ -23,7 +23,7 @@
 #   tools/ci_bench_gate.sh [build-dir] [mode] [legs]
 #     mode: full (default) | ratio
 #     legs: smoke (default; micro_engine + micro_swarm --max-n 1000)
-#           scale (micro_swarm --peers 100000, at --threads 1 and 4)
+#           scale (micro_swarm --peers 100000)
 #           all   (both)
 set -euo pipefail
 
@@ -60,14 +60,7 @@ fi
 if [[ "${LEGS}" == "scale" || "${LEGS}" == "all" ]]; then
   "${BUILD_DIR}/bench/micro_swarm" --peers 100000 \
     --json-out "${OUT}/BENCH_swarm_scale.json"
-  # Same workload with the batched prepare phase on 4 threads. The
-  # byte-equal events check against the committed t4 baseline pins the
-  # DESIGN §11 any-thread-count determinism contract at N = 100k (the t4
-  # events equal the sequential events by construction); events/sec is
-  # hardware-dependent like every absolute throughput number here.
-  "${BUILD_DIR}/bench/micro_swarm" --peers 100000 --threads 4 \
-    --json-out "${OUT}/BENCH_swarm_scale_t4.json"
-  TOOLS+=(swarm_scale swarm_scale_t4)
+  TOOLS+=(swarm_scale)
 fi
 if [[ ${#TOOLS[@]} -eq 0 ]]; then
   echo "error: unknown legs '${LEGS}' (smoke|scale|all)" >&2

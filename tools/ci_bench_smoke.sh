@@ -80,10 +80,6 @@ run fig4_fluid_overlay "${BENCH}/fig4_fluid_overlay" "${SMALL[@]}"
 # artifact) cannot rot without waiting for the dedicated scale-smoke job.
 run micro_swarm_scale "${BENCH}/micro_swarm" --peers 500 --horizon 60 \
   --json-out "${BUILD_DIR}/bench-smoke/BENCH_swarm_scale.json"
-# Same tiny run with the batched prepare phase on; the dedicated gate
-# checks byte-identity at N=100k, this just keeps the flag path alive.
-run micro_swarm_scale_t4 "${BENCH}/micro_swarm" --peers 500 --horizon 60 \
-  --threads 4 --json-out "${BUILD_DIR}/bench-smoke/BENCH_swarm_scale_t4.json"
 run micro_pool "${BENCH}/micro_pool" \
   --benchmark_filter='BM_CellSeed|BM_PoolSubmitValue' \
   --benchmark_min_time=0.01

@@ -109,9 +109,6 @@ backend:
                        backend at N=500..5000; single run only (--reps,
                        supervision, --trace, --audit need events)
 output:
-  --threads K          intra-run worker threads for the engine's batched
-                       prepare phase (default 1; results are
-                       byte-identical for every K)
   --reps R             replications (mean +/- 95% CI; default 1)
   --jobs J             replications run concurrently (default: all
                        hardware threads; 1 = sequential; results are
@@ -169,7 +166,6 @@ sim::SwarmConfig config_from(const util::Cli& cli) {
   config.tchain_backlog =
       static_cast<int>(cli.get_int("tchain-backlog", config.tchain_backlog));
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  config.threads = cli.get_count("threads", 1, 256);
 
   const std::string pieces = cli.get_string("pieces", "rarest");
   if (pieces == "rarest") {
