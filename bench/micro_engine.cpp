@@ -8,6 +8,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,12 +31,17 @@ using namespace coopnet;
 // The simulator's event pattern, distilled: a standing population of
 // pending events where every fired event reschedules one successor (a tick
 // chain) and sometimes a second, larger event (a transfer completion
-// carrying a Transfer-sized payload that overflows small-capture
-// optimizations). Both engines replay it identically -- pop order decides
-// the RNG draws, and the differential suite pins pop order -- so the
-// optimized/reference ratio isolates pure scheduler cost.
+// carrying a Transfer-sized payload). SimEngine queues both as tags, like
+// the swarm; the reference engine queues closures, the completion's
+// capture overflowing small-capture optimizations. Both engines replay it
+// identically -- pop order decides the RNG draws, and the differential
+// suite pins pop order -- so the optimized/reference ratio isolates pure
+// scheduler cost.
 template <typename Engine>
 struct ChurnDriver {
+  static constexpr bool kTags = std::is_same_v<Engine, sim::SimEngine>;
+  enum Kind : std::uint32_t { kSmall = 1, kPayload = 2 };
+
   // Matches sizeof a [this, Transfer] capture (64 bytes): the completion
   // events that dominate a real run and exceed any 48-byte inline buffer.
   struct Payload {
@@ -53,19 +59,50 @@ struct ChurnDriver {
     ++fired;
     reschedule();
   }
-  void fire_payload(const Payload& p) {
+  void fire_payload(double a0) {
     ++fired;
-    sink += p.a[0];
+    sink += a0;
     reschedule();
+  }
+  void schedule_small(double delay) {
+    if constexpr (kTags) {
+      sim::EventTag tag;
+      tag.kind = kSmall;
+      engine.schedule(delay, tag);
+    } else {
+      engine.schedule(delay, [this] { fire_small(); });
+    }
+  }
+  void schedule_payload(double delay, const Payload& p) {
+    if constexpr (kTags) {
+      sim::EventTag tag;
+      tag.kind = kPayload;
+      tag.x = p.a[0];
+      engine.schedule(delay, tag);
+    } else {
+      engine.schedule(delay, [this, p] { fire_payload(p.a[0]); });
+    }
   }
   void reschedule() {
     if (fired >= budget) return;
-    engine.schedule(rng.uniform(0.0, 2.0), [this] { fire_small(); });
+    schedule_small(rng.uniform(0.0, 2.0));
     if (rng.bernoulli(0.3)) {
       Payload p{};
       p.a[0] = 1.0;
-      engine.schedule(rng.uniform(0.0, 4.0),
-                      [this, p] { fire_payload(p); });
+      schedule_payload(rng.uniform(0.0, 4.0), p);
+    }
+  }
+  void run() {
+    if constexpr (kTags) {
+      engine.run([this](const sim::EventTag& tag) {
+        if (tag.kind == kPayload) {
+          fire_payload(tag.x);
+        } else {
+          fire_small();
+        }
+      });
+    } else {
+      engine.run();
     }
   }
 };
@@ -75,25 +112,39 @@ std::uint64_t run_churn(std::size_t pending, std::uint64_t budget) {
   ChurnDriver<Engine> driver;
   driver.budget = budget;
   for (std::size_t i = 0; i < pending; ++i) {
-    driver.engine.schedule(driver.rng.uniform(0.0, 2.0),
-                           [d = &driver] { d->fire_small(); });
+    driver.schedule_small(driver.rng.uniform(0.0, 2.0));
   }
-  driver.engine.run();
+  driver.run();
   benchmark::DoNotOptimize(driver.sink);
   return driver.engine.events_processed();
+}
+
+/// Queues one counting event at each of `times` and runs them all: tags
+/// on SimEngine, closures on the reference engine.
+template <typename Engine>
+std::uint64_t schedule_run(const std::vector<double>& times) {
+  Engine engine;
+  std::size_t fired = 0;
+  if constexpr (std::is_same_v<Engine, sim::SimEngine>) {
+    sim::EventTag tag;
+    tag.kind = 1;
+    for (double t : times) engine.schedule(t, tag);
+    engine.run([&fired](const sim::EventTag&) { ++fired; });
+  } else {
+    for (double t : times) engine.schedule(t, [&fired] { ++fired; });
+    engine.run();
+  }
+  benchmark::DoNotOptimize(fired);
+  return engine.events_processed();
 }
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
+  std::vector<double> times(n);
   for (auto _ : state) {
-    sim::SimEngine engine;
-    std::size_t fired = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      engine.schedule(rng.uniform(0.0, 1000.0), [&fired] { ++fired; });
-    }
-    engine.run();
-    benchmark::DoNotOptimize(fired);
+    for (double& t : times) t = rng.uniform(0.0, 1000.0);
+    schedule_run<sim::SimEngine>(times);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -278,24 +329,14 @@ int emit_bench_json(const std::string& path) {
     util::Rng rng(1);
     std::vector<double> times(500000);
     for (auto& t : times) t = rng.uniform(0.0, 1000.0);
-    auto schedule_run = [&times](auto engine_tag) {
-      decltype(engine_tag) engine;
-      std::size_t fired = 0;
-      for (double t : times) {
-        engine.schedule(t, [&fired] { ++fired; });
-      }
-      engine.run();
-      benchmark::DoNotOptimize(fired);
-      return engine.events_processed();
-    };
     BenchRecord opt;
     opt.name = "engine_schedule_run/n=500000";
     std::tie(opt.events, opt.wall_s) =
-        best_of([&] { return schedule_run(sim::SimEngine{}); });
+        best_of([&] { return schedule_run<sim::SimEngine>(times); });
     BenchRecord ref;
     ref.name = "reference_schedule_run/n=500000";
     std::tie(ref.events, ref.wall_s) =
-        best_of([&] { return schedule_run(sim::ReferenceEngine{}); });
+        best_of([&] { return schedule_run<sim::ReferenceEngine>(times); });
     opt.extra.push_back(
         {"speedup_vs_reference", opt.events_per_sec() / ref.events_per_sec()});
     std::printf("%-28s %12.0f events/s  (reference %12.0f, speedup %.2fx)\n",

@@ -210,7 +210,6 @@ void run_checkpointed_cell(CellOutcome& out, std::size_t index,
   auto swarm = std::make_unique<sim::Swarm>(
       config, strategy::make_strategy(config.algorithm));
   auto collector = std::make_unique<metrics::RunMetrics>();
-  swarm->enable_checkpoints();
 
   std::string resume_bytes;
   if (checkpoint.snapshot_source) {
@@ -243,7 +242,6 @@ void run_checkpointed_cell(CellOutcome& out, std::size_t index,
       swarm = std::make_unique<sim::Swarm>(
           config, strategy::make_strategy(config.algorithm));
       collector = std::make_unique<metrics::RunMetrics>();
-      swarm->enable_checkpoints();
     }
   }
 

@@ -3,6 +3,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sim/event_kinds.h"
+
 namespace coopnet::metrics {
 
 AvailabilitySnapshot availability_snapshot(const sim::Swarm& swarm) {
@@ -64,14 +66,17 @@ void AvailabilityTracker::install(sim::Swarm& swarm) {
     throw std::logic_error("AvailabilityTracker: already installed");
   }
   installed_ = true;
-  swarm.engine().schedule(interval_, [this, &swarm] { sample(swarm); });
+  timer_ = swarm.add_timer([this, &swarm] { sample(swarm); });
+  swarm.engine().schedule(interval_,
+                          sim::make_timer_tag(sim::kEvExternalTimer, timer_));
 }
 
 void AvailabilityTracker::sample(sim::Swarm& swarm) {
   auto snap = availability_snapshot(swarm);
   if (snap.active_leechers > 0) snapshots_.push_back(std::move(snap));
   if (swarm.engine().now() + interval_ <= swarm.config().max_time) {
-    swarm.engine().schedule(interval_, [this, &swarm] { sample(swarm); });
+    swarm.engine().schedule(interval_,
+                            sim::make_timer_tag(sim::kEvExternalTimer, timer_));
   }
 }
 

@@ -8,6 +8,7 @@
 // probabilities.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/piece_availability.h"
@@ -58,6 +59,8 @@ class AvailabilityTracker {
 
   double interval_;
   bool installed_ = false;
+  /// The sampler's kEvExternalTimer sub-id (Swarm::add_timer).
+  std::uint32_t timer_ = 0;
   std::vector<AvailabilitySnapshot> snapshots_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "sim/event_kinds.h"
 #include "util/byteio.h"
@@ -25,22 +24,13 @@ void RunMetrics::register_with(sim::Swarm& swarm) {
     if (p.is_free_rider()) ++freerider_population_;
     if (p.is_strategic()) ++strategic_population_;
   }
-  swarm.set_external_timer_rebuilder(
-      [this, &swarm](std::uint32_t sub) -> sim::SmallEventFn {
-        if (sub != 0) {
-          throw std::logic_error(
-              "RunMetrics: snapshot carried external-timer sub-id " +
-              std::to_string(sub) + "; only 0 (the sampler) exists");
-        }
-        return [this, &swarm] { sample(swarm); };
-      });
+  timer_ = swarm.add_timer([this, &swarm] { sample(swarm); });
 }
 
 void RunMetrics::install(sim::Swarm& swarm) {
   register_with(swarm);
-  swarm.engine().schedule_tagged(
-      sample_interval_, sim::make_timer_tag(sim::kEvExternalTimer, 0),
-      [this, &swarm] { sample(swarm); });
+  swarm.engine().schedule(sample_interval_,
+                          sim::make_timer_tag(sim::kEvExternalTimer, timer_));
 }
 
 void RunMetrics::install_restored(sim::Swarm& swarm) { register_with(swarm); }
@@ -50,9 +40,8 @@ void RunMetrics::sample(sim::Swarm& swarm) {
   if (f >= 0.0) fairness_.add(swarm.engine().now(), f);
   susceptibility_.add(swarm.engine().now(), current_susceptibility(swarm));
   if (swarm.engine().now() + sample_interval_ <= swarm.config().max_time) {
-    swarm.engine().schedule_tagged(
-        sample_interval_, sim::make_timer_tag(sim::kEvExternalTimer, 0),
-        [this, &swarm] { sample(swarm); });
+    swarm.engine().schedule(sample_interval_,
+                            sim::make_timer_tag(sim::kEvExternalTimer, timer_));
   }
 }
 

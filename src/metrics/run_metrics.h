@@ -31,8 +31,8 @@ class RunMetrics : public sim::SwarmObserver {
   void install(sim::Swarm& swarm);
 
   /// The post-restore counterpart of install(): registers the observer,
-  /// counts the populations, and installs the external-timer rebuilder --
-  /// but schedules nothing (the restored queue carries the sampler's next
+  /// counts the populations, and registers the sampler timer -- but
+  /// schedules nothing (the restored queue carries the sampler's next
   /// firing). Call between Swarm::start_restored() and
   /// SwarmCheckpoint::restore.
   void install_restored(sim::Swarm& swarm);
@@ -68,12 +68,14 @@ class RunMetrics : public sim::SwarmObserver {
 
  private:
   /// Shared install()/install_restored() body: observer registration,
-  /// population counts, external-timer rebuilder. Schedules nothing.
+  /// population counts, sampler timer registration. Schedules nothing.
   void register_with(sim::Swarm& swarm);
   void sample(sim::Swarm& swarm);
 
   double sample_interval_;
   bool installed_ = false;
+  /// The sampler's kEvExternalTimer sub-id (Swarm::add_timer).
+  std::uint32_t timer_ = 0;
   std::size_t compliant_population_ = 0;
   std::size_t freerider_population_ = 0;
   std::size_t strategic_population_ = 0;

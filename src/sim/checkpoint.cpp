@@ -366,11 +366,6 @@ std::vector<SnapshotSection> SwarmCheckpoint::save(const Swarm& swarm) {
 
 void SwarmCheckpoint::restore(Swarm& swarm,
                               const std::vector<SnapshotSection>& sections) {
-  if (!swarm.engine_.tags_enabled()) {
-    throw CheckpointError(
-        "checkpoint restore: enable_checkpoints() was not called on the "
-        "target swarm; call it before start_restored()");
-  }
   if (swarm.engine_.pending() != 0 || swarm.engine_.now() != 0.0) {
     throw CheckpointError(
         "checkpoint restore: the target swarm already ran events; restore "
@@ -423,6 +418,30 @@ void SwarmCheckpoint::restore(Swarm& swarm,
               " carries unknown event kind " + std::to_string(e.tag.kind) +
               " -- the snapshot was written by a newer build; restart the "
               "cell from scratch");
+        }
+        // A timer tag must have an owner in this swarm, or dispatching it
+        // would throw mid-run.
+        if (e.tag.kind == kEvExternalTimer &&
+            e.tag.a >= swarm.timers_.size()) {
+          throw CheckpointError(
+              "checkpoint restore: queue entry " + std::to_string(i) +
+              " is external timer sub-id " + std::to_string(e.tag.a) +
+              " but the swarm has " + std::to_string(swarm.timers_.size()) +
+              " registered -- register the run's timers (e.g. "
+              "RunMetrics::install_restored) before restore");
+        }
+        if (e.tag.kind == kEvStrategyTimer) {
+          try {
+            // Only the throw matters: it means the mechanism does not own
+            // this sub-id.
+            (void)swarm.strategy_->rebuild_timer(swarm, e.tag.a);
+          } catch (const std::logic_error& err) {
+            throw CheckpointError(
+                "checkpoint restore: queue entry " + std::to_string(i) +
+                " is a strategy timer the " +
+                core::to_string(swarm.config_.algorithm) +
+                " mechanism does not own (" + err.what() + ")");
+          }
         }
         max_seq = e.seq > max_seq ? e.seq : max_seq;
         entries.push_back(e);
@@ -525,7 +544,7 @@ void SwarmCheckpoint::restore(Swarm& swarm,
 #endif
 
     for (const SimEngine::QueueEntry& e : entries) {
-      swarm.rebuild_event(e);
+      swarm.engine_.restore_entry(e);
     }
     swarm.engine_.set_now(now);
     swarm.engine_.set_next_seq(next_seq);
@@ -541,7 +560,7 @@ void SwarmCheckpoint::restore(Swarm& swarm,
         "restart the cell from scratch");
   } catch (const std::logic_error& e) {
     throw CheckpointError(
-        std::string("checkpoint restore: event rebuild failed (") +
+        std::string("checkpoint restore: applying the snapshot failed (") +
         e.what() +
         ") -- discard this swarm object and restart the cell from "
         "scratch");

@@ -70,25 +70,24 @@ enum SnapshotSectionId : std::uint32_t {
 class SwarmCheckpoint {
  public:
   /// Snapshots a quiescent swarm (between advance_until calls) into the
-  /// swarm-owned sections (1-6, plus 8 when this build audits). Requires
-  /// enable_checkpoints() was on for the whole run; throws
-  /// std::logic_error (via the engine) if any queued event is untagged.
+  /// swarm-owned sections (1-6, plus 8 when this build audits).
   static std::vector<SnapshotSection> save(const Swarm& swarm);
 
   /// Applies a snapshot to a freshly built swarm. Call sequence:
   ///   Swarm swarm(config, strategy);   // same config as the snapshot
-  ///   swarm.enable_checkpoints();
   ///   swarm.start_restored();
   ///   metrics.install_restored(swarm); // when the run samples metrics
   ///   SwarmCheckpoint::restore(swarm, sections);
   ///   while (!swarm.finished()) swarm.advance_until(...);
   /// Section presence, the engine/RNG/queue sections, and every queue
   /// tag are parsed and validated BEFORE anything mutates, so the common
-  /// defects (missing/truncated/foreign sections, unknown event kinds)
-  /// throw CheckpointError with the swarm untouched. Payload bit-rot is
-  /// already excluded by decode_snapshot's per-section CRCs; if a
-  /// CRC-valid but version-skewed payload still fails structurally
-  /// mid-apply, the thrown CheckpointError says to discard the swarm.
+  /// defects (missing/truncated/foreign sections, unknown event kinds, a
+  /// external timer sub-id nobody registered, a strategy timer sub-id the
+  /// mechanism does not own) throw CheckpointError with the swarm
+  /// untouched. Payload bit-rot is already excluded by decode_snapshot's
+  /// per-section CRCs; if a CRC-valid but version-skewed payload still
+  /// fails structurally mid-apply, the thrown CheckpointError says to
+  /// discard the swarm.
   /// Driver-owned sections (7, 9) are ignored here.
   static void restore(Swarm& swarm,
                       const std::vector<SnapshotSection>& sections);

@@ -1,38 +1,39 @@
 // Discrete-event simulation engine.
 //
-// An implicit 4-ary heap over a slab-allocated pool of SmallEventFn
-// callbacks. Ties break in scheduling order (seq); because (time, seq) is
-// a strict total order, every pop yields the global minimum, so pop order
-// is identical to the seed std::priority_queue implementation no matter
-// the heap layout -- sim/reference_engine.h keeps that implementation
-// in-tree as the differential-test oracle and the in-binary benchmark
-// baseline.
+// An implicit 4-ary heap over a slab-allocated pool of EventTags. Ties
+// break in scheduling order (seq); because (time, seq) is a strict total
+// order, every pop yields the global minimum, so pop order is identical to
+// the seed std::priority_queue implementation no matter the heap layout --
+// sim/reference_engine.h keeps that implementation in-tree as the
+// differential-test oracle and the in-binary benchmark baseline.
+//
+// Events are plain data: the engine stores each event's EventTag and hands
+// it, when popped, to the dispatcher the caller passes to run() /
+// run_until() (for the simulator, Swarm::dispatch). So the queue a
+// checkpoint serializes is the queue that executes; nothing is rebuilt.
 //
 // Why this shape: the hot loop is schedule/pop churn at millions of events
 // per run. The 4-ary heap halves tree depth versus a binary heap; the key
 // and payload halves of each entry live in parallel arrays (times_ /
 // meta_) so a sift-down level compares four adjacent doubles in one
-// 32-byte span instead of dragging seq+slot through the cache; callbacks
-// stay put in the pool slab (no std::function copy per pop, no malloc per
-// transfer-completion closure -- see event_fn.h).
+// 32-byte span instead of dragging seq+slot through the cache; tags stay
+// put in the pool slab and are copied out once per pop.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "sim/event_fn.h"
 #include "sim/types.h"
 
 namespace coopnet::sim {
 
-/// Opaque-to-the-engine description of WHAT a queued event does, carried
-/// alongside the (unserializable) callback so a checkpoint can persist
-/// the queue and a restore can re-register an equivalent closure. The
-/// meaning of every field is owned by the scheduler (see the EventKind
-/// enum in sim/event_kinds.h); kind == 0 marks "untagged", which
-/// snapshot_queue() rejects. POD on purpose: serialization is a
-/// field-by-field copy, no pointers, no lifetime.
+/// One scheduled event: WHAT it does, as plain data. The meaning of every
+/// field is owned by the scheduler (see the EventKind enum in
+/// sim/event_kinds.h); the engine only stores the tag and passes it to the
+/// dispatcher. kind == 0 is invalid and rejected at scheduling. POD on
+/// purpose: serialization is a field-by-field copy, no pointers, no
+/// lifetime.
 struct EventTag {
   std::uint32_t kind = 0;
   std::uint32_t a = 0, b = 0, c = 0, d = 0, e = 0, f = 0, g = 0;
@@ -40,15 +41,12 @@ struct EventTag {
   std::int64_t n = 0;
 };
 
-/// Discrete-event engine: schedule callbacks, then run until the queue
-/// drains, a deadline passes, or stop() is called from inside an event.
+/// Discrete-event engine: schedule tags, then run until the queue drains,
+/// a deadline passes, or stop() is called from inside an event.
 class SimEngine {
  public:
-  using EventFn = SmallEventFn;
-
   /// One queued event as seen by a checkpoint: its heap key (time, seq)
-  /// and descriptive tag. The callback itself is NOT here -- restore
-  /// rebuilds it from the tag via the scheduler's dispatcher.
+  /// and its tag. Restore re-inserts it under the same key.
   struct QueueEntry {
     Seconds time;
     std::uint64_t seq;
@@ -58,20 +56,34 @@ class SimEngine {
   /// Current simulation time (seconds). Starts at 0.
   Seconds now() const { return now_; }
 
-  /// Schedules `fn` to run `delay` seconds from now. Requires delay >= 0.
-  void schedule(Seconds delay, EventFn fn);
+  /// Queues `tag` to fire `delay` seconds from now. Requires delay >= 0
+  /// and tag.kind != 0.
+  void schedule(Seconds delay, const EventTag& tag);
 
-  /// Schedules `fn` at absolute time `at`. Requires at >= now().
-  void schedule_at(Seconds at, EventFn fn);
+  /// Queues `tag` at absolute time `at`. Requires at >= now() and
+  /// tag.kind != 0.
+  void schedule_at(Seconds at, const EventTag& tag);
 
-  /// Runs events until the queue is empty or stop() is called. Returns
-  /// immediately while a stop request is pending (see stop()).
-  void run();
+  /// Runs events until the queue is empty or stop() is called, handing
+  /// each popped tag to `dispatch(const EventTag&)`. Returns immediately
+  /// while a stop request is pending (see stop()).
+  template <typename Dispatch>
+  void run(Dispatch&& dispatch) {
+    while (times_.size() > kRoot && !stopped_) {
+      fire(dispatch);
+    }
+  }
 
   /// Runs events with time <= deadline; leaves later events queued and
   /// advances the clock to min(deadline, time of last executed event).
   /// Returns immediately (clock untouched) while a stop request is pending.
-  void run_until(Seconds deadline);
+  template <typename Dispatch>
+  void run_until(Seconds deadline, Dispatch&& dispatch) {
+    while (times_.size() > kRoot && !stopped_ && times_[kRoot] <= deadline) {
+      fire(dispatch);
+    }
+    if (!stopped_ && now_ < deadline) now_ = deadline;
+  }
 
   /// Requests the current run()/run_until() loop to return after the
   /// in-flight event finishes. The request is sticky: subsequent runs
@@ -111,37 +123,20 @@ class SimEngine {
   void set_guard(std::uint64_t every, std::function<void()> fn);
 
   // --- checkpoint support (see sim/checkpoint.h) -------------------------
-  // Callbacks cannot be serialized, so checkpointable runs tag every
-  // scheduled event with an EventTag describing it; a restore walks the
-  // serialized tags and re-registers equivalent closures under their
-  // ORIGINAL (time, seq) keys, leaving pop order -- and therefore
-  // every downstream byte -- unchanged. All of it is opt-in: with tags
-  // disabled (the default) no tag is stored or copied and the engine is
-  // byte-for-byte the pre-checkpoint engine.
-
-  /// Turns tag bookkeeping on. Must be called while the queue is empty
-  /// (tags for already-queued events cannot be reconstructed); throws
-  /// std::logic_error otherwise. Tagging cannot be turned off.
-  void enable_tags();
-  bool tags_enabled() const { return tags_enabled_; }
-
-  /// schedule()/schedule_at() carrying a descriptive tag. Requires
-  /// tag.kind != 0 when tags are enabled; with tags disabled the tag is
-  /// dropped (same event stream either way).
-  void schedule_tagged(Seconds delay, const EventTag& tag, EventFn fn);
-  void schedule_at_tagged(Seconds at, const EventTag& tag, EventFn fn);
+  // The queue is already data, so a checkpoint copies out every pending
+  // (time, seq, tag) and a restore re-inserts them under their ORIGINAL
+  // keys, leaving pop order -- and therefore every downstream byte --
+  // unchanged.
 
   /// The queue's checkpoint view: every pending event's (time, seq, tag),
   /// sorted by the heap's own (time, seq) order so the serialized form is
-  /// canonical across heap layouts. Requires tags enabled and every
-  /// queued event tagged; throws std::logic_error when an untagged event
-  /// would make the snapshot unrestorable.
+  /// canonical across heap layouts.
   std::vector<QueueEntry> snapshot_queue() const;
 
-  /// Re-inserts one snapshot entry with `fn` as its callback, preserving
-  /// the exact original (time, seq). Restore-only: the caller owns
-  /// seq consistency and must set_next_seq() past every restored seq.
-  void restore_entry(const QueueEntry& entry, EventFn fn);
+  /// Re-inserts one snapshot entry, preserving the exact original
+  /// (time, seq). Requires entry.tag.kind != 0. Restore-only: the caller
+  /// owns seq consistency and must set_next_seq() past every restored seq.
+  void restore_entry(const QueueEntry& entry);
 
   /// The scheduling tie-break counter (seq of the NEXT scheduled event).
   /// Checkpoints persist it so a restored run numbers -- and therefore
@@ -170,18 +165,29 @@ class SimEngine {
     std::uint32_t slot;
   };
 
+  /// Pops the root event, advances the clock to it, and dispatches it.
+  /// The tag is a local copy: its pool slot is already free, and the
+  /// dispatcher may schedule new events (reusing or growing the pool).
+  template <typename Dispatch>
+  void fire(Dispatch& dispatch) {
+    const EventTag tag = pop_top();
+    ++processed_;
+    dispatch(tag);
+    if (supervised_) after_event();
+  }
+
   /// Supervision bookkeeping (event limit + guard cadence), kept out of
   /// the hot loop body behind the single `supervised_` branch.
   void after_event();
 
-  /// Stores `fn` and `tag` in a pool slot and sifts (at, seq) into the
-  /// heap. Scheduling passes next_seq_++; restore passes the original seq.
-  void push_entry(Seconds at, std::uint64_t seq, EventFn fn,
-                  const EventTag& tag);
-  /// Pops the root entry, frees its pool slot, and returns the callback.
-  /// The slot is released *before* the caller invokes the callback, so
-  /// events scheduled from inside events reuse hot slots immediately.
-  EventFn pop_top(Seconds& top_time);
+  /// Stores `tag` in a pool slot and sifts (at, seq) into the heap.
+  /// Scheduling passes next_seq_++; restore passes the original seq.
+  void push_entry(Seconds at, std::uint64_t seq, const EventTag& tag);
+  /// Pops the root entry, moves the clock to its time, frees its pool
+  /// slot, and returns its tag. The slot is released before the event is
+  /// dispatched, so events scheduled from inside events reuse hot slots
+  /// immediately.
+  EventTag pop_top();
   void sift_up(std::size_t i, Seconds time, Meta m);
   void sift_down_from_root(Seconds time, Meta m);
 
@@ -191,13 +197,8 @@ class SimEngine {
   // times_ cache lines.
   std::vector<Seconds> times_ = std::vector<Seconds>(kRoot, 0.0);
   std::vector<Meta> meta_ = std::vector<Meta>(kRoot, Meta{0, 0});
-  std::vector<EventFn> pool_;
+  std::vector<EventTag> pool_;
   std::vector<std::uint32_t> free_slots_;
-  /// Checkpoint tags, indexed by pool slot (empty until enable_tags();
-  /// then kept in lockstep with pool_, so every queued slot has the tag
-  /// of its current occupant).
-  std::vector<EventTag> tags_;
-  bool tags_enabled_ = false;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

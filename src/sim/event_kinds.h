@@ -1,11 +1,11 @@
 // EventTag.kind vocabulary for the swarm's scheduled events.
 //
 // Every event the Swarm (or an attached strategy / metrics driver) queues
-// carries one of these kinds plus its closure's captured state flattened
-// into the tag's scalar fields, so a checkpoint can persist the event
-// queue and Swarm::rebuild_event can re-register a byte-identical closure
-// on restore (see sim/checkpoint.h). The engine never interprets these --
-// the scheduler owns the encoding.
+// is one of these kinds plus its arguments flattened into the tag's scalar
+// fields. The engine never interprets them: it pops each tag and hands it
+// to Swarm::dispatch, which switches on the kind. A checkpoint persists
+// the queue as these same tags (see sim/checkpoint.h), so a restored queue
+// is the original queue.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,7 @@
 namespace coopnet::sim {
 
 enum EventKind : std::uint32_t {
-  kEvNone = 0,  // untagged; snapshot_queue() rejects it
+  kEvNone = 0,  // invalid; the engine rejects it at scheduling
 
   // Swarm-owned events. Field use per kind:
   kEvArrive = 1,            // a = peer id
@@ -35,9 +35,9 @@ enum EventKind : std::uint32_t {
   kEvSybil = 14,
 
   // Delegated events: the tag's `a` is a sub-id local to the owner.
-  // Strategy timers re-register through ExchangeStrategy::rebuild_timer;
-  // external timers through the rebuild hook the driver installed
-  // (RunMetrics' sample cadence uses sub 0).
+  // Strategy timers run through ExchangeStrategy::rebuild_timer; external
+  // timers run the callback registered under that id by Swarm::add_timer
+  // (RunMetrics registers first, so its sampler is sub 0).
   kEvStrategyTimer = 15,  // a = strategy-local sub-id
   kEvExternalTimer = 16,  // a = driver-local sub-id
 };

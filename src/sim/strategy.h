@@ -7,11 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "sim/event_fn.h"
 #include "sim/types.h"
 
 namespace coopnet::util {
@@ -22,6 +22,11 @@ class ByteSource;
 namespace coopnet::sim {
 
 class Swarm;
+
+/// The callable a strategy returns for one of its timers. A plain
+/// std::function: every strategy timer captures [this, &swarm], which fits
+/// its inline buffer.
+using SmallEventFn = std::function<void()>;
 
 /// A strategy's decision for one free upload slot.
 struct UploadAction {
@@ -139,13 +144,12 @@ class ExchangeStrategy {
     (void)swarm;
   }
 
-  /// Returns the closure for the recurring timer attach() scheduled,
+  /// Returns the body of the recurring timer attach() scheduled, as
   /// identified by the strategy-local sub-id a kEvStrategyTimer tag
-  /// carries; Swarm::rebuild_event re-registers it under the snapshot
-  /// entry's original (time, seq), so the timer fires exactly when
-  /// the uninterrupted run would have fired it. Strategies that schedule
-  /// no timers keep the throwing default: reaching it means a snapshot
-  /// carried a timer tag the mechanism does not own.
+  /// carries; Swarm::dispatch calls it when such a tag fires, and a
+  /// checkpoint restore calls it once per restored timer tag to check the
+  /// sub-id. Strategies that schedule no timers keep the throwing default:
+  /// reaching it means a tag carried a timer the mechanism does not own.
   virtual SmallEventFn rebuild_timer(Swarm& swarm, std::uint32_t sub) {
     (void)swarm;
     throw std::logic_error(

@@ -229,6 +229,10 @@ void Swarm::run() {
   advance_until(config_.max_time);
 }
 
+void Swarm::advance_until(Seconds deadline) {
+  engine_.run_until(deadline, [this](const EventTag& tag) { dispatch(tag); });
+}
+
 void Swarm::start() {
   if (ran_) throw std::logic_error("Swarm::start: already ran");
   ran_ = true;
@@ -238,29 +242,23 @@ void Swarm::start() {
   // Seeders are live from t = 0; leechers arrive per the arrival process.
   for (std::size_t s = 0; s < seeder_count(); ++s) {
     const PeerId id = static_cast<PeerId>(leechers() + s);
-    engine_.schedule_at_tagged(0.0, make_peer_tag(kEvArrive, id),
-                               [this, id] { arrive(id); });
+    engine_.schedule_at(0.0, make_peer_tag(kEvArrive, id));
   }
   for (std::size_t i = 0; i < leechers(); ++i) {
     const PeerId id = static_cast<PeerId>(i);
-    engine_.schedule_at_tagged(store_.arrival_time(id),
-                               make_peer_tag(kEvArrive, id),
-                               [this, id] { arrive(id); });
+    engine_.schedule_at(store_.arrival_time(id), make_peer_tag(kEvArrive, id));
   }
 
   if (config_.attack.whitewashing) {
-    engine_.schedule_tagged(config_.attack.whitewash_interval,
-                            make_kind_tag(kEvWhitewash),
-                            [this] { whitewash_timer(); });
+    engine_.schedule(config_.attack.whitewash_interval,
+                     make_kind_tag(kEvWhitewash));
   }
   if (config_.attack.sybil_praise) {
-    engine_.schedule_tagged(config_.attack.sybil_interval,
-                            make_kind_tag(kEvSybil), [this] { sybil_timer(); });
+    engine_.schedule(config_.attack.sybil_interval, make_kind_tag(kEvSybil));
   }
   if (config_.faults.seeder_outages_enabled()) {
-    engine_.schedule_tagged(config_.faults.seeder_uptime,
-                            make_kind_tag(kEvSeederOutageBegin),
-                            [this] { seeder_outage_begin(); });
+    engine_.schedule(config_.faults.seeder_uptime,
+                     make_kind_tag(kEvSeederOutageBegin));
   }
 }
 
@@ -276,9 +274,7 @@ void Swarm::arrive(PeerId id) {
   strategy_->on_peer_activated(*this, id);
   try_fill(id);
   const std::uint32_t epoch = p.epoch();
-  engine_.schedule_tagged(config_.retry_interval,
-                          make_epoch_tag(kEvTick, id, epoch),
-                          [this, id, epoch] { tick(id, epoch); });
+  engine_.schedule(config_.retry_interval, make_epoch_tag(kEvTick, id, epoch));
   if (config_.faults.churn_enabled() && !p.is_seeder()) schedule_churn(id);
   AUDIT_CHECK();
 }
@@ -291,15 +287,12 @@ void Swarm::tick(PeerId id, std::uint32_t epoch) {
     return;
   }
   try_fill(id);
-  engine_.schedule_tagged(config_.retry_interval,
-                          make_epoch_tag(kEvTick, id, epoch),
-                          [this, id, epoch] { tick(id, epoch); });
+  engine_.schedule(config_.retry_interval, make_epoch_tag(kEvTick, id, epoch));
 }
 
 void Swarm::request_refill(PeerId id) {
   // A tiny delay batches cascading refills triggered within one event.
-  engine_.schedule_tagged(1e-6, make_peer_tag(kEvTryFill, id),
-                          [this, id] { try_fill(id); });
+  engine_.schedule(1e-6, make_peer_tag(kEvTryFill, id));
 }
 
 void Swarm::try_fill(PeerId id) {
@@ -476,26 +469,18 @@ bool Swarm::start_transfer_attempt(PeerId from, PeerId to, PieceId piece,
       // The connection drops partway through; the failure point is uniform
       // over the transfer's duration.
       const Seconds fail_after = rng_.uniform01() * duration;
-      engine_.schedule_tagged(
-          fail_after, make_transfer_tag(kEvFailLoss, t),
-          [this, t] { fail_transfer(t, /*stalled=*/false); });
+      engine_.schedule(fail_after, make_transfer_tag(kEvFailLoss, t));
       doomed = true;
     } else if (faults.transfer_stall_rate > 0.0 &&
                rng_.bernoulli(faults.transfer_stall_rate)) {
       // The transfer hangs; the slot stays occupied until the timeout.
-      engine_.schedule_tagged(
-          faults.stall_timeout, make_transfer_tag(kEvFailStall, t),
-          [this, t] { fail_transfer(t, /*stalled=*/true); });
+      engine_.schedule(faults.stall_timeout,
+                       make_transfer_tag(kEvFailStall, t));
       doomed = true;
     }
   }
-  // Transfer resolutions invalidate broad state when they commit (piece
-  // sets, slots, refill storms), so they carry the barrier bit: staging a
-  // batch never looks past the earliest in-flight resolution.
   if (!doomed) {
-    engine_.schedule_tagged(duration,
-                            make_transfer_tag(kEvCompleteTransfer, t),
-                            [this, t] { complete_transfer(t); });
+    engine_.schedule(duration, make_transfer_tag(kEvCompleteTransfer, t));
   }
   strategy_->on_upload_started(*this, t);
   return true;
@@ -613,9 +598,7 @@ void Swarm::finish_peer(PeerId id) {
   AUDIT_RECORD(peer_event(AuditEvent::Kind::kFinish, p, engine_.now()));
   if (config_.linger_time > 0.0 && !last_compliant) {
     // Stay and seed for a while before leaving.
-    engine_.schedule_tagged(config_.linger_time,
-                            make_peer_tag(kEvLingerDepart, id),
-                            [this, id] { depart(id); });
+    engine_.schedule(config_.linger_time, make_peer_tag(kEvLingerDepart, id));
     request_refill(id);
   } else {
     depart(id);
@@ -670,9 +653,8 @@ void Swarm::fail_transfer(Transfer t, bool stalled) {
   if (will_retry) {
     ++fault_stats_.retries_scheduled;
     strategy_->on_transfer_failed(*this, t, /*will_retry=*/true);
-    engine_.schedule_tagged(config_.faults.backoff_for(t.attempt),
-                            make_transfer_tag(kEvRetryTransfer, t),
-                            [this, t] { retry_transfer(t); });
+    engine_.schedule(config_.faults.backoff_for(t.attempt),
+                     make_transfer_tag(kEvRetryTransfer, t));
   } else {
     ++fault_stats_.transfers_abandoned;
     strategy_->on_transfer_failed(*this, t, /*will_retry=*/false);
@@ -722,8 +704,7 @@ void Swarm::retry_transfer(Transfer t) {
 void Swarm::schedule_churn(PeerId id) {
   const Seconds dt = rng_.exponential(config_.faults.churn_rate);
   const std::uint32_t epoch = store_.epoch(id);
-  engine_.schedule_tagged(dt, make_epoch_tag(kEvChurnCheck, id, epoch),
-                          [this, id, epoch] { churn_check(id, epoch); });
+  engine_.schedule(dt, make_epoch_tag(kEvChurnCheck, id, epoch));
 }
 
 void Swarm::churn_check(PeerId id, std::uint32_t epoch) {
@@ -761,8 +742,7 @@ void Swarm::churn_out(PeerId id) {
         config_.faults.mean_downtime <= 0.0
             ? 0.0
             : rng_.exponential(1.0 / config_.faults.mean_downtime);
-    engine_.schedule_tagged(downtime, make_peer_tag(kEvRejoin, id),
-                            [this, id] { rejoin(id); });
+    engine_.schedule(downtime, make_peer_tag(kEvRejoin, id));
     AUDIT_CHECK();
     return;
   }
@@ -793,9 +773,7 @@ void Swarm::rejoin(PeerId id) {
   }
   try_fill(id);
   const std::uint32_t epoch = p.epoch();
-  engine_.schedule_tagged(config_.retry_interval,
-                          make_epoch_tag(kEvTick, id, epoch),
-                          [this, id, epoch] { tick(id, epoch); });
+  engine_.schedule(config_.retry_interval, make_epoch_tag(kEvTick, id, epoch));
   schedule_churn(id);
   AUDIT_CHECK();
 }
@@ -811,9 +789,8 @@ void Swarm::seeder_outage_begin() {
     AUDIT_RECORD(peer_event(AuditEvent::Kind::kSeederDown, p, engine_.now()));
     strategy_->on_peer_departed(*this, p.id(), /*will_rejoin=*/true);
   }
-  engine_.schedule_tagged(config_.faults.seeder_downtime,
-                          make_kind_tag(kEvSeederOutageEnd),
-                          [this] { seeder_outage_end(); });
+  engine_.schedule(config_.faults.seeder_downtime,
+                   make_kind_tag(kEvSeederOutageEnd));
   AUDIT_CHECK();
 }
 
@@ -827,14 +804,12 @@ void Swarm::seeder_outage_end() {
     try_fill(p.id());
     const std::uint32_t epoch = p.epoch();
     const PeerId id = p.id();
-    engine_.schedule_tagged(config_.retry_interval,
-                            make_epoch_tag(kEvTick, id, epoch),
-                            [this, id, epoch] { tick(id, epoch); });
+    engine_.schedule(config_.retry_interval,
+                     make_epoch_tag(kEvTick, id, epoch));
   }
   if (engine_.now() + config_.faults.seeder_uptime <= config_.max_time) {
-    engine_.schedule_tagged(config_.faults.seeder_uptime,
-                            make_kind_tag(kEvSeederOutageBegin),
-                            [this] { seeder_outage_begin(); });
+    engine_.schedule(config_.faults.seeder_uptime,
+                     make_kind_tag(kEvSeederOutageBegin));
   }
 }
 
@@ -882,9 +857,8 @@ void Swarm::whitewash_timer() {
     reputation_.at(fr) = 0.0;  // the new identity has no history at all
   }
   if (engine_.now() + config_.attack.whitewash_interval <= config_.max_time) {
-    engine_.schedule_tagged(config_.attack.whitewash_interval,
-                            make_kind_tag(kEvWhitewash),
-                            [this] { whitewash_timer(); });
+    engine_.schedule(config_.attack.whitewash_interval,
+                     make_kind_tag(kEvWhitewash));
   }
 }
 
@@ -900,97 +874,70 @@ void Swarm::sybil_timer() {
     }
   }
   if (engine_.now() + config_.attack.sybil_interval <= config_.max_time) {
-    engine_.schedule_tagged(config_.attack.sybil_interval,
-                            make_kind_tag(kEvSybil), [this] { sybil_timer(); });
+    engine_.schedule(config_.attack.sybil_interval, make_kind_tag(kEvSybil));
   }
 }
 
-void Swarm::rebuild_event(const SimEngine::QueueEntry& entry) {
-  const EventTag& tag = entry.tag;
-  SimEngine::EventFn fn;
+void Swarm::dispatch(const EventTag& tag) {
   switch (tag.kind) {
-    case kEvArrive: {
-      const PeerId id = tag.a;
-      fn = [this, id] { arrive(id); };
+    case kEvArrive:
+      arrive(tag.a);
       break;
-    }
-    case kEvTick: {
-      const PeerId id = tag.a;
-      const std::uint32_t epoch = tag.b;
-      fn = [this, id, epoch] { tick(id, epoch); };
+    case kEvTick:
+      tick(tag.a, tag.b);
       break;
-    }
-    case kEvTryFill: {
-      const PeerId id = tag.a;
-      fn = [this, id] { try_fill(id); };
+    case kEvTryFill:
+      try_fill(tag.a);
       break;
-    }
-    case kEvCompleteTransfer: {
-      const Transfer t = transfer_from_tag(tag);
-      fn = [this, t] { complete_transfer(t); };
+    case kEvCompleteTransfer:
+      complete_transfer(transfer_from_tag(tag));
       break;
-    }
-    case kEvFailLoss: {
-      const Transfer t = transfer_from_tag(tag);
-      fn = [this, t] { fail_transfer(t, /*stalled=*/false); };
+    case kEvFailLoss:
+      fail_transfer(transfer_from_tag(tag), /*stalled=*/false);
       break;
-    }
-    case kEvFailStall: {
-      const Transfer t = transfer_from_tag(tag);
-      fn = [this, t] { fail_transfer(t, /*stalled=*/true); };
+    case kEvFailStall:
+      fail_transfer(transfer_from_tag(tag), /*stalled=*/true);
       break;
-    }
-    case kEvRetryTransfer: {
-      const Transfer t = transfer_from_tag(tag);
-      fn = [this, t] { retry_transfer(t); };
+    case kEvRetryTransfer:
+      retry_transfer(transfer_from_tag(tag));
       break;
-    }
-    case kEvLingerDepart: {
-      const PeerId id = tag.a;
-      fn = [this, id] { depart(id); };
+    case kEvLingerDepart:
+      depart(tag.a);
       break;
-    }
-    case kEvChurnCheck: {
-      const PeerId id = tag.a;
-      const std::uint32_t epoch = tag.b;
-      fn = [this, id, epoch] { churn_check(id, epoch); };
+    case kEvChurnCheck:
+      churn_check(tag.a, tag.b);
       break;
-    }
-    case kEvRejoin: {
-      const PeerId id = tag.a;
-      fn = [this, id] { rejoin(id); };
+    case kEvRejoin:
+      rejoin(tag.a);
       break;
-    }
     case kEvSeederOutageBegin:
-      fn = [this] { seeder_outage_begin(); };
+      seeder_outage_begin();
       break;
     case kEvSeederOutageEnd:
-      fn = [this] { seeder_outage_end(); };
+      seeder_outage_end();
       break;
     case kEvWhitewash:
-      fn = [this] { whitewash_timer(); };
+      whitewash_timer();
       break;
     case kEvSybil:
-      fn = [this] { sybil_timer(); };
+      sybil_timer();
       break;
     case kEvStrategyTimer:
-      fn = strategy_->rebuild_timer(*this, tag.a);
+      strategy_->rebuild_timer(*this, tag.a)();
       break;
     case kEvExternalTimer:
-      if (!external_timer_rebuilder_) {
+      if (tag.a >= timers_.size()) {
         throw std::logic_error(
-            "Swarm::rebuild_event: snapshot carries an external timer "
-            "(sub-id " + std::to_string(tag.a) +
-            ") but no rebuilder is installed -- call "
-            "set_external_timer_rebuilder before restore");
+            "Swarm::dispatch: external timer sub-id " +
+            std::to_string(tag.a) + " was never registered (" +
+            std::to_string(timers_.size()) + " timers; see add_timer)");
       }
-      fn = external_timer_rebuilder_(tag.a);
+      timers_[tag.a]();
       break;
     default:
-      throw std::logic_error("Swarm::rebuild_event: unknown event kind " +
+      throw std::logic_error("Swarm::dispatch: unknown event kind " +
                              std::to_string(tag.kind));
   }
-  engine_.restore_entry(entry, std::move(fn));
 }
 
 }  // namespace coopnet::sim

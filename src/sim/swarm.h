@@ -55,7 +55,8 @@ class Swarm {
   /// schedule. `strategy` must implement the configured algorithm.
   Swarm(SwarmConfig config, std::unique_ptr<ExchangeStrategy> strategy);
 
-  /// Scheduled events capture `this`; the swarm must stay put.
+  /// Strategy and external timers capture the swarm by reference; it must
+  /// stay put.
   Swarm(const Swarm&) = delete;
   Swarm& operator=(const Swarm&) = delete;
 
@@ -65,20 +66,18 @@ class Swarm {
 
   // --- checkpoint lifecycle (see sim/checkpoint.h) -----------------------
   // A checkpointable run replaces run() with
-  //   enable_checkpoints(); start(); advance_until(t1); ...snapshot...;
-  //   advance_until(t2); ...
+  //   start(); advance_until(t1); ...snapshot...; advance_until(t2); ...
   // and a restored run with
-  //   enable_checkpoints(); start_restored(); SwarmCheckpoint::restore();
-  //   advance_until(...);
+  //   start_restored(); SwarmCheckpoint::restore(); advance_until(...);
   // Chunked advance_until calls execute the identical event stream as one
   // run() (the engine's clock only moves on event execution), so a run
   // with snapshots taken between chunks is byte-identical to one without.
+  // Every swarm can be snapshotted: its queued events are already data.
 
-  /// Turns on event tagging so the live queue can be snapshotted. Must be
-  /// called before start()/start_restored(); stays on for the swarm's
-  /// life. A swarm without this call is byte-for-byte the pre-checkpoint
-  /// simulator (no tag is ever stored).
-  void enable_checkpoints() { engine_.enable_tags(); }
+  /// Does nothing. Checkpointing once had to be switched on before the
+  /// first event; the call stays only so that code written against that
+  /// interface (the stand-alone perfbench/ programs) keeps compiling.
+  void enable_checkpoints() {}
   /// Schedules the initial events (arrivals, attack/fault timers, strategy
   /// attach) without executing anything.
   /// run() == start() + advance_until(config().max_time).
@@ -88,19 +87,22 @@ class Swarm {
   /// by the strategy's checkpoint_load -- and no event is queued: the
   /// queue arrives via SwarmCheckpoint::restore.
   void start_restored();
-  /// Runs queued events with time <= deadline (see SimEngine::run_until).
-  void advance_until(Seconds deadline) { engine_.run_until(deadline); }
+  /// Runs queued events with time <= deadline (see SimEngine::run_until),
+  /// each through dispatch().
+  void advance_until(Seconds deadline);
   /// True once the run is over: stop() was raised (every compliant
   /// leecher finished or was permanently lost) or the queue drained.
   bool finished() const {
     return engine_.stopped() || engine_.pending() == 0;
   }
-  /// Builds the closure for a kEvExternalTimer queue entry during restore
-  /// (sub-id -> callback). Installed by the metrics/driver layer before
-  /// SwarmCheckpoint::restore when the run samples metrics.
-  void set_external_timer_rebuilder(
-      std::function<SimEngine::EventFn(std::uint32_t)> fn) {
-    external_timer_rebuilder_ = std::move(fn);
+  /// Registers an external timer body and returns its sub-id: a
+  /// kEvExternalTimer tag with `a` == that id runs `fn` when it fires.
+  /// Ids count up from 0 in registration order, so a restored run must
+  /// register the same timers in the same order before
+  /// SwarmCheckpoint::restore.
+  std::uint32_t add_timer(std::function<void()> fn) {
+    timers_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(timers_.size() - 1);
   }
 
   // --- views -------------------------------------------------------------
@@ -257,12 +259,10 @@ class Swarm {
   void sybil_timer();
   void update_unavailable_bit(Peer p, PieceId piece);
 
-  /// Restore-side inverse of the tagged schedule calls: re-registers the
-  /// closure a snapshot queue entry describes under its original
-  /// (time, seq). Swarm-owned kinds rebuild directly; strategy and
-  /// external timers delegate to rebuild_timer / the installed rebuilder.
-  void rebuild_event(const SimEngine::QueueEntry& entry);
-
+  /// Executes one popped event: swarm-owned kinds call their handler
+  /// directly; strategy and external timers delegate to rebuild_timer /
+  /// the add_timer callback.
+  void dispatch(const EventTag& tag);
 
   // --- fault injection (src/sim/faults.h) --------------------------------
   /// Aborts a lossy/stalled transfer, releases both endpoints' slot state,
@@ -294,9 +294,8 @@ class Swarm {
   std::vector<PeerId> colluder_ids_;
   FaultStats fault_stats_;
   SwarmObserver* observer_ = nullptr;
-  /// Rebuilds kEvExternalTimer closures on restore (null when the run
-  /// never schedules driver-owned timers).
-  std::function<SimEngine::EventFn(std::uint32_t)> external_timer_rebuilder_;
+  /// kEvExternalTimer bodies, indexed by sub-id (see add_timer).
+  std::vector<std::function<void()>> timers_;
 #if COOPNET_AUDIT
   std::unique_ptr<InvariantAuditor> auditor_;
 #endif

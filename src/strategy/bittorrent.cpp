@@ -11,9 +11,8 @@
 namespace coopnet::strategy {
 
 void BitTorrentStrategy::attach(sim::Swarm& swarm) {
-  swarm.engine().schedule_tagged(swarm.config().rechoke_interval,
-                                 sim::make_timer_tag(sim::kEvStrategyTimer, 0),
-                                 [this, &swarm] { rechoke_all(swarm); });
+  swarm.engine().schedule(swarm.config().rechoke_interval,
+                          sim::make_timer_tag(sim::kEvStrategyTimer, 0));
 }
 
 void BitTorrentStrategy::rechoke_all(sim::Swarm& swarm) {
@@ -32,9 +31,8 @@ void BitTorrentStrategy::rechoke_all(sim::Swarm& swarm) {
     p.round_received().clear();
     swarm.request_refill(id);
   }
-  swarm.engine().schedule_tagged(swarm.config().rechoke_interval,
-                                 sim::make_timer_tag(sim::kEvStrategyTimer, 0),
-                                 [this, &swarm] { rechoke_all(swarm); });
+  swarm.engine().schedule(swarm.config().rechoke_interval,
+                          sim::make_timer_tag(sim::kEvStrategyTimer, 0));
 }
 
 void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,

@@ -11,9 +11,8 @@
 namespace coopnet::strategy {
 
 void PropShareStrategy::attach(sim::Swarm& swarm) {
-  swarm.engine().schedule_tagged(swarm.config().rechoke_interval,
-                                 sim::make_timer_tag(sim::kEvStrategyTimer, 0),
-                                 [this, &swarm] { reshare_all(swarm); });
+  swarm.engine().schedule(swarm.config().rechoke_interval,
+                          sim::make_timer_tag(sim::kEvStrategyTimer, 0));
 }
 
 void PropShareStrategy::reshare_all(sim::Swarm& swarm) {
@@ -39,9 +38,8 @@ void PropShareStrategy::reshare_all(sim::Swarm& swarm) {
     p.round_received().clear();
     swarm.request_refill(id);
   }
-  swarm.engine().schedule_tagged(swarm.config().rechoke_interval,
-                                 sim::make_timer_tag(sim::kEvStrategyTimer, 0),
-                                 [this, &swarm] { reshare_all(swarm); });
+  swarm.engine().schedule(swarm.config().rechoke_interval,
+                          sim::make_timer_tag(sim::kEvStrategyTimer, 0));
 }
 
 std::optional<sim::UploadAction> PropShareStrategy::next_upload(

@@ -12,15 +12,11 @@
 namespace coopnet::strategy {
 
 void ReputationStrategy::attach(sim::Swarm& swarm) {
-  swarm.engine().schedule_tagged(
-      swarm.config().rechoke_interval,
-      sim::make_timer_tag(sim::kEvStrategyTimer, 0),
-      [this, &swarm] { rotate_altruism_targets(swarm); });
+  swarm.engine().schedule(swarm.config().rechoke_interval,
+                          sim::make_timer_tag(sim::kEvStrategyTimer, 0));
   if (swarm.config().reputation_mode == sim::ReputationMode::kEigenTrust) {
-    swarm.engine().schedule_tagged(
-        swarm.config().rechoke_interval,
-        sim::make_timer_tag(sim::kEvStrategyTimer, 1),
-        [this, &swarm] { recompute_eigentrust(swarm); });
+    swarm.engine().schedule(swarm.config().rechoke_interval,
+                            sim::make_timer_tag(sim::kEvStrategyTimer, 1));
   }
 }
 
@@ -58,10 +54,8 @@ void ReputationStrategy::recompute_eigentrust(sim::Swarm& swarm) {
   trust_ = core::eigentrust(n, edges, pretrusted);
   if (swarm.engine().now() + swarm.config().rechoke_interval <=
       swarm.config().max_time) {
-    swarm.engine().schedule_tagged(
-        swarm.config().rechoke_interval,
-        sim::make_timer_tag(sim::kEvStrategyTimer, 1),
-        [this, &swarm] { recompute_eigentrust(swarm); });
+    swarm.engine().schedule(swarm.config().rechoke_interval,
+                            sim::make_timer_tag(sim::kEvStrategyTimer, 1));
   }
 }
 
@@ -83,10 +77,8 @@ void ReputationStrategy::rotate_altruism_targets(sim::Swarm& swarm) {
                       ? sim::kNoPeer
                       : needy[swarm.rng().uniform_u64(needy.size())];
   }
-  swarm.engine().schedule_tagged(
-      swarm.config().rechoke_interval,
-      sim::make_timer_tag(sim::kEvStrategyTimer, 0),
-      [this, &swarm] { rotate_altruism_targets(swarm); });
+  swarm.engine().schedule(swarm.config().rechoke_interval,
+                          sim::make_timer_tag(sim::kEvStrategyTimer, 0));
 }
 
 std::optional<sim::UploadAction> ReputationStrategy::next_upload(

@@ -2,9 +2,11 @@
 // back-pressure (the substrate knobs beyond the paper's flash crowd).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "exp/runner.h"
+#include "sim/event_kinds.h"
 #include "sim/swarm.h"
 #include "strategy/factory.h"
 
@@ -139,12 +141,13 @@ TEST(BackPressure, MaxIncomingIsRespected) {
   auto strategy = strategy::make_strategy(config.algorithm);
   Swarm s(config, std::move(strategy));
   int max_seen = 0;
+  const std::uint32_t probe = s.add_timer([&s, &max_seen] {
+    for (PeerId i = 0; i < s.leechers(); ++i) {
+      max_seen = std::max(max_seen, s.peer(i).incoming_count());
+    }
+  });
   for (double t = 0.5; t < 30.0; t += 0.5) {
-    s.engine().schedule_at(t, [&s, &max_seen] {
-      for (PeerId i = 0; i < s.leechers(); ++i) {
-        max_seen = std::max(max_seen, s.peer(i).incoming_count());
-      }
-    });
+    s.engine().schedule_at(t, make_timer_tag(kEvExternalTimer, probe));
   }
   s.run();
   EXPECT_GT(max_seen, 0);

@@ -8,13 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "metrics/run_metrics.h"
 #include "sim/auditor.h"
+#include "sim/event_kinds.h"
 #include "sim/swarm.h"
 #include "strategy/factory.h"
+#include "util/byteio.h"
 
 namespace coopnet::sim {
 namespace {
@@ -39,7 +43,6 @@ double sim_duration(const SwarmConfig& config) {
 /// Runs a fresh swarm to mid-cell and returns the saved sections.
 std::vector<SnapshotSection> mid_cell_sections(const SwarmConfig& config) {
   Swarm swarm(config, strategy::make_strategy(config.algorithm));
-  swarm.enable_checkpoints();
   swarm.start();
   swarm.advance_until(sim_duration(config) / 2.0);
   EXPECT_FALSE(swarm.finished()) << "cell ended before the snapshot point";
@@ -59,7 +62,6 @@ bool rejected(const SwarmConfig& config, const std::string& bytes) {
     const std::vector<SnapshotSection> sections =
         decode_snapshot(config, bytes);
     Swarm swarm(config, strategy::make_strategy(config.algorithm));
-    swarm.enable_checkpoints();
     swarm.start_restored();
     SwarmCheckpoint::restore(swarm, sections);
   } catch (const CheckpointError&) {
@@ -163,12 +165,103 @@ TEST(CheckpointContainer, RestoreRequiresEverySwarmSection) {
       if (i != drop) partial.push_back(sections[i]);
     }
     Swarm swarm(config, strategy::make_strategy(config.algorithm));
-    swarm.enable_checkpoints();
     swarm.start_restored();
     EXPECT_THROW(SwarmCheckpoint::restore(swarm, partial), CheckpointError)
         << "restore accepted a snapshot missing section id "
         << sections[drop].id;
   }
+}
+
+/// Rewrites a queue section -- a u64 count, then per entry the time, the
+/// seq, and the tag's eight u32s, two doubles and one i64 -- setting `a`
+/// on every strategy-timer tag to `sub`. Returns how many tags changed.
+std::size_t retarget_strategy_timers(SnapshotSection& queue,
+                                     std::uint32_t sub) {
+  util::ByteSource src(queue.payload, "queue section");
+  util::ByteSink sink;
+  const std::uint64_t n = src.get_u64();
+  sink.put_u64(n);
+  std::size_t changed = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    sink.put_double(src.get_double());
+    sink.put_u64(src.get_u64());
+    const std::uint32_t kind = src.get_u32();
+    const std::uint32_t a = src.get_u32();
+    sink.put_u32(kind);
+    if (kind == kEvStrategyTimer) {
+      sink.put_u32(sub);
+      ++changed;
+    } else {
+      sink.put_u32(a);
+    }
+    for (int field = 0; field < 6; ++field) sink.put_u32(src.get_u32());
+    sink.put_double(src.get_double());
+    sink.put_double(src.get_double());
+    sink.put_i64(src.get_i64());
+  }
+  src.expect_exhausted();
+  queue.payload = sink.take();
+  return changed;
+}
+
+TEST(CheckpointContainer, RestoreRejectsAnExternalTimerNobodyRegistered) {
+  // The snapshot's queue holds the RunMetrics sampler (an external timer).
+  // A target swarm without install_restored has no timer to run it, so
+  // restore must refuse up front instead of failing when it fires.
+  const SwarmConfig config = tiny_config();
+  std::vector<SnapshotSection> sections;
+  {
+    Swarm swarm(config, strategy::make_strategy(config.algorithm));
+    metrics::RunMetrics collector(1.0);
+    collector.install(swarm);
+    swarm.start();
+    swarm.advance_until(sim_duration(config) / 2.0);
+    ASSERT_FALSE(swarm.finished());
+    sections = SwarmCheckpoint::save(swarm);
+  }
+
+  Swarm bare(config, strategy::make_strategy(config.algorithm));
+  bare.start_restored();
+  try {
+    SwarmCheckpoint::restore(bare, sections);
+    FAIL() << "restored an external timer with no registered owner";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("external timer sub-id 0"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(bare.engine().pending(), 0u) << "restore mutated before failing";
+
+  // The same sections restore once the sampler is registered again.
+  Swarm target(config, strategy::make_strategy(config.algorithm));
+  metrics::RunMetrics collector(1.0);
+  target.start_restored();
+  collector.install_restored(target);
+  EXPECT_NO_THROW(SwarmCheckpoint::restore(target, sections));
+}
+
+TEST(CheckpointContainer, RestoreRejectsAStrategyTimerTheMechanismDoesNotOwn) {
+  // BitTorrent owns strategy timer 0 (its rechoke round) and nothing else.
+  const SwarmConfig config = tiny_config();
+  ASSERT_EQ(config.algorithm, core::Algorithm::kBitTorrent);
+  std::vector<SnapshotSection> sections = mid_cell_sections(config);
+  for (SnapshotSection& s : sections) {
+    if (s.id == kSectionQueue) {
+      ASSERT_GT(retarget_strategy_timers(s, 7), 0u)
+          << "no strategy timer queued at the snapshot point";
+    }
+  }
+
+  Swarm swarm(config, strategy::make_strategy(config.algorithm));
+  swarm.start_restored();
+  try {
+    SwarmCheckpoint::restore(swarm, sections);
+    FAIL() << "restored a strategy timer sub-id BitTorrent does not own";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("does not own"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(swarm.engine().pending(), 0u) << "restore mutated before failing";
 }
 
 }  // namespace

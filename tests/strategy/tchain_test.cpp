@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
+#include "sim/event_kinds.h"
 #include "sim/swarm.h"
 #include "strategy/factory.h"
 
@@ -98,12 +100,14 @@ TEST(TChain, BacklogCapIsRespectedForCompliantPeers) {
   Swarm s(config, std::move(strategy));
   // Sample the backlog invariant as the run progresses.
   std::size_t max_seen = 0;
+  const std::uint32_t probe = s.add_timer([&s, tc, &max_seen] {
+    for (PeerId i = 0; i < s.leechers(); ++i) {
+      max_seen = std::max(max_seen, tc->backlog(i));
+    }
+  });
   for (double t = 5.0; t <= 60.0; t += 5.0) {
-    s.engine().schedule_at(t, [&s, tc, &max_seen] {
-      for (PeerId i = 0; i < s.leechers(); ++i) {
-        max_seen = std::max(max_seen, tc->backlog(i));
-      }
-    });
+    s.engine().schedule_at(t,
+                           sim::make_timer_tag(sim::kEvExternalTimer, probe));
   }
   s.run();
   EXPECT_GT(max_seen, 0u);

@@ -471,7 +471,6 @@ int run(const util::Cli& cli) {
   }
 
   sim::Swarm swarm(config, strategy::make_strategy(config.algorithm));
-  if (checkpointing) swarm.enable_checkpoints();
   std::unique_ptr<exp::CellGuard> guard;
   if (control.supervision.any() || checkpointing) {
     // A checkpointed run always polls the cancel flag: SIGINT/SIGTERM
