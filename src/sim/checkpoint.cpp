@@ -16,7 +16,7 @@ namespace coopnet::sim {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'O', 'P', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = 3;
 
 // --- canonical config rendering ------------------------------------------
 
@@ -394,6 +394,7 @@ void SwarmCheckpoint::restore(Swarm& swarm,
   std::vector<double> reputation;
   std::uint64_t compliant_unfinished = 0;
   FaultStats stats;
+  PeerStore peers;
   try {
     {
       util::ByteSource src(sec_engine.payload, "engine section");
@@ -488,6 +489,13 @@ void SwarmCheckpoint::restore(Swarm& swarm,
       // The piece-frequency payload follows; parsed during apply (it
       // loads in place), structurally CRC-guarded like everything else.
     }
+    {
+      // Staged: the live store is only replaced once this parses whole.
+      util::ByteSource src(sec_peers.payload, "peers section");
+      peers.init(swarm.store_.size(), swarm.store_.piece_space());
+      peers.checkpoint_load(src);
+      src.expect_exhausted();
+    }
   } catch (const util::SerializeError& e) {
     throw CheckpointError(
         std::string("checkpoint restore: snapshot section is truncated or "
@@ -498,15 +506,12 @@ void SwarmCheckpoint::restore(Swarm& swarm,
   // --- pass 2: apply -----------------------------------------------------
   try {
     {
-      util::ByteSource src(sec_peers.payload, "peers section");
-      swarm.store_.checkpoint_load(src);
-      src.expect_exhausted();
-    }
-    {
+      // A strategy validates its whole payload before it changes state.
       util::ByteSource src(sec_strategy.payload, "strategy section");
       swarm.strategy_->checkpoint_load(src, swarm);
       src.expect_exhausted();
     }
+    swarm.store_.adopt(std::move(peers));
     {
       util::ByteSource src(sec_swarm.payload, "swarm section");
       // Skip past the pass-1 scalars to the piece-frequency payload.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace coopnet::sim {
 
@@ -21,7 +20,9 @@ std::vector<std::vector<PeerId>> build_neighbor_graph(
   }
 
   const PeerId seeder = static_cast<PeerId>(n_peers);
-  std::vector<std::unordered_set<PeerId>> adj(n_peers + 1);
+  // Both directions of every sampled edge, duplicates included; each row
+  // is sorted and deduplicated below.
+  std::vector<std::vector<PeerId>> out(n_peers + 1);
 
   for (std::size_t i = 0; i < n_peers; ++i) {
     const auto want_raw = large_view[i]
@@ -34,16 +35,16 @@ std::vector<std::vector<PeerId>> build_neighbor_graph(
     for (std::size_t pick : rng.sample_indices(n_peers - 1, want)) {
       const PeerId j =
           static_cast<PeerId>(pick >= i ? pick + 1 : pick);
-      adj[i].insert(j);
-      adj[j].insert(static_cast<PeerId>(i));
+      out[i].push_back(j);
+      out[j].push_back(static_cast<PeerId>(i));
     }
   }
 
-  std::vector<std::vector<PeerId>> out(n_peers + 1);
   for (std::size_t i = 0; i < n_peers; ++i) {
-    out[i].assign(adj[i].begin(), adj[i].end());
-    out[i].push_back(seeder);  // everyone knows the seeder
-    std::sort(out[i].begin(), out[i].end());
+    std::vector<PeerId>& row = out[i];
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    row.push_back(seeder);  // everyone knows the seeder; it sorts last
     out[seeder].push_back(static_cast<PeerId>(i));
   }
   return out;

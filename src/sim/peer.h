@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <type_traits>
+#include <vector>
 
 #include "sim/peer_store.h"
 #include "sim/piece_set.h"
@@ -130,15 +131,15 @@ class PeerHandle {
     store_->credit_usable_from_leechers(id_, b);
   }
 
-  // --- per-neighbor exchange state --------------------------------------
-  decltype(auto) received_from() const { return store_->received_from(id_); }
-  decltype(auto) round_received() const {
-    return store_->round_received(id_);
+  // --- exchange ledger ----------------------------------------------------
+  const std::vector<EdgeCounters>& ledger() const {
+    return store_->ledger(id_);
   }
-  decltype(auto) prev_round_received() const {
-    return store_->prev_round_received(id_);
+  EdgeCounters& edge(PeerId other) const { return store_->edge(id_, other); }
+  const EdgeCounters* find_edge(PeerId other) const {
+    return store_->find_edge(id_, other);
   }
-  decltype(auto) deficit() const { return store_->deficit(id_); }
+  void end_round() const { store_->end_round(id_); }
 
   // --- predicates ---------------------------------------------------------
   bool is_seeder() const { return kind() == PeerKind::kSeeder; }

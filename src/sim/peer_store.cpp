@@ -1,5 +1,7 @@
 #include "sim/peer_store.h"
 
+#include <algorithm>
+
 #include "util/byteio.h"
 
 namespace coopnet::sim {
@@ -74,10 +76,7 @@ void PeerStore::init(std::size_t count, PieceId pieces) {
   freerider_usable_ = 0;
   total_downloaded_raw_ = 0;
 
-  received_from_.assign(count, {});
-  round_received_.assign(count, {});
-  prev_round_received_.assign(count, {});
-  deficit_.assign(count, {});
+  ledger_.assign(count, {});
 
   nbr_offset_.assign(count + 1, 0);
   nbr_data_.clear();
@@ -180,11 +179,34 @@ PeerId PeerStore::acquire_slot() {
   downloaded_usable_bytes_[id] = 0;
   downloaded_raw_bytes_[id] = 0;
   usable_from_leechers_bytes_[id] = 0;
-  received_from_[id].clear();
-  round_received_[id].clear();
-  prev_round_received_[id].clear();
-  deficit_[id].clear();
+  ledger_[id].clear();
   return id;
+}
+
+EdgeCounters& PeerStore::edge(PeerId id, PeerId other) {
+  std::vector<EdgeCounters>& row = at(ledger_, id);
+  auto it = std::ranges::lower_bound(row, other, {}, &EdgeCounters::peer);
+  if (it == row.end() || it->peer != other) it = row.insert(it, {other});
+  return *it;
+}
+
+const EdgeCounters* PeerStore::find_edge(PeerId id, PeerId other) const {
+  const std::vector<EdgeCounters>& row = at(ledger_, id);
+  auto it = std::ranges::lower_bound(row, other, {}, &EdgeCounters::peer);
+  return it == row.end() || it->peer != other ? nullptr : &*it;
+}
+
+void PeerStore::end_round(PeerId id) {
+  for (EdgeCounters& e : at(ledger_, id)) {
+    e.prev_round_received = e.round_received;
+    e.round_received = 0;
+  }
+}
+
+void PeerStore::forget(PeerId id, PeerId other) {
+  std::vector<EdgeCounters>& row = at(ledger_, id);
+  auto it = std::ranges::lower_bound(row, other, {}, &EdgeCounters::peer);
+  if (it != row.end() && it->peer == other) row.erase(it);
 }
 
 void PeerStore::checkpoint_save(util::ByteSink& sink) const {
@@ -221,10 +243,14 @@ void PeerStore::checkpoint_save(util::ByteSink& sink) const {
     sink.put_i64(downloaded_raw_bytes_[i]);
     sink.put_i64(usable_from_leechers_bytes_[i]);
 
-    util::save_unordered_map(sink, received_from_[i]);
-    util::save_unordered_map(sink, round_received_[i]);
-    util::save_unordered_map(sink, prev_round_received_[i]);
-    util::save_unordered_map(sink, deficit_[i]);
+    sink.put_u64(ledger_[i].size());
+    for (const EdgeCounters& e : ledger_[i]) {
+      sink.put_u32(e.peer);
+      sink.put_i64(e.deficit);
+      sink.put_i64(e.received);
+      sink.put_i64(e.round_received);
+      sink.put_i64(e.prev_round_received);
+    }
   }
 
   sink.put_i64(total_uploaded_);
@@ -289,10 +315,16 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
     downloaded_raw_bytes_[i] = src.get_i64();
     usable_from_leechers_bytes_[i] = src.get_i64();
 
-    util::load_unordered_map(src, received_from_[i]);
-    util::load_unordered_map(src, round_received_[i]);
-    util::load_unordered_map(src, prev_round_received_[i]);
-    util::load_unordered_map(src, deficit_[i]);
+    std::vector<EdgeCounters>& row = ledger_[i];
+    row.resize(src.get_count(36));
+    std::uint64_t next_min = 0;
+    for (EdgeCounters& e : row) {
+      e.peer = src.get_ascending_id(next_min, n);
+      e.deficit = src.get_i64();
+      e.received = src.get_i64();
+      e.round_received = src.get_i64();
+      e.prev_round_received = src.get_i64();
+    }
   }
 
   total_uploaded_ = src.get_i64();
@@ -341,6 +373,13 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
   // effect-free recomputation.
   memo_[0].clear();
   memo_[1].clear();
+}
+
+void PeerStore::adopt(PeerStore&& staged) {
+  assert(staged.size() == size() && staged.piece_space_ == piece_space_);
+  staged.nbr_offset_ = std::move(nbr_offset_);
+  staged.nbr_data_ = std::move(nbr_data_);
+  *this = std::move(staged);
 }
 
 }  // namespace coopnet::sim

@@ -17,14 +17,15 @@
 //     detected by comparing epochs (no stale-index aliasing);
 //   * the byte aggregates (total/leecher uploaded, free-rider usable)
 //     stay in sync with the per-peer counters -- byte counters must be
-//     credited through the credit_* methods.
+//     credited through the credit_* methods;
+//   * each peer's exchange ledger is sorted by the other peer's id, so
+//     every walk over it runs in ascending id order.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/piece_set.h"
@@ -64,6 +65,18 @@ struct InterestMemo {
   std::uint32_t offer_ver = 0;
   std::uint32_t avail_ver = 0;
   bool can_offer = false;
+};
+
+/// One record of a peer's exchange ledger: what it has exchanged with
+/// `peer`. A peer with no record has exchanged nothing, and every reader
+/// treats it as all zeros.
+struct EdgeCounters {
+  PeerId peer = kNoPeer;
+  /// Pieces sent to `peer` minus pieces received from it (FairTorrent).
+  std::int64_t deficit = 0;
+  Bytes received = 0;             // from `peer`, over the whole run
+  Bytes round_received = 0;       // from `peer`, this rechoke round
+  Bytes prev_round_received = 0;  // from `peer`, the previous round
 };
 
 class PeerStore {
@@ -174,32 +187,21 @@ class PeerStore {
   Bytes freerider_usable_bytes() const { return freerider_usable_; }
   Bytes total_downloaded_raw_bytes() const { return total_downloaded_raw_; }
 
-  // --- per-neighbor exchange state ----------------------------------------
-  std::unordered_map<PeerId, Bytes>& received_from(PeerId id) {
-    return at(received_from_, id);
+  // --- exchange ledger ------------------------------------------------------
+  /// The peer's ledger, in ascending order of the other peer's id.
+  const std::vector<EdgeCounters>& ledger(PeerId id) const {
+    return at(ledger_, id);
   }
-  const std::unordered_map<PeerId, Bytes>& received_from(PeerId id) const {
-    return at(received_from_, id);
-  }
-  std::unordered_map<PeerId, Bytes>& round_received(PeerId id) {
-    return at(round_received_, id);
-  }
-  const std::unordered_map<PeerId, Bytes>& round_received(PeerId id) const {
-    return at(round_received_, id);
-  }
-  std::unordered_map<PeerId, Bytes>& prev_round_received(PeerId id) {
-    return at(prev_round_received_, id);
-  }
-  const std::unordered_map<PeerId, Bytes>& prev_round_received(
-      PeerId id) const {
-    return at(prev_round_received_, id);
-  }
-  std::unordered_map<PeerId, std::int64_t>& deficit(PeerId id) {
-    return at(deficit_, id);
-  }
-  const std::unordered_map<PeerId, std::int64_t>& deficit(PeerId id) const {
-    return at(deficit_, id);
-  }
+  /// The record for (id, other), inserted zeroed at its sorted position
+  /// when absent.
+  EdgeCounters& edge(PeerId id, PeerId other);
+  /// The record for (id, other), or null when absent.
+  const EdgeCounters* find_edge(PeerId id, PeerId other) const;
+  /// Closes a rechoke round: every record's previous-round count becomes
+  /// its current-round count, and the current round starts at zero.
+  void end_round(PeerId id);
+  /// Drops the record for (id, other), if any (a whitewashed identity).
+  void forget(PeerId id, PeerId other);
 
   // --- neighbors (CSR) ----------------------------------------------------
   /// Freezes the adjacency lists into one contiguous CSR array. Must be
@@ -261,17 +263,24 @@ class PeerStore {
 
   // --- checkpoint (see sim/checkpoint.h) -----------------------------------
   /// Serializes every result-bearing field: scalars, piece sets, byte
-  /// counters and their aggregates, per-neighbor maps (iteration order
-  /// preserved -- several mechanisms sum floats in map order), and the
-  /// active registry in its exact transition-history order. NOT saved:
+  /// counters and their aggregates, the exchange ledgers (rows in
+  /// ascending id order), and the active registry in its exact
+  /// transition-history order. NOT saved:
   /// the CSR neighbor arrays (rebuilt deterministically by the Swarm
   /// constructor from config + seed) and the interest-memo lanes (pure
   /// caches; load() leaves them cold and the version stamps make
   /// recomputation automatic and exact).
   void checkpoint_save(util::ByteSink& sink) const;
-  /// Restores into a store already init()'d with the same shape; throws
-  /// util::SerializeError when the serialized shape does not match.
+  /// Restores into a store freshly init()'d with the same shape; throws
+  /// util::SerializeError when the serialized shape does not match or a
+  /// ledger row is not strictly ascending and in range. A throw leaves
+  /// the store half-written, so a restore loads into a staging store and
+  /// adopt()s it once the strategy section has loaded too.
   void checkpoint_load(util::ByteSource& src);
+  /// Takes every field of `staged`, a store filled by checkpoint_load,
+  /// except the CSR neighbor arrays, which stay this store's own. The
+  /// interest memos start cold.
+  void adopt(PeerStore&& staged);
 
  private:
   template <typename T>
@@ -288,6 +297,9 @@ class PeerStore {
     assert(id < state_.size() && "PeerStore: peer id out of range");
     (void)id;
   }
+  /// Only adopt() moves a store, and it keeps the moved-into object (and
+  /// so every handle to it) in place.
+  PeerStore& operator=(PeerStore&&) = default;
 
   PieceId piece_space_ = 0;
 
@@ -323,10 +335,7 @@ class PeerStore {
   Bytes freerider_usable_ = 0;
   Bytes total_downloaded_raw_ = 0;
 
-  std::vector<std::unordered_map<PeerId, Bytes>> received_from_;
-  std::vector<std::unordered_map<PeerId, Bytes>> round_received_;
-  std::vector<std::unordered_map<PeerId, Bytes>> prev_round_received_;
-  std::vector<std::unordered_map<PeerId, std::int64_t>> deficit_;
+  std::vector<std::vector<EdgeCounters>> ledger_;  // rows sorted by peer
 
   std::vector<std::uint32_t> nbr_offset_;  // size() + 1 entries
   std::vector<PeerId> nbr_data_;

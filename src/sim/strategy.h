@@ -128,17 +128,18 @@ class ExchangeStrategy {
 
   // --- checkpoint hooks (see sim/checkpoint.h) ---------------------------
   // Every mechanism must be explicit about its checkpoint story: stateful
-  // strategies serialize their members (preserving unordered_map
-  // iteration order -- see util/byteio.h); genuinely stateless ones
-  // override with documented no-ops. The defaults here serve base-class
-  // completeness only.
+  // strategies keep per-peer state in PeerId-indexed arrays and serialize
+  // it in ascending id order (see util/byteio.h); genuinely stateless
+  // ones override with documented no-ops. The defaults here serve
+  // base-class completeness only.
 
   /// Serializes all mutable strategy state into `sink`.
   virtual void checkpoint_save(util::ByteSink& sink) const { (void)sink; }
 
   /// Restores state serialized by checkpoint_save. `swarm` provides
   /// population shape for validation; throws util::SerializeError on a
-  /// malformed payload.
+  /// malformed payload (including ids that are not strictly ascending or
+  /// not below the population), before any strategy state changes.
   virtual void checkpoint_load(util::ByteSource& src, const Swarm& swarm) {
     (void)src;
     (void)swarm;

@@ -523,11 +523,12 @@ void Swarm::complete_transfer(Transfer t) {
     if (t.attempt > 0) ++fault_stats_.retry_successes;
     // Byte accounting and exchange bookkeeping.
     down.credit_downloaded_raw(t.bytes);
-    down.received_from()[t.from] += t.bytes;
-    down.round_received()[t.from] += t.bytes;
+    EdgeCounters& from_sender = down.edge(t.from);
+    from_sender.received += t.bytes;
+    from_sender.round_received += t.bytes;
     // FairTorrent-style deficits, in piece units, kept for all algorithms.
-    up.deficit()[t.to] += 1;
-    down.deficit()[t.from] -= 1;
+    from_sender.deficit -= 1;
+    up.edge(t.to).deficit += 1;
     // Real uploads are globally visible (Section V-A's reputation setup).
     add_reported_upload(t.from, static_cast<double>(t.bytes));
 
@@ -843,16 +844,12 @@ void Swarm::whitewash_timer() {
   // per-identity memory of it (deficits, receipt history) is reset, as if a
   // brand-new peer had joined from the same address. The outer loop walks
   // the fixed free-rider list instead of scanning the population; the
-  // inner loop must stay full-range because departed peers' receipt maps
+  // inner loop must stay full-range because departed peers' ledgers
   // still feed EigenTrust's recompute.
   for (const PeerId fr : freerider_ids_) {
     if (store_.state(fr) != PeerState::kActive) continue;
     for (PeerId q = 0; q < store_.size(); ++q) {
-      if (q == fr) continue;
-      store_.deficit(q).erase(fr);
-      store_.received_from(q).erase(fr);
-      store_.round_received(q).erase(fr);
-      store_.prev_round_received(q).erase(fr);
+      if (q != fr) store_.forget(q, fr);
     }
     reputation_.at(fr) = 0.0;  // the new identity has no history at all
   }

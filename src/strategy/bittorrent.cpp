@@ -10,7 +10,17 @@
 
 namespace coopnet::strategy {
 
+namespace {
+
+sim::Bytes round_received(const sim::Peer& p, sim::PeerId from) {
+  const sim::EdgeCounters* e = p.find_edge(from);
+  return e == nullptr ? 0 : e->round_received;
+}
+
+}  // namespace
+
 void BitTorrentStrategy::attach(sim::Swarm& swarm) {
+  state_.assign(swarm.peer_count(), {});
   swarm.engine().schedule(swarm.config().rechoke_interval,
                           sim::make_timer_tag(sim::kEvStrategyTimer, 0));
 }
@@ -27,8 +37,7 @@ void BitTorrentStrategy::rechoke_all(sim::Swarm& swarm) {
     // Strategic clients run no choker of their own but still need their
     // per-round receipt windows advanced.
     if (!p.is_strategic()) rechoke_one(swarm, id, rotate);
-    p.prev_round_received() = std::move(p.round_received());
-    p.round_received().clear();
+    p.end_round();
     swarm.request_refill(id);
   }
   swarm.engine().schedule(swarm.config().rechoke_interval,
@@ -39,6 +48,7 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
                                      bool rotate_optimistic) {
   sim::Peer p = swarm.peer(id);
   PeerChokeState& st = state_[id];
+  st.started = true;
 
   // Interested candidates: active neighbors we could serve. The check
   // goes through the per-edge memo; the verdicts -- and so the candidate
@@ -56,12 +66,8 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   swarm.rng().shuffle(candidates);
   std::stable_sort(candidates.begin(), candidates.end(),
                    [&p](const Pick& a, const Pick& b) {
-                     auto get = [&p](sim::PeerId x) {
-                       auto it = p.round_received().find(x);
-                       return it == p.round_received().end() ? sim::Bytes{0}
-                                                           : it->second;
-                     };
-                     return get(a.id) > get(b.id);
+                     return round_received(p, a.id) >
+                            round_received(p, b.id);
                    });
 
   // Tit-for-tat slots are reserved for actual reciprocators: only
@@ -77,8 +83,7 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   st.unchoked.clear();
   for (const Pick& n : candidates) {
     if (st.unchoked.size() >= n_bt) break;
-    auto it = p.round_received().find(n.id);
-    if (it == p.round_received().end() || it->second <= 0) break;
+    if (round_received(p, n.id) <= 0) break;
     st.unchoked.push_back(n);
   }
 
@@ -105,15 +110,17 @@ std::optional<sim::UploadAction> BitTorrentStrategy::strategic_upload(
   // benefactors' tit-for-tat sets. It repays the *cheapest* recent
   // contributor first: that is the unchoke slot most at risk.
   PeerChokeState& st = state_[uploader];
-  if (st.busy_tft >= 1) return std::nullopt;
+  st.started = true;
+  if (st.uploads.reciprocal() >= 1) return std::nullopt;
   const sim::Peer up = swarm.peer(uploader);
   sim::PeerId to = sim::kNoPeer;
   sim::Bytes cheapest = 0;
-  for (const auto& [from, bytes] : up.prev_round_received()) {
-    if (bytes <= 0 || swarm.is_seeder(from)) continue;
-    if (!swarm.needs_from(from, uploader)) continue;
+  for (const sim::EdgeCounters& e : up.ledger()) {
+    const sim::Bytes bytes = e.prev_round_received;
+    if (bytes <= 0 || swarm.is_seeder(e.peer)) continue;
+    if (!swarm.needs_from(e.peer, uploader)) continue;
     if (to == sim::kNoPeer || bytes < cheapest) {
-      to = from;
+      to = e.peer;
       cheapest = bytes;
     }
   }
@@ -128,8 +135,8 @@ std::optional<sim::UploadAction> BitTorrentStrategy::next_upload(
   if (swarm.peer(uploader).is_strategic()) {
     return strategic_upload(swarm, uploader);
   }
-  auto it = state_.find(uploader);
-  if (it == state_.end()) {
+  PeerChokeState& st = state_[uploader];
+  if (!st.started) {
     // Before this peer's first rechoke round there is no history: open an
     // optimistic-unchoke slot toward one random neighbor and keep serving
     // that same neighbor until the first rechoke (per-slot target churn
@@ -137,7 +144,7 @@ std::optional<sim::UploadAction> BitTorrentStrategy::next_upload(
     auto needy = swarm.needy_neighbors(uploader);
     if (needy.empty()) return std::nullopt;
     const sim::PeerId picked = needy[swarm.rng().uniform_u64(needy.size())];
-    PeerChokeState& st = state_[uploader];
+    st.started = true;
     // Recover the picked neighbor's index so follow-up checks can use the
     // per-edge memo (needy_neighbors returns ids only; the scan is cold
     // -- once per peer).
@@ -148,7 +155,6 @@ std::optional<sim::UploadAction> BitTorrentStrategy::next_upload(
         break;
       }
     }
-    it = state_.find(uploader);
   }
 
   // Enforce the n_bt : 1 slot split between tit-for-tat and the optimistic
@@ -157,12 +163,11 @@ std::optional<sim::UploadAction> BitTorrentStrategy::next_upload(
   // ~alpha_BT = 1/(n_bt + 1) even when there are no reciprocators --
   // tit-for-tat bandwidth idles rather than spilling into altruism, which
   // is what bounds Table III's exploitable resources at alpha_BT * sum U.
-  const PeerChokeState& st = it->second;
   sim::PeerId to = sim::kNoPeer;
-  if (st.busy_optimistic == 0 && st.optimistic.id != sim::kNoPeer &&
+  if (st.uploads.optimistic() == 0 && st.optimistic.id != sim::kNoPeer &&
       swarm.neighbor_needs_from(uploader, st.optimistic.index)) {
     to = st.optimistic.id;
-  } else if (st.busy_tft < swarm.config().n_bt) {
+  } else if (st.uploads.reciprocal() < swarm.config().n_bt) {
     std::vector<sim::PeerId> live;
     for (const Pick& n : st.unchoked) {
       if (swarm.neighbor_needs_from(uploader, n.index)) live.push_back(n.id);
@@ -178,15 +183,8 @@ std::optional<sim::UploadAction> BitTorrentStrategy::next_upload(
 void BitTorrentStrategy::on_upload_started(sim::Swarm& swarm,
                                            const sim::Transfer& t) {
   if (swarm.is_seeder(t.from)) return;
-  auto it = state_.find(t.from);
-  if (it == state_.end()) return;
-  const bool optimistic = (t.to == it->second.optimistic.id);
-  inflight_optimistic_[transfer_key(t)] = optimistic;
-  if (optimistic) {
-    ++it->second.busy_optimistic;
-  } else {
-    ++it->second.busy_tft;
-  }
+  PeerChokeState& st = state_[t.from];
+  if (st.started) st.uploads.start(t, t.to == st.optimistic.id);
 }
 
 void BitTorrentStrategy::on_transfer_failed(sim::Swarm& swarm,
@@ -203,68 +201,43 @@ void BitTorrentStrategy::on_transfer_failed(sim::Swarm& swarm,
 void BitTorrentStrategy::on_delivered(sim::Swarm& swarm,
                                       const sim::Transfer& t) {
   (void)swarm;
-  auto inflight = inflight_optimistic_.find(transfer_key(t));
-  if (inflight == inflight_optimistic_.end()) return;
-  const bool optimistic = inflight->second;
-  inflight_optimistic_.erase(inflight);
-  auto it = state_.find(t.from);
-  if (it == state_.end()) return;
-  if (optimistic) {
-    --it->second.busy_optimistic;
-  } else {
-    --it->second.busy_tft;
-  }
+  state_[t.from].uploads.finish(t);
 }
-
-
-namespace {
-
-void save_pick(coopnet::util::ByteSink& s,
-               const coopnet::sim::PeerId id, std::uint32_t index) {
-  s.put_u32(index);
-  s.put_u32(id);
-}
-
-}  // namespace
 
 void BitTorrentStrategy::checkpoint_save(util::ByteSink& sink) const {
-  util::save_unordered_map(
-      sink, state_, [](util::ByteSink& s, const PeerChokeState& st) {
+  util::save_by_id(
+      sink, state_, [](const PeerChokeState& st) { return st.started; },
+      [](util::ByteSink& s, const PeerChokeState& st) {
         s.put_u64(st.unchoked.size());
-        for (const Pick& pick : st.unchoked) save_pick(s, pick.id, pick.index);
-        save_pick(s, st.optimistic.id, st.optimistic.index);
-        s.put_u32(static_cast<std::uint32_t>(st.busy_optimistic));
-        s.put_u32(static_cast<std::uint32_t>(st.busy_tft));
+        for (const Pick& pick : st.unchoked) {
+          s.put_u32(pick.index);
+          s.put_u32(pick.id);
+        }
+        s.put_u32(st.optimistic.index);
+        s.put_u32(st.optimistic.id);
+        st.uploads.save(s);
       });
-  util::save_unordered_map(sink, inflight_optimistic_,
-                           [](util::ByteSink& s, bool optimistic) {
-                             s.put_bool(optimistic);
-                           });
   sink.put_u32(static_cast<std::uint32_t>(round_));
 }
 
 void BitTorrentStrategy::checkpoint_load(util::ByteSource& src,
                                          const sim::Swarm& swarm) {
-  (void)swarm;
-  util::load_unordered_map(src, state_, [](util::ByteSource& s) {
-    PeerChokeState st;
-    const std::size_t n = s.get_count(8);
-    st.unchoked.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Pick pick;
-      pick.index = s.get_u32();
-      pick.id = s.get_u32();
-      st.unchoked.push_back(pick);
-    }
-    st.optimistic.index = s.get_u32();
-    st.optimistic.id = s.get_u32();
-    st.busy_optimistic = static_cast<int>(s.get_u32());
-    st.busy_tft = static_cast<int>(s.get_u32());
-    return st;
-  });
-  util::load_unordered_map(src, inflight_optimistic_,
-                           [](util::ByteSource& s) { return s.get_bool(); });
-  round_ = static_cast<int>(src.get_u32());
+  std::vector<PeerChokeState> state(swarm.peer_count());
+  util::load_by_id(src, state, 32,
+                   [](util::ByteSource& s, PeerChokeState& st) {
+                     st.started = true;
+                     st.unchoked.resize(s.get_count(8));
+                     for (Pick& pick : st.unchoked) {
+                       pick.index = s.get_u32();
+                       pick.id = s.get_u32();
+                     }
+                     st.optimistic.index = s.get_u32();
+                     st.optimistic.id = s.get_u32();
+                     st.uploads.load(s);
+                   });
+  const int round = static_cast<int>(src.get_u32());
+  state_ = std::move(state);
+  round_ = round;
 }
 
 sim::SmallEventFn BitTorrentStrategy::rebuild_timer(sim::Swarm& swarm,

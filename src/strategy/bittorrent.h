@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/strategy.h"
+#include "strategy/inflight_uploads.h"
 
 namespace coopnet::strategy {
 
@@ -28,9 +28,9 @@ class BitTorrentStrategy final : public sim::ExchangeStrategy {
                           bool will_retry) override;
 
   // --- checkpoint (see sim/checkpoint.h) ---------------------------------
-  // Serializes the per-peer choke state (unchoked picks, optimistic slot,
-  // busy counters), the in-flight category map, and the round counter.
-  // Timer sub 0 is the rechoke sweep.
+  // Serializes the started peers' choke state (unchoked picks, optimistic
+  // slot, busy counters, in-flight uploads) in ascending id order, and the
+  // round counter. Timer sub 0 is the rechoke sweep.
   void checkpoint_save(util::ByteSink& sink) const override;
   void checkpoint_load(util::ByteSource& src, const sim::Swarm& swarm) override;
   sim::SmallEventFn rebuild_timer(sim::Swarm& swarm,
@@ -47,13 +47,15 @@ class BitTorrentStrategy final : public sim::ExchangeStrategy {
   };
 
   struct PeerChokeState {
+    /// Set by the peer's first rechoke round or first upload decision;
+    /// until then next_upload takes the pre-first-rechoke path.
+    bool started = false;
     std::vector<Pick> unchoked;  // tit-for-tat targets
     Pick optimistic;             // altruism slot (id == kNoPeer when empty)
     /// In-flight uploads per category; at most 1 optimistic and n_bt
     /// tit-for-tat transfers run concurrently, enforcing the
     /// alpha_BT = 1/(n_bt + 1) bandwidth split of Table I/III.
-    int busy_optimistic = 0;
-    int busy_tft = 0;
+    InFlightUploads uploads;
   };
 
   void rechoke_all(sim::Swarm& swarm);
@@ -63,15 +65,7 @@ class BitTorrentStrategy final : public sim::ExchangeStrategy {
   std::optional<sim::UploadAction> strategic_upload(sim::Swarm& swarm,
                                                     sim::PeerId uploader);
 
-  static std::uint64_t transfer_key(const sim::Transfer& t) {
-    return (static_cast<std::uint64_t>(t.from) << 42) |
-           (static_cast<std::uint64_t>(t.to) << 21) |
-           static_cast<std::uint64_t>(t.piece);
-  }
-
-  std::unordered_map<sim::PeerId, PeerChokeState> state_;
-  /// Category of each in-flight upload (true = optimistic slot).
-  std::unordered_map<std::uint64_t, bool> inflight_optimistic_;
+  std::vector<PeerChokeState> state_;  // indexed by PeerId, sized by attach()
   int round_ = 0;
 };
 

@@ -22,8 +22,8 @@ std::optional<sim::UploadAction> FairTorrentStrategy::next_upload(
   std::vector<sim::PeerId> ties;
   bool first = true;
   for (sim::PeerId n : needy) {
-    auto it = up.deficit().find(n);
-    const std::int64_t d = it == up.deficit().end() ? 0 : it->second;
+    const sim::EdgeCounters* e = up.find_edge(n);
+    const std::int64_t d = e == nullptr ? 0 : e->deficit;
     if (first || d < best) {
       best = d;
       ties.assign(1, n);

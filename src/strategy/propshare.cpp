@@ -11,6 +11,7 @@
 namespace coopnet::strategy {
 
 void PropShareStrategy::attach(sim::Swarm& swarm) {
+  state_.assign(swarm.peer_count(), {});
   swarm.engine().schedule(swarm.config().rechoke_interval,
                           sim::make_timer_tag(sim::kEvStrategyTimer, 0));
 }
@@ -21,10 +22,11 @@ void PropShareStrategy::reshare_all(sim::Swarm& swarm) {
     sim::Peer p = swarm.peer(id);
     if (!p.active() || p.is_free_rider()) continue;
     PeerShareState& st = state_[id];
+    st.started = true;
     st.shares.clear();
-    for (const auto& [from, bytes] : p.round_received()) {
-      if (bytes > 0 && !swarm.is_seeder(from)) {
-        st.shares.emplace_back(from, static_cast<double>(bytes));
+    for (const sim::EdgeCounters& e : p.ledger()) {
+      if (e.round_received > 0 && !swarm.is_seeder(e.peer)) {
+        st.shares.emplace_back(e.peer, static_cast<double>(e.round_received));
       }
     }
     // Rotate the optimistic target every round (PropShare spends its
@@ -34,8 +36,7 @@ void PropShareStrategy::reshare_all(sim::Swarm& swarm) {
     st.optimistic = needy.empty()
                         ? sim::kNoPeer
                         : needy[swarm.rng().uniform_u64(needy.size())];
-    p.prev_round_received() = std::move(p.round_received());
-    p.round_received().clear();
+    p.end_round();
     swarm.request_refill(id);
   }
   swarm.engine().schedule(swarm.config().rechoke_interval,
@@ -44,23 +45,21 @@ void PropShareStrategy::reshare_all(sim::Swarm& swarm) {
 
 std::optional<sim::UploadAction> PropShareStrategy::next_upload(
     sim::Swarm& swarm, sim::PeerId uploader) {
-  auto it = state_.find(uploader);
-  if (it == state_.end()) {
+  PeerShareState& st = state_[uploader];
+  if (!st.started) {
     // Pre-first-round: open a pinned optimistic slot, as in BitTorrent.
     auto needy = swarm.needy_neighbors(uploader);
     if (needy.empty()) return std::nullopt;
-    PeerShareState& st = state_[uploader];
+    st.started = true;
     st.optimistic = needy[swarm.rng().uniform_u64(needy.size())];
-    it = state_.find(uploader);
   }
-  const PeerShareState& st = it->second;
   const int n_bt = swarm.config().n_bt;  // reciprocal : altruism = n_bt : 1
 
   sim::PeerId to = sim::kNoPeer;
-  if (st.busy_optimistic == 0 && st.optimistic != sim::kNoPeer &&
+  if (st.uploads.optimistic() == 0 && st.optimistic != sim::kNoPeer &&
       swarm.needs_from(st.optimistic, uploader)) {
     to = st.optimistic;
-  } else if (st.busy_share < n_bt && !st.shares.empty()) {
+  } else if (st.uploads.reciprocal() < n_bt && !st.shares.empty()) {
     // Proportional-share allocation: pick the reciprocation target with
     // probability proportional to last round's contribution.
     std::vector<double> weights;
@@ -84,15 +83,8 @@ std::optional<sim::UploadAction> PropShareStrategy::next_upload(
 void PropShareStrategy::on_upload_started(sim::Swarm& swarm,
                                           const sim::Transfer& t) {
   if (swarm.is_seeder(t.from)) return;
-  auto it = state_.find(t.from);
-  if (it == state_.end()) return;
-  const bool optimistic = (t.to == it->second.optimistic);
-  inflight_optimistic_[transfer_key(t)] = optimistic;
-  if (optimistic) {
-    ++it->second.busy_optimistic;
-  } else {
-    ++it->second.busy_share;
-  }
+  PeerShareState& st = state_[t.from];
+  if (st.started) st.uploads.start(t, t.to == st.optimistic);
 }
 
 void PropShareStrategy::on_transfer_failed(sim::Swarm& swarm,
@@ -107,57 +99,38 @@ void PropShareStrategy::on_transfer_failed(sim::Swarm& swarm,
 void PropShareStrategy::on_delivered(sim::Swarm& swarm,
                                      const sim::Transfer& t) {
   (void)swarm;
-  auto inflight = inflight_optimistic_.find(transfer_key(t));
-  if (inflight == inflight_optimistic_.end()) return;
-  const bool optimistic = inflight->second;
-  inflight_optimistic_.erase(inflight);
-  auto it = state_.find(t.from);
-  if (it == state_.end()) return;
-  if (optimistic) {
-    --it->second.busy_optimistic;
-  } else {
-    --it->second.busy_share;
-  }
+  state_[t.from].uploads.finish(t);
 }
 
-
 void PropShareStrategy::checkpoint_save(util::ByteSink& sink) const {
-  util::save_unordered_map(
-      sink, state_, [](util::ByteSink& s, const PeerShareState& st) {
+  util::save_by_id(
+      sink, state_, [](const PeerShareState& st) { return st.started; },
+      [](util::ByteSink& s, const PeerShareState& st) {
         s.put_u64(st.shares.size());
         for (const auto& [from, bytes] : st.shares) {
           s.put_u32(from);
           s.put_double(bytes);
         }
         s.put_u32(st.optimistic);
-        s.put_u32(static_cast<std::uint32_t>(st.busy_optimistic));
-        s.put_u32(static_cast<std::uint32_t>(st.busy_share));
+        st.uploads.save(s);
       });
-  util::save_unordered_map(sink, inflight_optimistic_,
-                           [](util::ByteSink& s, bool optimistic) {
-                             s.put_bool(optimistic);
-                           });
 }
 
 void PropShareStrategy::checkpoint_load(util::ByteSource& src,
                                         const sim::Swarm& swarm) {
-  (void)swarm;
-  util::load_unordered_map(src, state_, [](util::ByteSource& s) {
-    PeerShareState st;
-    const std::size_t n = s.get_count(12);
-    st.shares.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const sim::PeerId from = s.get_u32();
-      const double bytes = s.get_double();
-      st.shares.emplace_back(from, bytes);
-    }
-    st.optimistic = s.get_u32();
-    st.busy_optimistic = static_cast<int>(s.get_u32());
-    st.busy_share = static_cast<int>(s.get_u32());
-    return st;
-  });
-  util::load_unordered_map(src, inflight_optimistic_,
-                           [](util::ByteSource& s) { return s.get_bool(); });
+  std::vector<PeerShareState> state(swarm.peer_count());
+  util::load_by_id(src, state, 28,
+                   [](util::ByteSource& s, PeerShareState& st) {
+                     st.started = true;
+                     st.shares.resize(s.get_count(12));
+                     for (auto& [from, bytes] : st.shares) {
+                       from = s.get_u32();
+                       bytes = s.get_double();
+                     }
+                     st.optimistic = s.get_u32();
+                     st.uploads.load(s);
+                   });
+  state_ = std::move(state);
 }
 
 sim::SmallEventFn PropShareStrategy::rebuild_timer(sim::Swarm& swarm,

@@ -13,10 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/strategy.h"
+#include "strategy/inflight_uploads.h"
 
 namespace coopnet::strategy {
 
@@ -33,10 +33,10 @@ class PropShareStrategy final : public sim::ExchangeStrategy {
                           bool will_retry) override;
 
   // --- checkpoint (see sim/checkpoint.h) ---------------------------------
-  // Serializes the per-peer share state (bid list in its exact order --
-  // the proportional split sums doubles in list order -- optimistic slot,
-  // busy counters) and the in-flight category map. Timer sub 0 is the
-  // reshare sweep.
+  // Serializes the started peers' share state (bid list in its exact
+  // order -- the proportional split sums doubles in list order --
+  // optimistic slot, busy counters, in-flight uploads) in ascending id
+  // order. Timer sub 0 is the reshare sweep.
   void checkpoint_save(util::ByteSink& sink) const override;
   void checkpoint_load(util::ByteSource& src, const sim::Swarm& swarm) override;
   sim::SmallEventFn rebuild_timer(sim::Swarm& swarm,
@@ -44,23 +44,19 @@ class PropShareStrategy final : public sim::ExchangeStrategy {
 
  private:
   struct PeerShareState {
-    /// Last round's contributors and their byte counts (the "bids").
+    /// Set by the peer's first reshare round or first upload decision;
+    /// until then next_upload takes the pre-first-round path.
+    bool started = false;
+    /// Last round's contributors and their byte counts (the "bids"), in
+    /// ascending id order.
     std::vector<std::pair<sim::PeerId, double>> shares;
     sim::PeerId optimistic = sim::kNoPeer;
-    int busy_optimistic = 0;
-    int busy_share = 0;
+    InFlightUploads uploads;
   };
 
   void reshare_all(sim::Swarm& swarm);
 
-  static std::uint64_t transfer_key(const sim::Transfer& t) {
-    return (static_cast<std::uint64_t>(t.from) << 42) |
-           (static_cast<std::uint64_t>(t.to) << 21) |
-           static_cast<std::uint64_t>(t.piece);
-  }
-
-  std::unordered_map<sim::PeerId, PeerShareState> state_;
-  std::unordered_map<std::uint64_t, bool> inflight_optimistic_;
+  std::vector<PeerShareState> state_;  // indexed by PeerId
 };
 
 }  // namespace coopnet::strategy

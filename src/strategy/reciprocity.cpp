@@ -11,12 +11,12 @@ std::optional<sim::UploadAction> ReciprocityStrategy::next_upload(
   const sim::Peer up = swarm.peer(uploader);
   sim::PeerId best = sim::kNoPeer;
   sim::Bytes best_bytes = 0;
-  for (const auto& [from, bytes] : up.received_from()) {
-    if (bytes <= 0 || bytes < best_bytes) continue;
-    if (!swarm.needs_from(from, uploader)) continue;
-    if (bytes > best_bytes || best == sim::kNoPeer) {
-      best = from;
-      best_bytes = bytes;
+  for (const sim::EdgeCounters& e : up.ledger()) {
+    if (e.received <= 0 || e.received < best_bytes) continue;
+    if (!swarm.needs_from(e.peer, uploader)) continue;
+    if (e.received > best_bytes || best == sim::kNoPeer) {
+      best = e.peer;
+      best_bytes = e.received;
     }
   }
   if (best == sim::kNoPeer) return std::nullopt;

@@ -12,6 +12,7 @@
 namespace coopnet::strategy {
 
 void ReputationStrategy::attach(sim::Swarm& swarm) {
+  pinned_.assign(swarm.peer_count(), std::nullopt);
   swarm.engine().schedule(swarm.config().rechoke_interval,
                           sim::make_timer_tag(sim::kEvStrategyTimer, 0));
   if (swarm.config().reputation_mode == sim::ReputationMode::kEigenTrust) {
@@ -29,11 +30,12 @@ void ReputationStrategy::recompute_eigentrust(sim::Swarm& swarm) {
   std::vector<core::TrustEdge> edges;
   const std::size_t n = swarm.peer_count();
   for (sim::ConstPeer p : swarm.peers()) {
-    for (const auto& [from, bytes] : p.received_from()) {
-      if (bytes <= 0) continue;
+    for (const sim::EdgeCounters& e : p.ledger()) {
+      if (e.received <= 0) continue;
+      const sim::PeerId from = e.peer;
       edges.push_back({static_cast<std::size_t>(p.id()),
                        static_cast<std::size_t>(from),
-                       static_cast<double>(bytes)});
+                       static_cast<double>(e.received)});
       if (swarm.is_seeder(from) && p.uploaded_bytes() > 0) {
         // The seeder vouches (uniformly, not by bytes -- free-riders soak
         // seeder bandwidth forever and must not launder it into trust)
@@ -89,19 +91,15 @@ std::optional<sim::UploadAction> ReputationStrategy::next_upload(
   sim::PeerId to = sim::kNoPeer;
   if (swarm.rng().bernoulli(swarm.config().alpha_r)) {
     // Altruism share: serve this interval's pinned target (bootstrap path).
-    auto pin = pinned_.find(uploader);
-    if (pin == pinned_.end()) {
+    std::optional<sim::PeerId>& pin = pinned_[uploader];
+    if (!pin) {
       // First decision before any rotation: pin a random needy neighbor.
-      pin = pinned_
-                .insert({uploader,
-                         needy[swarm.rng().uniform_u64(needy.size())]})
-                .first;
+      pin = needy[swarm.rng().uniform_u64(needy.size())];
     }
-    if (pin->second == sim::kNoPeer ||
-        !swarm.needs_from(pin->second, uploader)) {
+    if (*pin == sim::kNoPeer || !swarm.needs_from(*pin, uploader)) {
       return std::nullopt;  // target satisfied; wait for the next rotation
     }
-    to = pin->second;
+    to = *pin;
   } else {
     std::vector<double> weights;
     weights.reserve(needy.size());
@@ -129,7 +127,9 @@ std::optional<sim::UploadAction> ReputationStrategy::next_upload(
 void ReputationStrategy::checkpoint_save(util::ByteSink& sink) const {
   sink.put_u64(trust_.size());
   for (const double t : trust_) sink.put_double(t);
-  util::save_unordered_map(sink, pinned_);
+  util::save_by_id(
+      sink, pinned_, [](const auto& pin) { return pin.has_value(); },
+      [](util::ByteSink& s, const auto& pin) { s.put_u32(*pin); });
 }
 
 void ReputationStrategy::checkpoint_load(util::ByteSource& src,
@@ -140,9 +140,14 @@ void ReputationStrategy::checkpoint_load(util::ByteSource& src,
         "ReputationStrategy restore: trust vector size " + std::to_string(n) +
         " != population " + std::to_string(swarm.peer_count()));
   }
-  trust_.resize(n);
-  for (double& t : trust_) t = src.get_double();
-  util::load_unordered_map(src, pinned_);
+  std::vector<double> trust(n);
+  for (double& t : trust) t = src.get_double();
+  std::vector<std::optional<sim::PeerId>> pinned(swarm.peer_count());
+  util::load_by_id(src, pinned, 4, [](util::ByteSource& s, auto& pin) {
+    pin = s.get_u32();
+  });
+  trust_ = std::move(trust);
+  pinned_ = std::move(pinned);
 }
 
 sim::SmallEventFn ReputationStrategy::rebuild_timer(sim::Swarm& swarm,

@@ -11,7 +11,7 @@
 // scores and with them their share of everyone's reciprocal bandwidth.
 #pragma once
 
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "core/eigentrust.h"
@@ -49,8 +49,9 @@ class ReputationStrategy final : public sim::ExchangeStrategy {
   /// (rotated on a timer), mirroring the Table II model in which an
   /// altruistic user serves one newcomer per timeslot -- per-piece random
   /// targets would bootstrap a flash crowd far faster than the analysis
-  /// (and EigenTrust-style systems) allow.
-  std::unordered_map<sim::PeerId, sim::PeerId> pinned_;
+  /// (and EigenTrust-style systems) allow. Indexed by PeerId: nullopt
+  /// means not pinned yet, kNoPeer means pinned to nobody.
+  std::vector<std::optional<sim::PeerId>> pinned_;
 };
 
 }  // namespace coopnet::strategy

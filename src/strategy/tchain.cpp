@@ -16,27 +16,9 @@ void TChainStrategy::attach(sim::Swarm& swarm) {
                      ? std::numeric_limits<std::size_t>::max()
                      : static_cast<std::size_t>(swarm.config().tchain_backlog);
   grace_ = swarm.config().tchain_grace;
-  backlog_count_.assign(swarm.peer_count(), 0);
+  state_.assign(swarm.peer_count(), {});
   swarm.engine().schedule(grace_ / 2.0,
                           sim::make_timer_tag(sim::kEvStrategyTimer, 0));
-}
-
-std::size_t TChainStrategy::backlog(sim::PeerId id) const {
-  if (id < backlog_count_.size()) {
-#ifndef NDEBUG
-    auto dbg = state_.find(id);
-    const std::size_t slow =
-        dbg == state_.end()
-            ? 0
-            : dbg->second.obligations.size() + dbg->second.in_flight.size();
-    assert(slow == backlog_count_[id] &&
-           "TChainStrategy: backlog counter out of sync");
-#endif
-    return backlog_count_[id];
-  }
-  auto it = state_.find(id);
-  if (it == state_.end()) return 0;
-  return it->second.obligations.size() + it->second.in_flight.size();
 }
 
 bool TChainStrategy::accepts_delivery(const sim::Swarm& swarm,
@@ -112,14 +94,11 @@ std::optional<sim::UploadAction> TChainStrategy::plan_obligation(
 std::optional<sim::UploadAction> TChainStrategy::next_upload(
     sim::Swarm& swarm, sim::PeerId uploader) {
   pending_plan_ = PendingPlan{};
-  auto it = state_.find(uploader);
-  if (it != state_.end()) {
-    // 1. Discharge the oldest feasible obligation.
-    for (const Obligation& ob : it->second.obligations) {
-      if (auto action = plan_obligation(swarm, uploader, ob)) {
-        pending_plan_ = {uploader, action->to, action->piece, ob.piece, true};
-        return action;
-      }
+  // 1. Discharge the oldest feasible obligation.
+  for (const Obligation& ob : state_[uploader].obligations) {
+    if (auto action = plan_obligation(swarm, uploader, ob)) {
+      pending_plan_ = {uploader, action->to, action->piece, ob.piece, true};
+      return action;
     }
   }
   // 2. Opportunistic seeding: initiate a fresh chain from usable pieces.
@@ -133,16 +112,17 @@ std::optional<sim::UploadAction> TChainStrategy::next_upload(
 }
 
 void TChainStrategy::drop_obligation(sim::PeerId p, sim::PieceId piece) {
-  auto it = state_.find(p);
-  if (it == state_.end()) return;
-  auto& q = it->second.obligations;
-  for (auto ob = q.begin(); ob != q.end(); ++ob) {
-    if (ob->piece == piece) {
-      q.erase(ob);
-      dec_backlog(p);
-      return;
-    }
-  }
+  auto& q = state_[p].obligations;
+  auto ob = std::ranges::find(q, piece, &Obligation::piece);
+  if (ob != q.end()) q.erase(ob);
+}
+
+std::vector<TChainStrategy::InFlightDuty>::iterator
+TChainStrategy::find_in_flight(PeerState& st, const sim::Transfer& t) {
+  return std::find_if(st.in_flight.begin(), st.in_flight.end(),
+                      [&t](const InFlightDuty& d) {
+                        return d.to == t.to && d.piece == t.piece;
+                      });
 }
 
 void TChainStrategy::on_upload_started(sim::Swarm& swarm,
@@ -154,21 +134,18 @@ void TChainStrategy::on_upload_started(sim::Swarm& swarm,
   }
   if (pending_plan_.unlocks != sim::kNoPiece) {
     // Commit: this transfer discharges an obligation. Move it from the
-    // queue into the in-flight map keyed by the outgoing transfer.
+    // queue into the in-flight list, keyed by the outgoing transfer.
     PeerState& st = state_[t.from];
-    InFlightDuty duty;
-    duty.unlocks = pending_plan_.unlocks;
-    for (const Obligation& ob : st.obligations) {
-      if (ob.piece == pending_plan_.unlocks) {
-        duty.designator = ob.designator;
-        duty.suggested_target = ob.suggested_target;
-        break;
-      }
+    auto duty = find_in_flight(st, t);
+    if (duty == st.in_flight.end()) duty = st.in_flight.emplace(duty);
+    *duty = InFlightDuty{t.to, t.piece, pending_plan_.unlocks};
+    auto ob = std::ranges::find(st.obligations, pending_plan_.unlocks,
+                                &Obligation::piece);
+    if (ob != st.obligations.end()) {
+      duty->designator = ob->designator;
+      duty->suggested_target = ob->suggested_target;
+      st.obligations.erase(ob);
     }
-    if (st.in_flight.insert_or_assign(key(t.to, t.piece), duty).second) {
-      inc_backlog(t.from);
-    }
-    drop_obligation(t.from, pending_plan_.unlocks);
   }
   pending_plan_ = PendingPlan{};
 }
@@ -179,16 +156,14 @@ void TChainStrategy::on_transfer_failed(sim::Swarm& swarm,
   // While a retry is queued the duty stays registered under the same
   // (target, piece) key -- the retried transfer's completion discharges it.
   if (will_retry) return;
-  auto sit = state_.find(t.from);
-  if (sit == state_.end()) return;
-  auto inflight = sit->second.in_flight.find(key(t.to, t.piece));
-  if (inflight == sit->second.in_flight.end()) return;
-  const InFlightDuty duty = inflight->second;
-  sit->second.in_flight.erase(inflight);
+  PeerState& st = state_[t.from];
+  auto inflight = find_in_flight(st, t);
+  if (inflight == st.in_flight.end()) return;
+  const InFlightDuty duty = *inflight;
+  st.in_flight.erase(inflight);
   // The reciprocation never happened: requeue the duty (fresh timestamp,
   // so the grace clock restarts) and let next_upload find another route.
-  // backlog_count_ is unchanged: one in-flight entry out, one duty in.
-  sit->second.obligations.push_back(Obligation{
+  st.obligations.push_back(Obligation{
       duty.unlocks, duty.designator, duty.suggested_target,
       swarm.engine().now()});
   if (swarm.peer(t.from).active()) swarm.request_refill(t.from);
@@ -196,13 +171,12 @@ void TChainStrategy::on_transfer_failed(sim::Swarm& swarm,
 
 void TChainStrategy::on_delivered(sim::Swarm& swarm, const sim::Transfer& t) {
   // --- sender side: did this transfer discharge an obligation? ----------
-  auto sit = state_.find(t.from);
-  if (sit != state_.end()) {
-    auto inflight = sit->second.in_flight.find(key(t.to, t.piece));
-    if (inflight != sit->second.in_flight.end()) {
-      const sim::PieceId unlocked_piece = inflight->second.unlocks;
-      sit->second.in_flight.erase(inflight);
-      dec_backlog(t.from);
+  {
+    PeerState& st = state_[t.from];
+    auto inflight = find_in_flight(st, t);
+    if (inflight != st.in_flight.end()) {
+      const sim::PieceId unlocked_piece = inflight->unlocks;
+      st.in_flight.erase(inflight);
       resolve_fulfilled(swarm, t.from, unlocked_piece);
     }
   }
@@ -216,8 +190,11 @@ void TChainStrategy::on_delivered(sim::Swarm& swarm, const sim::Transfer& t) {
     return;
   }
 
-  links_[key(t.to, t.piece)] = ChainLink{t.from, false};
-  downstream_[t.from].push_back({t.to, t.piece});
+  std::vector<ChainLink>& links = state_[t.to].links;
+  auto link = std::ranges::find(links, t.piece, &ChainLink::piece);
+  if (link == links.end()) link = links.emplace(link);
+  *link = ChainLink{t.piece, t.from, false};
+  state_[t.from].downstream.push_back({t.to, t.piece});
 
   // The sender designates where to reciprocate: itself if it needs
   // something from the receiver (direct reciprocity), otherwise a random
@@ -253,44 +230,42 @@ void TChainStrategy::on_delivered(sim::Swarm& swarm, const sim::Transfer& t) {
     // on; the payload stays locked and the backlog cap starves the peer.
     state_[t.to].obligations.push_back(
         Obligation{t.piece, t.from, suggested, swarm.engine().now()});
-    inc_backlog(t.to);
     return;
   }
 
   state_[t.to].obligations.push_back(
       Obligation{t.piece, t.from, suggested, swarm.engine().now()});
-  inc_backlog(t.to);
   swarm.request_refill(t.to);
 }
 
 void TChainStrategy::resolve_fulfilled(sim::Swarm& swarm,
                                        sim::PeerId receiver,
                                        sim::PieceId piece) {
-  auto it = links_.find(key(receiver, piece));
-  if (it == links_.end()) return;
-  it->second.fulfilled = true;
+  std::vector<ChainLink>& links = state_[receiver].links;
+  auto link = std::ranges::find(links, piece, &ChainLink::piece);
+  if (link == links.end()) return;
+  link->fulfilled = true;
   try_unlock(swarm, receiver, piece);
 }
 
 void TChainStrategy::try_unlock(sim::Swarm& swarm, sim::PeerId receiver,
                                 sim::PieceId piece) {
-  auto it = links_.find(key(receiver, piece));
-  if (it == links_.end() || !it->second.fulfilled) return;
-  const sim::PeerId sender = it->second.sender;
+  std::vector<ChainLink>& links = state_[receiver].links;
+  auto link = std::ranges::find(links, piece, &ChainLink::piece);
+  if (link == links.end() || !link->fulfilled) return;
+  const sim::PeerId sender = link->sender;
   const sim::Peer s = swarm.peer(sender);
   // The sender can hand over the key once it holds the piece usable (or is
   // the seeder / has since finished and left with the full file).
   const bool sender_has_key = s.is_seeder() || s.pieces().test(piece) ||
                               s.state() == sim::PeerState::kLeft;
   if (!sender_has_key) return;  // retried when the sender unlocks
-  links_.erase(it);
+  links.erase(link);
   swarm.make_usable(receiver, piece, sender);
   // Keys cascade: anyone waiting on `receiver` for this piece can now be
   // unlocked (if they have fulfilled their own obligation).
-  auto down = downstream_.find(receiver);
-  if (down == downstream_.end()) return;
-  // Copy out: try_unlock recursion may mutate downstream_.
-  const auto waiters = down->second;
+  // Copy out: try_unlock recursion may mutate the waiter list.
+  const auto waiters = state_[receiver].downstream;
   for (const auto& [r2, p2] : waiters) {
     if (p2 == piece) try_unlock(swarm, r2, p2);
   }
@@ -298,7 +273,11 @@ void TChainStrategy::try_unlock(sim::Swarm& swarm, sim::PeerId receiver,
 
 void TChainStrategy::grace_scan(sim::Swarm& swarm) {
   const sim::Seconds now = swarm.engine().now();
-  for (auto& [id, st] : state_) {
+  // Ascending ids: the keys this scan releases together unlock, and so
+  // finish peers, in id order.
+  for (sim::PeerId id = 0; id < state_.size(); ++id) {
+    const PeerState& st = state_[id];
+    if (st.obligations.empty()) continue;
     const sim::Peer p = swarm.peer(id);
     if (p.is_free_rider()) continue;  // refusal is never excused
     if (p.state() == sim::PeerState::kPending) continue;
@@ -322,8 +301,9 @@ void TChainStrategy::grace_scan(sim::Swarm& swarm) {
 void TChainStrategy::checkpoint_save(util::ByteSink& sink) const {
   sink.put_u64(max_backlog_);
   sink.put_double(grace_);
-  util::save_unordered_map(
-      sink, state_, [](util::ByteSink& s, const PeerState& st) {
+  util::save_by_id(
+      sink, state_, [](const PeerState& st) { return !st.empty(); },
+      [](util::ByteSink& s, const PeerState& st) {
         s.put_u64(st.obligations.size());
         for (const Obligation& ob : st.obligations) {
           s.put_u32(ob.piece);
@@ -331,26 +311,22 @@ void TChainStrategy::checkpoint_save(util::ByteSink& sink) const {
           s.put_u32(ob.suggested_target);
           s.put_double(ob.created);
         }
-        util::save_unordered_map(
-            s, st.in_flight, [](util::ByteSink& s2, const InFlightDuty& d) {
-              s2.put_u32(d.unlocks);
-              s2.put_u32(d.designator);
-              s2.put_u32(d.suggested_target);
-            });
-      });
-  sink.put_u64(backlog_count_.size());
-  for (const std::uint32_t c : backlog_count_) sink.put_u32(c);
-  util::save_unordered_map(sink, links_,
-                           [](util::ByteSink& s, const ChainLink& l) {
-                             s.put_u32(l.sender);
-                             s.put_bool(l.fulfilled);
-                           });
-  util::save_unordered_map(
-      sink, downstream_,
-      [](util::ByteSink& s,
-         const std::vector<std::pair<sim::PeerId, sim::PieceId>>& waiters) {
-        s.put_u64(waiters.size());
-        for (const auto& [receiver, piece] : waiters) {
+        s.put_u64(st.in_flight.size());
+        for (const InFlightDuty& d : st.in_flight) {
+          s.put_u32(d.to);
+          s.put_u32(d.piece);
+          s.put_u32(d.unlocks);
+          s.put_u32(d.designator);
+          s.put_u32(d.suggested_target);
+        }
+        s.put_u64(st.links.size());
+        for (const ChainLink& l : st.links) {
+          s.put_u32(l.piece);
+          s.put_u32(l.sender);
+          s.put_bool(l.fulfilled);
+        }
+        s.put_u64(st.downstream.size());
+        for (const auto& [receiver, piece] : st.downstream) {
           s.put_u32(receiver);
           s.put_u32(piece);
         }
@@ -364,59 +340,47 @@ void TChainStrategy::checkpoint_save(util::ByteSink& sink) const {
 
 void TChainStrategy::checkpoint_load(util::ByteSource& src,
                                      const sim::Swarm& swarm) {
-  max_backlog_ = static_cast<std::size_t>(src.get_u64());
-  grace_ = src.get_double();
-  util::load_unordered_map(src, state_, [&src](util::ByteSource&) {
-    PeerState st;
-    const std::size_t n_ob = src.get_count(20);
-    for (std::size_t i = 0; i < n_ob; ++i) {
-      Obligation ob;
-      ob.piece = src.get_u32();
-      ob.designator = src.get_u32();
-      ob.suggested_target = src.get_u32();
-      ob.created = src.get_double();
-      st.obligations.push_back(ob);
+  const auto max_backlog = static_cast<std::size_t>(src.get_u64());
+  const sim::Seconds grace = src.get_double();
+  std::vector<PeerState> state(swarm.peer_count());
+  util::load_by_id(src, state, 32, [](util::ByteSource& s, PeerState& st) {
+    st.obligations.resize(s.get_count(20));
+    for (Obligation& ob : st.obligations) {
+      ob.piece = s.get_u32();
+      ob.designator = s.get_u32();
+      ob.suggested_target = s.get_u32();
+      ob.created = s.get_double();
     }
-    util::load_unordered_map(src, st.in_flight, [](util::ByteSource& s2) {
-      InFlightDuty d;
-      d.unlocks = s2.get_u32();
-      d.designator = s2.get_u32();
-      d.suggested_target = s2.get_u32();
-      return d;
-    });
-    return st;
-  });
-  const std::size_t n_backlog = src.get_count(4);
-  if (n_backlog != 0 && n_backlog != swarm.peer_count()) {
-    throw util::SerializeError(
-        "TChainStrategy restore: backlog mirror size " +
-        std::to_string(n_backlog) + " != population " +
-        std::to_string(swarm.peer_count()));
-  }
-  backlog_count_.resize(n_backlog);
-  for (std::uint32_t& c : backlog_count_) c = src.get_u32();
-  util::load_unordered_map(src, links_, [](util::ByteSource& s) {
-    ChainLink l;
-    l.sender = s.get_u32();
-    l.fulfilled = s.get_bool();
-    return l;
-  });
-  util::load_unordered_map(src, downstream_, [](util::ByteSource& s) {
-    std::vector<std::pair<sim::PeerId, sim::PieceId>> waiters;
-    const std::size_t n = s.get_count(8);
-    waiters.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const sim::PeerId receiver = s.get_u32();
-      const sim::PieceId piece = s.get_u32();
-      waiters.emplace_back(receiver, piece);
+    st.in_flight.resize(s.get_count(20));
+    for (InFlightDuty& d : st.in_flight) {
+      d.to = s.get_u32();
+      d.piece = s.get_u32();
+      d.unlocks = s.get_u32();
+      d.designator = s.get_u32();
+      d.suggested_target = s.get_u32();
     }
-    return waiters;
+    st.links.resize(s.get_count(9));
+    for (ChainLink& l : st.links) {
+      l.piece = s.get_u32();
+      l.sender = s.get_u32();
+      l.fulfilled = s.get_bool();
+    }
+    st.downstream.resize(s.get_count(8));
+    for (auto& [receiver, piece] : st.downstream) {
+      receiver = s.get_u32();
+      piece = s.get_u32();
+    }
   });
-  pending_plan_.from = src.get_u32();
-  pending_plan_.to = src.get_u32();
-  pending_plan_.piece = src.get_u32();
-  pending_plan_.unlocks = src.get_u32();
-  pending_plan_.valid = src.get_bool();
+  PendingPlan plan;
+  plan.from = src.get_u32();
+  plan.to = src.get_u32();
+  plan.piece = src.get_u32();
+  plan.unlocks = src.get_u32();
+  plan.valid = src.get_bool();
+  max_backlog_ = max_backlog;
+  grace_ = grace;
+  state_ = std::move(state);
+  pending_plan_ = plan;
 }
 
 sim::SmallEventFn TChainStrategy::rebuild_timer(sim::Swarm& swarm,

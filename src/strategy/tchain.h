@@ -25,8 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/strategy.h"
@@ -52,13 +51,15 @@ class TChainStrategy final : public sim::ExchangeStrategy {
                           bool will_retry) override;
 
   /// Obligations currently queued at a peer (exposed for tests/metrics).
-  std::size_t backlog(sim::PeerId id) const;
+  std::size_t backlog(sim::PeerId id) const {
+    return state_[id].obligations.size() + state_[id].in_flight.size();
+  }
 
   // --- checkpoint (see sim/checkpoint.h) ---------------------------------
-  // Serializes every mutable member: the per-peer obligation queues and
-  // in-flight duties, the dense backlog mirror, the chain-link ledger and
-  // its downstream index, the attach-derived limits, and the staged plan.
-  // Timer sub 0 is the grace scan.
+  // Serializes every mutable member: each peer's obligation queue,
+  // in-flight duties, chain links and downstream waiters (non-empty peers,
+  // in ascending id order), the attach-derived limits, and the staged
+  // plan. Timer sub 0 is the grace scan.
   void checkpoint_save(util::ByteSink& sink) const override;
   void checkpoint_load(util::ByteSource& src, const sim::Swarm& swarm) override;
   sim::SmallEventFn rebuild_timer(sim::Swarm& swarm,
@@ -74,32 +75,41 @@ class TChainStrategy final : public sim::ExchangeStrategy {
     sim::Seconds created = 0.0;
   };
 
-  /// One link of a chain: `receiver` holds `piece` locked, delivered by
-  /// `sender`; `fulfilled` once the receiver reciprocated (or was excused).
+  /// One link of a chain, held by its receiver: the receiver holds
+  /// `piece` locked, delivered by `sender`; `fulfilled` once the receiver
+  /// reciprocated (or was excused).
   struct ChainLink {
+    sim::PieceId piece = sim::kNoPiece;
     sim::PeerId sender = sim::kNoPeer;
     bool fulfilled = false;
   };
 
-  /// An obligation being discharged by an in-flight upload. Carries the
-  /// original obligation's fields so an abandoned upload (fault injection)
-  /// can requeue the duty intact.
+  /// An obligation being discharged by the in-flight upload of `piece` to
+  /// `to`. Carries the original obligation's fields so an abandoned upload
+  /// (fault injection) can requeue the duty intact.
   struct InFlightDuty {
+    sim::PeerId to = sim::kNoPeer;
+    sim::PieceId piece = sim::kNoPiece;
     sim::PieceId unlocks = sim::kNoPiece;
     sim::PeerId designator = sim::kNoPeer;
     sim::PeerId suggested_target = sim::kNoPeer;
   };
 
   struct PeerState {
-    std::deque<Obligation> obligations;
-    /// Obligation uploads in flight, keyed by (target, piece) of the
-    /// outgoing transfer.
-    std::unordered_map<std::uint64_t, InFlightDuty> in_flight;
-  };
+    std::vector<Obligation> obligations;  // oldest first
+    /// Obligation uploads in flight, one per (to, piece).
+    std::vector<InFlightDuty> in_flight;
+    /// Links this peer holds as receiver, one per piece.
+    std::vector<ChainLink> links;
+    /// (receiver, piece) links, in creation order, that wait for this
+    /// peer's key as their sender.
+    std::vector<std::pair<sim::PeerId, sim::PieceId>> downstream;
 
-  static std::uint64_t key(sim::PeerId peer, sim::PieceId piece) {
-    return (static_cast<std::uint64_t>(peer) << 32) | piece;
-  }
+    bool empty() const {
+      return obligations.empty() && in_flight.empty() && links.empty() &&
+             downstream.empty();
+    }
+  };
 
   /// Plans the upload that would discharge `ob` for peer `p`, if any.
   std::optional<sim::UploadAction> plan_obligation(sim::Swarm& swarm,
@@ -115,27 +125,10 @@ class TChainStrategy final : public sim::ExchangeStrategy {
                   sim::PieceId piece);
   void grace_scan(sim::Swarm& swarm);
   void drop_obligation(sim::PeerId p, sim::PieceId piece);
+  static std::vector<InFlightDuty>::iterator find_in_flight(
+      PeerState& st, const sim::Transfer& t);
 
-  void inc_backlog(sim::PeerId p) {
-    if (p < backlog_count_.size()) ++backlog_count_[p];
-  }
-  void dec_backlog(sim::PeerId p) {
-    if (p < backlog_count_.size()) --backlog_count_[p];
-  }
-
-  std::unordered_map<sim::PeerId, PeerState> state_;
-  /// Dense mirror of obligations.size() + in_flight.size() per peer, sized
-  /// by attach() and updated in step with every queue mutation. backlog()
-  /// is on the admission-control hot path (called once per candidate
-  /// neighbor per planning step) and reads this instead of hashing into
-  /// state_. Before attach() the vector is empty and backlog() falls back
-  /// to the map.
-  std::vector<std::uint32_t> backlog_count_;
-  std::unordered_map<std::uint64_t, ChainLink> links_;  // (receiver, piece)
-  /// sender -> (receiver, piece) links awaiting that sender's key.
-  std::unordered_map<sim::PeerId,
-                     std::vector<std::pair<sim::PeerId, sim::PieceId>>>
-      downstream_;
+  std::vector<PeerState> state_;  // indexed by PeerId, sized by attach()
   std::size_t max_backlog_ = 5;
   sim::Seconds grace_ = 30.0;
   /// Staged by next_upload, committed by on_upload_started.

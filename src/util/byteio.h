@@ -7,18 +7,13 @@
 // pattern, so restored simulation state is bit-exact, not
 // printf-lossy.
 //
-// save_unordered_map/load_unordered_map additionally preserve ITERATION
-// ORDER across the round trip. Several mechanisms iterate per-peer
-// unordered_maps when computing results (PropShare's share split,
-// EigenTrust's edge accumulation, BitTorrent's tie-breaks), so a restore
-// that rebuilt the map in a different order would change float summation
-// order and tie-break winners -- byte-identical restore requires the
-// original order. libstdc++ prepends nodes within their bucket chain, so
-// re-inserting the serialized pairs in REVERSE iteration order into a
-// table with the original bucket count reproduces the original chain
-// exactly; the loader verifies the reproduced order and bucket count and
-// throws if the platform's container behaves differently, so drift can
-// never silently corrupt results.
+// Containers whose order feeds results are saved in their iteration order
+// and are order-defined themselves (dense PeerId-indexed arrays, rows
+// sorted by id), so a restore reproduces them by construction. Keyed
+// lists are written in strictly ascending id order (save_by_id writes
+// the non-empty entries of a PeerId-indexed array that way), and loaders
+// read the keys back through get_ascending_id, which rejects a
+// duplicate, a descent or an out-of-range id.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +21,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -168,6 +162,21 @@ class ByteSource {
     return static_cast<std::size_t>(n);
   }
 
+  /// The next id of a list saved in strictly ascending id order. Throws
+  /// unless the id is at least `next_min` (so not a duplicate or a
+  /// descent) and below `bound`, then moves `next_min` past it.
+  std::uint32_t get_ascending_id(std::uint64_t& next_min,
+                                 std::uint64_t bound) {
+    const std::uint32_t id = get_u32();
+    if (id < next_min || id >= bound) {
+      throw SerializeError(where() + ": id " + std::to_string(id) +
+                           " is not strictly ascending or not below " +
+                           std::to_string(bound));
+    }
+    next_min = std::uint64_t{id} + 1;
+    return id;
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }
 
@@ -200,83 +209,34 @@ class ByteSource {
   std::string context_;
 };
 
-// --- iteration-order-preserving unordered_map round trip ----------------
-
-/// Writes bucket count, size, then the pairs in iteration order.
-/// `save_value(sink, v)` serializes one mapped value.
-template <typename K, typename V, typename SaveValue>
-void save_unordered_map(ByteSink& sink, const std::unordered_map<K, V>& map,
-                        SaveValue&& save_value) {
-  static_assert(sizeof(K) <= 8, "keys serialize through u64");
-  sink.put_u64(map.bucket_count());
-  sink.put_u64(map.size());
-  for (const auto& [k, v] : map) {
-    sink.put_u64(static_cast<std::uint64_t>(k));
-    save_value(sink, v);
+/// Writes the entries of a PeerId-indexed array for which `keep(entry)`
+/// holds: their count, then each one's id and `save(sink, entry)`, in
+/// ascending id order.
+template <typename T, typename Keep, typename Save>
+void save_by_id(ByteSink& sink, const std::vector<T>& by_id, Keep&& keep,
+                Save&& save) {
+  std::uint64_t kept = 0;
+  for (const T& entry : by_id) kept += keep(entry) ? 1 : 0;
+  sink.put_u64(kept);
+  for (std::size_t id = 0; id < by_id.size(); ++id) {
+    if (!keep(by_id[id])) continue;
+    sink.put_u32(static_cast<std::uint32_t>(id));
+    save(sink, by_id[id]);
   }
 }
 
-/// Rebuilds `map` with the serialized iteration order (see file comment),
-/// then verifies the order actually reproduced and throws SerializeError
-/// if the container implementation defeated the reverse-insert trick.
-template <typename K, typename V, typename LoadValue>
-void load_unordered_map(ByteSource& src, std::unordered_map<K, V>& map,
-                        LoadValue&& load_value) {
-  const std::uint64_t buckets = src.get_u64();
-  const std::size_t n = src.get_count(9);
-  std::vector<std::pair<K, V>> pairs;
-  pairs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const K k = static_cast<K>(src.get_u64());
-    pairs.emplace_back(k, load_value(src));
+/// Reads what save_by_id wrote into `by_id`, which is already sized to
+/// the population: `load(src, entry)` fills each saved entry. Throws
+/// SerializeError on an id that is not strictly ascending or not below
+/// by_id.size(). `min_entry_bytes` is the least `save` writes.
+template <typename T, typename Load>
+void load_by_id(ByteSource& src, std::vector<T>& by_id,
+                std::size_t min_entry_bytes, Load&& load) {
+  const std::size_t count = src.get_count(4 + min_entry_bytes);
+  std::uint64_t next_min = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    load(src, by_id[src.get_ascending_id(next_min, by_id.size())]);
   }
-  map.clear();
-  // Skip the no-op rehash: rehash(b) rounds UP to the implementation's
-  // next growth step, so asking for the count the map already has (e.g.
-  // the singleton bucket of a never-inserted map) would overshoot it.
-  if (map.bucket_count() != buckets) {
-    map.rehash(static_cast<std::size_t>(buckets));
-  }
-  for (std::size_t i = pairs.size(); i-- > 0;) {
-    map.emplace(pairs[i].first, std::move(pairs[i].second));
-  }
-  if (map.bucket_count() != buckets) {
-    throw SerializeError(
-        "unordered_map restore: bucket count " +
-        std::to_string(map.bucket_count()) + " != serialized " +
-        std::to_string(buckets) +
-        " (container growth policy drifted; restored iteration order "
-        "would be wrong)");
-  }
-  std::size_t i = 0;
-  for (const auto& [k, v] : map) {
-    (void)v;
-    if (i >= pairs.size() || !(k == pairs[i].first)) {
-      throw SerializeError(
-          "unordered_map restore: iteration order not reproduced at "
-          "position " +
-          std::to_string(i) +
-          " (this container implementation does not prepend within "
-          "buckets; order-sensitive results would diverge)");
-    }
-    ++i;
-  }
-}
-
-/// Arithmetic-value convenience overloads (Bytes, int64, PeerId...).
-template <typename K, typename V>
-void save_unordered_map(ByteSink& sink, const std::unordered_map<K, V>& map) {
-  static_assert(sizeof(V) <= 8, "values serialize through u64");
-  save_unordered_map(sink, map, [](ByteSink& s, const V& v) {
-    s.put_u64(static_cast<std::uint64_t>(v));
-  });
-}
-
-template <typename K, typename V>
-void load_unordered_map(ByteSource& src, std::unordered_map<K, V>& map) {
-  load_unordered_map(src, map, [](ByteSource& s) {
-    return static_cast<V>(s.get_u64());
-  });
 }
 
 }  // namespace coopnet::util

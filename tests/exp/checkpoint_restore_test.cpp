@@ -45,6 +45,45 @@ sim::SwarmConfig cell_config(core::Algorithm algo,
   return config;
 }
 
+struct RestoreCell {
+  std::string name;
+  sim::SwarmConfig config;
+};
+
+/// Every mechanism of the paper under every scenario, plus cells that
+/// reach state the grid does not: PropShare's bid lists, strategic
+/// BitTorrent clients (the previous-round receipt counts), EigenTrust's
+/// ledger walk, and whitewashing free-riders (ledger records dropped
+/// mid-run).
+std::vector<RestoreCell> restore_cells() {
+  std::vector<RestoreCell> cells;
+  for (const Scenario& scenario : scenarios()) {
+    for (core::Algorithm algo : core::kAllAlgorithms) {
+      cells.push_back({std::string(core::to_string(algo)) + " / " +
+                           scenario.name,
+                       cell_config(algo, scenario.faults)});
+    }
+  }
+  const sim::FaultConfig clean;
+  cells.push_back({"PropShare / clean",
+                   cell_config(core::Algorithm::kPropShare, clean)});
+  RestoreCell strategic{"BitTorrent strategic 0.2 / clean",
+                        cell_config(core::Algorithm::kBitTorrent, clean)};
+  strategic.config.strategic_fraction = 0.2;
+  cells.push_back(strategic);
+  RestoreCell eigentrust{"Reputation EigenTrust / clean",
+                         cell_config(core::Algorithm::kReputation, clean)};
+  eigentrust.config.reputation_mode = sim::ReputationMode::kEigenTrust;
+  cells.push_back(eigentrust);
+  RestoreCell whitewash{"FairTorrent whitewashing free-riders / clean",
+                        cell_config(core::Algorithm::kFairTorrent, clean)};
+  whitewash.config.free_rider_fraction = 0.2;
+  whitewash.config.attack.whitewashing = true;
+  whitewash.config.attack.whitewash_interval = 1.0;
+  cells.push_back(whitewash);
+  return cells;
+}
+
 /// Simulated end time of the uninterrupted cell, for picking a snapshot
 /// cadence that lands several boundaries strictly mid-run.
 double cell_sim_duration(const sim::SwarmConfig& config) {
@@ -74,41 +113,38 @@ CheckpointPolicy resuming_policy(double every, std::string snapshot) {
 
 TEST(CheckpointRestore, EveryBoundaryOfEveryMechanismRestoresIdentically) {
   const Supervision supervision;
-  for (const Scenario& scenario : scenarios()) {
-    for (core::Algorithm algo : core::kAllAlgorithms) {
-      SCOPED_TRACE(std::string(core::to_string(algo)) + " / " +
-                   scenario.name);
-      const sim::SwarmConfig config = cell_config(algo, scenario.faults);
+  for (const RestoreCell& cell : restore_cells()) {
+    SCOPED_TRACE(cell.name);
+    const sim::SwarmConfig& config = cell.config;
 
-      // Uninterrupted reference: the plain, checkpoint-free path.
-      const CellOutcome ref = run_supervised_cell(0, config, supervision);
-      ASSERT_TRUE(ref.ok()) << ref.error;
-      const double every = cell_sim_duration(config) / 5.0;
-      ASSERT_GT(every, 0.0);
+    // Uninterrupted reference: the plain, checkpoint-free path.
+    const CellOutcome ref = run_supervised_cell(0, config, supervision);
+    ASSERT_TRUE(ref.ok()) << ref.error;
+    const double every = cell_sim_duration(config) / 5.0;
+    ASSERT_GT(every, 0.0);
 
-      // Chunked runs observe, never perturb: same report bytes.
-      std::vector<std::string> snaps;
-      const CellOutcome chunked = run_supervised_cell(
-          0, config, supervision, collecting_policy(every, &snaps));
-      ASSERT_TRUE(chunked.ok()) << chunked.error;
-      EXPECT_EQ(chunked.report_json, ref.report_json)
-          << "chunked advance_until diverged from one run()";
-      ASSERT_GE(snaps.size(), 2u)
-          << "cadence produced too few mid-run snapshots to test";
+    // Chunked runs observe, never perturb: same report bytes.
+    std::vector<std::string> snaps;
+    const CellOutcome chunked = run_supervised_cell(
+        0, config, supervision, collecting_policy(every, &snaps));
+    ASSERT_TRUE(chunked.ok()) << chunked.error;
+    EXPECT_EQ(chunked.report_json, ref.report_json)
+        << "chunked advance_until diverged from one run()";
+    ASSERT_GE(snaps.size(), 2u)
+        << "cadence produced too few mid-run snapshots to test";
 
-      // Resume from EVERY boundary; each tail must land on the same
-      // bytes the uninterrupted run produced.
-      for (std::size_t i = 0; i < snaps.size(); ++i) {
-        const CellOutcome resumed = run_supervised_cell(
-            0, config, supervision, resuming_policy(every, snaps[i]));
-        ASSERT_TRUE(resumed.ok()) << resumed.error;
-        EXPECT_TRUE(resumed.resumed_from_checkpoint);
-        EXPECT_GT(resumed.restored_events, 0u);
-        EXPECT_LT(resumed.events - resumed.restored_events, ref.events)
-            << "a resumed cell must replay only a tail, not everything";
-        EXPECT_EQ(resumed.report_json, ref.report_json)
-            << "restore from boundary " << i << " diverged";
-      }
+    // Resume from EVERY boundary; each tail must land on the same
+    // bytes the uninterrupted run produced.
+    for (std::size_t i = 0; i < snaps.size(); ++i) {
+      const CellOutcome resumed = run_supervised_cell(
+          0, config, supervision, resuming_policy(every, snaps[i]));
+      ASSERT_TRUE(resumed.ok()) << resumed.error;
+      EXPECT_TRUE(resumed.resumed_from_checkpoint);
+      EXPECT_GT(resumed.restored_events, 0u);
+      EXPECT_LT(resumed.events - resumed.restored_events, ref.events)
+          << "a resumed cell must replay only a tail, not everything";
+      EXPECT_EQ(resumed.report_json, ref.report_json)
+          << "restore from boundary " << i << " diverged";
     }
   }
 }
@@ -128,16 +164,18 @@ TEST(CheckpointRestore, ACorruptSnapshotRestartsTheCellFromScratch) {
   std::string corrupt = snaps.front();
   corrupt[corrupt.size() / 2] =
       static_cast<char>(corrupt[corrupt.size() / 2] ^ 0xFF);
-  // A snapshot from an older build: the header's format version (the
+  // Snapshots from older builds: the header's format version (the
   // little-endian u32 after the 8-byte magic, not covered by any CRC)
-  // rewritten to 1.
+  // rewritten to 1 and to 2.
+  ASSERT_EQ(snaps.front()[8], 3) << "current format version moved";
   std::string version1 = snaps.front();
-  ASSERT_EQ(version1[8], 2) << "current format version moved";
   version1[8] = 1;
+  std::string version2 = snaps.front();
+  version2[8] = 2;
 
   // "Never wrong, only slower": the rejected snapshot is dropped, the
   // cell restarts fresh, and the result is still byte-identical.
-  for (const std::string& bad : {corrupt, version1}) {
+  for (const std::string& bad : {corrupt, version1, version2}) {
     const CellOutcome outcome = run_supervised_cell(
         0, config, supervision, resuming_policy(every, bad));
     ASSERT_TRUE(outcome.ok()) << outcome.error;

@@ -134,24 +134,35 @@ TEST(CheckpointContainer, RejectsASnapshotFromADifferentConfiguration) {
   EXPECT_THROW(decode_snapshot(other_algo, bytes), CheckpointError);
 }
 
-TEST(CheckpointContainer, RejectsASnapshotFromFormatVersion1) {
-  // Version 1 stored a 4-byte prepare hint per queue record; the header
-  // version is what keeps such a snapshot from being misparsed. The
-  // version field follows the 8-byte magic and no CRC covers it, so
-  // rewriting it is the whole re-encoding.
+/// Rewrites the header's format version, which follows the 8-byte magic
+/// and is covered by no CRC, so rewriting it is the whole re-encoding.
+void expect_version_rejected(std::uint8_t version) {
   const SwarmConfig config = tiny_config();
   std::string bytes = mid_cell_snapshot(config);
-  ASSERT_EQ(bytes[8], 2) << "current format version moved; update this test";
-  bytes[8] = 1;
+  ASSERT_EQ(bytes[8], 3) << "current format version moved; update this test";
+  bytes[8] = static_cast<char>(version);
 
   try {
     decode_snapshot(config, bytes);
-    FAIL() << "a format-version-1 snapshot was accepted";
+    FAIL() << "a format-version-" << int{version} << " snapshot was accepted";
   } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("format version 1 != supported 2"),
+    EXPECT_NE(std::string(e.what()).find(
+                  "format version " + std::to_string(version) +
+                  " != supported 3"),
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(CheckpointContainer, RejectsASnapshotFromFormatVersion1) {
+  // Version 1 stored a 4-byte prepare hint per queue record.
+  expect_version_rejected(1);
+}
+
+TEST(CheckpointContainer, RejectsASnapshotFromFormatVersion2) {
+  // Version 2 stored the per-edge counters as four hash maps per peer,
+  // with their bucket counts, in hash-iteration order.
+  expect_version_rejected(2);
 }
 
 TEST(CheckpointContainer, RestoreRequiresEverySwarmSection) {
@@ -262,6 +273,98 @@ TEST(CheckpointContainer, RestoreRejectsAStrategyTimerTheMechanismDoesNotOwn) {
         << e.what();
   }
   EXPECT_EQ(swarm.engine().pending(), 0u) << "restore mutated before failing";
+}
+
+// --- exchange-ledger rows ---------------------------------------------------
+
+/// One saved exchange-ledger record: the other peer's u32 id, then the
+/// deficit and the three receipt counters as i64.
+constexpr std::size_t kLedgerRecordBytes = 4 + 4 * 8;
+
+std::uint64_t u64_at(const std::string& bytes, std::size_t offset) {
+  return util::ByteSource(bytes.data() + offset, 8, "").get_u64();
+}
+
+std::uint32_t u32_at(const std::string& bytes, std::size_t offset) {
+  return util::ByteSource(bytes.data() + offset, 4, "").get_u32();
+}
+
+void set_u32_at(std::string& bytes, std::size_t offset, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+/// Offset, within a peers section, of the first exchange-ledger row that
+/// holds at least two records. Walks PeerStore::checkpoint_save's per-peer
+/// layout: kind and state bytes, capacity, four int counters and the
+/// epoch; five piece sets; three version counters; three times; four byte
+/// counters; then the ledger row, a u64 count of {u32 peer, four i64}.
+std::size_t two_record_ledger_row(const std::string& peers) {
+  const std::uint64_t n = u64_at(peers, 0);
+  const std::size_t words = (u32_at(peers, 8) + 63) / 64;
+  const std::size_t before_ledger =
+      (1 + 1 + 8 + 4 * 8 + 4) + 5 * words * 8 + 3 * 4 + 3 * 8 + 4 * 8;
+  std::size_t offset = 12;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    offset += before_ledger;
+    const std::uint64_t records = u64_at(peers, offset);
+    if (records >= 2) return offset;
+    offset += 8 + records * kLedgerRecordBytes;
+  }
+  ADD_FAILURE() << "no ledger row with two records at the snapshot point";
+  return 0;
+}
+
+TEST(CheckpointContainer, RestoreRejectsALedgerRowThatIsNotStrictlyAscending) {
+  const SwarmConfig config = tiny_config();
+  const std::vector<SnapshotSection> sections = mid_cell_sections(config);
+  std::size_t peers_index = sections.size();
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    if (sections[i].id == kSectionPeers) peers_index = i;
+  }
+  ASSERT_LT(peers_index, sections.size());
+  const std::string& peers = sections[peers_index].payload;
+  const std::size_t row = two_record_ledger_row(peers);
+  ASSERT_GT(row, 0u);
+  const std::size_t first = row + 8;
+  const std::size_t second = first + kLedgerRecordBytes;
+  const std::uint32_t id1 = u32_at(peers, first);
+  const std::uint32_t id2 = u32_at(peers, second);
+  ASSERT_LT(id1, id2) << "the saved row is not ascending";
+  const auto peer_count = static_cast<std::uint32_t>(u64_at(peers, 0));
+
+  struct Case {
+    const char* name;
+    std::uint32_t first_id;
+    std::uint32_t second_id;
+  };
+  for (const Case& c : {Case{"duplicate", id1, id1},
+                        Case{"descending", id2, id1},
+                        Case{"out of range", id1, peer_count}}) {
+    SCOPED_TRACE(c.name);
+    std::vector<SnapshotSection> bad = sections;
+    set_u32_at(bad[peers_index].payload, first, c.first_id);
+    set_u32_at(bad[peers_index].payload, second, c.second_id);
+
+    Swarm swarm(config, strategy::make_strategy(config.algorithm));
+    swarm.start_restored();
+    try {
+      SwarmCheckpoint::restore(swarm, bad);
+      FAIL() << "restored a ledger row that is not strictly ascending";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("not strictly ascending"),
+                std::string::npos)
+          << e.what();
+    }
+    // Untouched: nothing queued, and every peer as the constructor left it.
+    EXPECT_EQ(swarm.engine().pending(), 0u);
+    for (PeerId id = 0; id < swarm.peer_count(); ++id) {
+      EXPECT_TRUE(swarm.peer_store().ledger(id).empty()) << id;
+      EXPECT_EQ(swarm.peer_store().state(id), PeerState::kPending) << id;
+      EXPECT_EQ(swarm.peer_store().uploaded_bytes(id), 0) << id;
+    }
+  }
 }
 
 }  // namespace

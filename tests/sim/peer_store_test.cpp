@@ -28,7 +28,7 @@ TEST(PeerStoreSlotReuse, AcquireReturnsReleasedSlotWithFreshState) {
   store.credit_uploaded(2, 100);
   store.credit_downloaded_raw(2, 200);
   store.credit_usable_from_leechers(2, 50);
-  store.received_from(2)[1] = 200;
+  store.edge(2, 1).received = 200;
   store.set_state(2, PeerState::kLeft);
 
   const std::uint32_t old_epoch = store.epoch(2);
@@ -51,7 +51,7 @@ TEST(PeerStoreSlotReuse, AcquireReturnsReleasedSlotWithFreshState) {
   EXPECT_EQ(store.uploaded_bytes(id), 0);
   EXPECT_EQ(store.downloaded_raw_bytes(id), 0);
   EXPECT_EQ(store.usable_from_leechers_bytes(id), 0);
-  EXPECT_TRUE(store.received_from(id).empty());
+  EXPECT_TRUE(store.ledger(id).empty());
   // ...except the epoch, which keeps counting up across lives.
   EXPECT_GT(store.epoch(id), old_epoch);
 }
@@ -124,6 +124,58 @@ TEST(PeerStoreSlotReuse, LifoReuseOrderIsDeterministic) {
   EXPECT_EQ(store.acquire_slot(), 1u);
   EXPECT_EQ(store.acquire_slot(), 0u);
   EXPECT_EQ(store.acquire_slot(), kNoPeer);
+}
+
+// --- exchange ledger -------------------------------------------------------
+
+std::vector<PeerId> ledger_peers(const PeerStore& store, PeerId id) {
+  std::vector<PeerId> peers;
+  for (const EdgeCounters& e : store.ledger(id)) peers.push_back(e.peer);
+  return peers;
+}
+
+TEST(PeerStoreLedger, RowStaysAscendingAndRotatesAndForgets) {
+  PeerStore store;
+  store.init(6, kPieces);
+
+  // Records land at their sorted position whatever the insertion order.
+  store.edge(0, 4).received = 40;
+  store.edge(0, 1).round_received = 10;
+  store.edge(0, 5).deficit = -2;
+  store.edge(0, 3).round_received = 30;
+  EXPECT_EQ(ledger_peers(store, 0), (std::vector<PeerId>{1, 3, 4, 5}));
+
+  // edge() finds an existing record instead of inserting a second one.
+  store.edge(0, 4).received += 2;
+  EXPECT_EQ(store.ledger(0).size(), 4u);
+  ASSERT_NE(store.find_edge(0, 4), nullptr);
+  EXPECT_EQ(store.find_edge(0, 4)->received, 42);
+  // find_edge() never inserts.
+  EXPECT_EQ(store.find_edge(0, 2), nullptr);
+  EXPECT_EQ(store.ledger(0).size(), 4u);
+
+  // end_round(): previous = current, and current restarts at zero.
+  store.end_round(0);
+  EXPECT_EQ(store.find_edge(0, 1)->prev_round_received, 10);
+  EXPECT_EQ(store.find_edge(0, 3)->prev_round_received, 30);
+  for (const EdgeCounters& e : store.ledger(0)) {
+    EXPECT_EQ(e.round_received, 0) << e.peer;
+  }
+  EXPECT_EQ(store.find_edge(0, 4)->received, 42) << "lifetime count kept";
+
+  // forget() removes one record and keeps the rest ascending; forgetting
+  // an absent peer is a no-op.
+  store.forget(0, 3);
+  store.forget(0, 2);
+  EXPECT_EQ(ledger_peers(store, 0), (std::vector<PeerId>{1, 4, 5}));
+  EXPECT_EQ(store.find_edge(0, 3), nullptr);
+
+  // A recycled slot starts with an empty ledger.
+  store.set_state(0, PeerState::kActive);
+  store.set_state(0, PeerState::kLeft);
+  store.release_slot(0);
+  ASSERT_EQ(store.acquire_slot(), 0u);
+  EXPECT_TRUE(store.ledger(0).empty());
 }
 
 // --- active registry --------------------------------------------------------

@@ -14,6 +14,7 @@ namespace coopnet::strategy {
 namespace {
 
 using core::Algorithm;
+using sim::EdgeCounters;
 using sim::PeerId;
 using sim::Swarm;
 using sim::SwarmConfig;
@@ -57,7 +58,9 @@ TEST(Altruism, SpreadsUploadsAcrossManyTargets) {
   // Aggregate indegree: every peer received from several distinct peers.
   std::size_t total_sources = 0;
   for (PeerId i = 0; i < sp->leechers(); ++i) {
-    total_sources += sp->peer(i).received_from().size();
+    for (const EdgeCounters& e : sp->peer(i).ledger()) {
+      if (e.received > 0) ++total_sources;
+    }
   }
   EXPECT_GT(total_sources / sp->leechers(), 3u);
 }
@@ -79,9 +82,9 @@ TEST(Reciprocity, OnlySeederContributesToDownloads) {
   config.max_time = 120.0;
   auto sp = run(config);
   for (PeerId i = 0; i < sp->leechers(); ++i) {
-    for (const auto& [from, bytes] : sp->peer(i).received_from()) {
-      if (bytes > 0) {
-        EXPECT_EQ(from, sp->seeder_id());
+    for (const EdgeCounters& e : sp->peer(i).ledger()) {
+      if (e.received > 0) {
+        EXPECT_EQ(e.peer, sp->seeder_id());
       }
     }
   }
@@ -97,9 +100,8 @@ TEST(FairTorrent, DeficitsStayBoundedForCompliantPeers) {
                            static_cast<std::int64_t>(sp->leechers())) +
                        3.0;
   for (PeerId i = 0; i < sp->leechers(); ++i) {
-    for (const auto& [other, d] : sp->peer(i).deficit()) {
-      (void)other;
-      EXPECT_LE(std::abs(static_cast<double>(d)), bound * 2.0);
+    for (const EdgeCounters& e : sp->peer(i).ledger()) {
+      EXPECT_LE(std::abs(static_cast<double>(e.deficit)), bound * 2.0);
     }
   }
 }

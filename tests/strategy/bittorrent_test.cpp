@@ -13,6 +13,7 @@ namespace coopnet::strategy {
 namespace {
 
 using core::Algorithm;
+using sim::EdgeCounters;
 using sim::PeerId;
 using sim::Swarm;
 using sim::SwarmConfig;
@@ -46,11 +47,10 @@ TEST(BitTorrent, ReciprocalPairsEmerge) {
   // produce plenty.
   std::size_t reciprocal = 0;
   for (PeerId i = 0; i < s.leechers(); ++i) {
-    for (const auto& [from, bytes] : s.peer(i).received_from()) {
-      if (from == s.seeder_id() || bytes <= 0) continue;
-      const auto& back = s.peer(from).received_from();
-      auto it = back.find(i);
-      if (it != back.end() && it->second > 0) ++reciprocal;
+    for (const EdgeCounters& e : s.peer(i).ledger()) {
+      if (e.peer == s.seeder_id() || e.received <= 0) continue;
+      const EdgeCounters* back = s.peer(e.peer).find_edge(i);
+      if (back != nullptr && back->received > 0) ++reciprocal;
     }
   }
   EXPECT_GT(reciprocal, s.leechers());
