@@ -56,15 +56,6 @@ inline sim::SwarmConfig scenario_from_cli(const util::Cli& cli,
   return config;
 }
 
-/// Worker count selected by --jobs. Defaults to the hardware concurrency;
-/// `--jobs 1` runs every sweep sequentially on the calling thread (results
-/// are identical either way -- only the wall clock moves).
-inline std::size_t jobs_from_cli(const util::Cli& cli) {
-  const long jobs = cli.get_int("jobs", 0);
-  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 1");
-  return jobs == 0 ? exp::default_jobs() : static_cast<std::size_t>(jobs);
-}
-
 /// Prints the per-sweep wall-clock/throughput line under a table, so the
 /// --jobs speedup is visible in the artifact itself.
 inline void print_sweep_timing(const exp::SweepTiming& timing) {
@@ -126,86 +117,6 @@ inline std::vector<sim::SwarmConfig> figure_suite_cells(
     cells.push_back(config);
   }
   return cells;
-}
-
-/// Runs all six algorithms over a scenario and prints the Figure 4/5/6
-/// artifact set: susceptibility (when free-riders are present), the
-/// completion-time CDFs (efficiency), the fairness-vs-time series, and the
-/// bootstrap CDFs. Returns the reports for further rendering.
-inline std::vector<metrics::RunReport> run_figure_suite(
-    const sim::SwarmConfig& base, bool with_susceptibility,
-    std::size_t jobs = 1) {
-  const std::vector<sim::SwarmConfig> cells = figure_suite_cells(base);
-  std::fprintf(stderr, "  running %zu algorithms (jobs=%zu)...\n",
-               cells.size(), jobs == 0 ? exp::default_jobs() : jobs);
-  exp::SweepTiming timing;
-  const std::vector<metrics::RunReport> reports =
-      exp::run_cells(cells, jobs, &timing);
-
-  util::Table table("Per-algorithm summary");
-  table.set_header({"Algorithm", "finished", "mean compl. (s)",
-                    "median compl. (s)", "boot median (s)",
-                    "settled fairness (u/d)", "fairness F",
-                    "susceptibility"});
-  for (const auto& r : reports) {
-    table.add_row(
-        {core::to_string(r.algorithm),
-         std::to_string(r.completion_times.size()) + "/" +
-             std::to_string(r.compliant_population),
-         r.completion_times.empty()
-             ? "-"
-             : util::Table::num(r.completion_summary.mean, 5),
-         r.completion_times.empty()
-             ? "-"
-             : util::Table::num(r.completion_summary.median, 5),
-         r.bootstrap_times.empty()
-             ? "-"
-             : util::Table::num(r.bootstrap_summary.median, 4),
-         r.settled_fairness < 0.0
-             ? "-"
-             : util::Table::num(r.settled_fairness, 4),
-         r.final_fairness_F < 0.0
-             ? "-"
-             : util::Table::num(r.final_fairness_F, 4),
-         with_susceptibility ? util::Table::pct(r.susceptibility) : "-"});
-  }
-  std::printf("%s", table.render().c_str());
-  print_sweep_timing(timing);
-
-  if (with_susceptibility) {
-    std::vector<std::pair<std::string, double>> bars;
-    for (const auto& r : reports) {
-      bars.push_back({core::to_string(r.algorithm), r.susceptibility});
-    }
-    std::printf("\n(a) Susceptibility: fraction of users' upload bandwidth "
-                "captured by free-riders\n%s",
-                util::bar_chart(bars).c_str());
-  }
-
-  std::vector<std::pair<std::string, std::vector<util::CdfPoint>>> completion_cdfs;
-  for (const auto& r : reports) {
-    completion_cdfs.push_back({core::to_string(r.algorithm),
-                     metrics::completion_cdf(r)});
-  }
-  print_cdf_chart("(b) Efficiency: download completion-time CDF "
-                  "(reciprocity flat at 0 -- nobody finishes)",
-                  completion_cdfs, "seconds since arrival");
-
-  std::vector<std::pair<std::string, util::TimeSeries>> fairness;
-  for (const auto& r : reports) {
-    fairness.push_back({core::to_string(r.algorithm), r.fairness_series});
-  }
-  print_series_chart("(c) Fairness: mean u/d over compliant peers vs time",
-                     fairness, "seconds", "mean u/d");
-
-  std::vector<std::pair<std::string, std::vector<util::CdfPoint>>> boots;
-  for (const auto& r : reports) {
-    boots.push_back({core::to_string(r.algorithm),
-                     metrics::bootstrap_cdf(r)});
-  }
-  print_cdf_chart("(d) Bootstrapping: time-to-first-piece CDF", boots,
-                  "seconds since arrival");
-  return reports;
 }
 
 /// Opens the journal/resume pair for a supervised sweep and reports the
@@ -283,8 +194,8 @@ inline int run_fleet_worker(const std::vector<sim::SwarmConfig>& cells,
 
 /// Serves a sweep as the fleet coordinator over an already-opened
 /// journal (the coordinator's crash-recovery log) and returns the merged
-/// result -- byte-identical artifacts to a local run_cells_supervised
-/// sweep of the same cells.
+/// result -- byte-identical artifacts to a local run_cells sweep of the
+/// same cells.
 inline exp::SweepResult serve_fleet_coordinator(
     const std::vector<sim::SwarmConfig>& cells, std::uint64_t base_seed,
     const fleet::FleetControl& fleet, exp::SweepJournal& sj) {
@@ -321,6 +232,17 @@ inline exp::SweepResult serve_fleet_coordinator(
   return sweep;
 }
 
+/// Series charts and CSV need the full report; journal-resumed cells only
+/// carry scalars, so they cover the ok cells that ran in this process.
+inline std::vector<const metrics::RunReport*> fresh_reports(
+    const exp::SweepResult& sweep) {
+  std::vector<const metrics::RunReport*> fresh;
+  for (const auto& o : sweep.outcomes) {
+    if (o.ok() && !o.from_journal) fresh.push_back(&o.report);
+  }
+  return fresh;
+}
+
 /// Prints the quarantine report for a degraded sweep (no-op when every
 /// cell is ok).
 inline void print_degraded_coverage(const exp::SweepResult& sweep) {
@@ -331,45 +253,34 @@ inline void print_degraded_coverage(const exp::SweepResult& sweep) {
               sweep.outcomes.size(), sweep.degradation_summary().c_str());
 }
 
-/// Machine-readable dumps for a supervised sweep: --json prints the
-/// merged per-cell array (null for non-ok cells; byte-identical to the
-/// unsupervised dump when all cells are ok), --json-out writes the same
-/// bytes crash-safely.
-inline void maybe_dump_supervised_json(const util::Cli& cli,
-                                       const exp::SweepResult& sweep) {
-  if (cli.has("json")) {
-    std::printf("\n--- JSON ---\n%s\n", sweep.merged_json().c_str());
-  }
-  if (cli.has("json-out")) {
-    util::write_file_atomic(cli.get_string("json-out", ""),
-                            sweep.merged_json() + "\n");
-  }
-}
-
-/// Supervised variant of run_figure_suite: same cells and rendering, but
-/// each algorithm runs under the per-cell watchdogs, failures are
+/// Runs all six algorithms over a scenario and prints the Figure 4/5/6
+/// artifact set: the per-algorithm summary table with each cell's status,
+/// susceptibility (when free-riders are present), the completion-time
+/// CDFs (efficiency), the fairness-vs-time series, and the bootstrap CDFs.
+/// Each algorithm runs under the per-cell watchdogs, failures are
 /// quarantined into their table row instead of aborting, and outcomes are
-/// journaled/resumed per `control`. Charts cover the cells that ran to
+/// journaled/resumed per `control` (or served to fleet workers when
+/// `fleet` is a coordinator). Charts cover the cells that ran to
 /// completion in this process (journal-resumed cells carry scalar metrics
 /// only).
-inline exp::SweepResult run_figure_suite_supervised(
-    const sim::SwarmConfig& base, bool with_susceptibility, std::size_t jobs,
-    const exp::SweepControl& control,
-    const fleet::FleetControl* fleet = nullptr) {
+inline exp::SweepResult run_figure_suite(const sim::SwarmConfig& base,
+                                         bool with_susceptibility,
+                                         std::size_t jobs,
+                                         const exp::SweepControl& control,
+                                         const fleet::FleetControl& fleet) {
   const std::vector<sim::SwarmConfig> cells = figure_suite_cells(base);
   exp::SweepJournal sj =
       open_journal_from_cli(control, cells.size(), base.seed);
-  std::fprintf(stderr,
-               "  running %zu algorithms under supervision (jobs=%zu)...\n",
-               cells.size(), jobs == 0 ? exp::default_jobs() : jobs);
+  std::fprintf(stderr, "  running %zu algorithms (jobs=%zu)...\n",
+               cells.size(), jobs);
   const exp::SweepResult sweep =
-      (fleet != nullptr && fleet->coordinator())
-          ? serve_fleet_coordinator(cells, base.seed, *fleet, sj)
-          : exp::run_cells_supervised(cells, jobs, control.supervision,
-                                      sj.journal.get(), sj.resume.get(),
-                                      control.checkpoint);
+      fleet.coordinator()
+          ? serve_fleet_coordinator(cells, base.seed, fleet, sj)
+          : exp::run_cells(cells, jobs, control.supervision,
+                           sj.journal.get(), sj.resume.get(),
+                           control.checkpoint);
 
-  util::Table table("Per-algorithm summary (supervised)");
+  util::Table table("Per-algorithm summary");
   table.set_header({"Algorithm", "status", "finished", "mean compl. (s)",
                     "median compl. (s)", "boot median (s)",
                     "settled fairness (u/d)", "fairness F",
@@ -417,12 +328,7 @@ inline exp::SweepResult run_figure_suite_supervised(
                 util::bar_chart(bars).c_str());
   }
 
-  // Series charts need the full report; journal-resumed cells only carry
-  // scalars, so chart what ran in this process.
-  std::vector<const metrics::RunReport*> fresh;
-  for (const auto& o : sweep.outcomes) {
-    if (o.ok() && !o.from_journal) fresh.push_back(&o.report);
-  }
+  const std::vector<const metrics::RunReport*> fresh = fresh_reports(sweep);
   if (fresh.size() < sweep.outcomes.size()) {
     std::printf("\n(charts cover the %zu cells run in this process; "
                 "resumed/failed cells are tabulated above)\n",
@@ -456,37 +362,39 @@ inline exp::SweepResult run_figure_suite_supervised(
   return sweep;
 }
 
-/// Optional machine-readable dumps: --csv (long-form series), --json
-/// (full RunReport array on stdout), and --json-out FILE (same array
-/// written crash-safely via temp-file + atomic rename).
+/// Optional machine-readable dumps: --json prints the merged per-cell
+/// array (null for non-ok cells; byte-identical to metrics::to_json of the
+/// reports when all cells are ok), --json-out FILE writes the same bytes
+/// crash-safely (temp file + atomic rename), and --csv prints long-form
+/// series of the cells that ran in this process.
 inline void maybe_dump_csv(const util::Cli& cli,
-                           const std::vector<metrics::RunReport>& reports) {
+                           const exp::SweepResult& sweep) {
   if (cli.has("json")) {
-    std::printf("\n--- JSON ---\n%s\n",
-                metrics::to_json(reports).c_str());
+    std::printf("\n--- JSON ---\n%s\n", sweep.merged_json().c_str());
   }
   if (cli.has("json-out")) {
     util::write_file_atomic(cli.get_string("json-out", ""),
-                            metrics::to_json(reports) + "\n");
+                            sweep.merged_json() + "\n");
   }
   if (!cli.has("csv")) return;
+  const std::vector<const metrics::RunReport*> fresh = fresh_reports(sweep);
   std::printf("\n--- CSV: fairness series ---\nalgorithm,time,value\n");
-  for (const auto& r : reports) {
-    for (const auto& p : r.fairness_series.points()) {
-      std::printf("%s,%g,%g\n", core::to_string(r.algorithm).c_str(),
+  for (const auto* r : fresh) {
+    for (const auto& p : r->fairness_series.points()) {
+      std::printf("%s,%g,%g\n", core::to_string(r->algorithm).c_str(),
                   p.time, p.value);
     }
   }
   std::printf("\n--- CSV: completion times ---\nalgorithm,seconds\n");
-  for (const auto& r : reports) {
-    for (double t : r.completion_times) {
-      std::printf("%s,%g\n", core::to_string(r.algorithm).c_str(), t);
+  for (const auto* r : fresh) {
+    for (double t : r->completion_times) {
+      std::printf("%s,%g\n", core::to_string(r->algorithm).c_str(), t);
     }
   }
   std::printf("\n--- CSV: bootstrap times ---\nalgorithm,seconds\n");
-  for (const auto& r : reports) {
-    for (double t : r.bootstrap_times) {
-      std::printf("%s,%g\n", core::to_string(r.algorithm).c_str(), t);
+  for (const auto* r : fresh) {
+    for (double t : r->bootstrap_times) {
+      std::printf("%s,%g\n", core::to_string(r->algorithm).c_str(), t);
     }
   }
 }

@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
     config.algorithm = algo;
     cells.push_back(config);
   }
-  exp::SweepTiming timing;
-  const auto reports =
-      exp::run_cells(cells, bench::jobs_from_cli(cli), &timing);
+  const exp::SweepResult sweep =
+      exp::run_cells(cells, exp::jobs_from_cli(cli));
+  const auto reports = sweep.reports();
   for (const auto& r : reports) {
     const core::Algorithm algo = r.algorithm;
     const bool defined =
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
              : util::Table::num(r.completion_summary.mean, 5)});
   }
   std::printf("%s", table.render().c_str());
-  bench::print_sweep_timing(timing);
+  bench::print_sweep_timing(sweep.timing);
   std::printf(
       "\nExpected shape: a clear strategic advantage under BitTorrent "
       "(tit-for-tat is\ngameable with minimal give-back); little to none "

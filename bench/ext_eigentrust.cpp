@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
     honest.reputation_mode = mode;
     cells.push_back(honest);
   }
-  exp::SweepTiming timing;
-  const auto reports =
-      exp::run_cells(cells, bench::jobs_from_cli(cli), &timing);
+  const exp::SweepResult sweep =
+      exp::run_cells(cells, exp::jobs_from_cli(cli));
+  const auto reports = sweep.reports();
   for (std::size_t m = 0; m < modes.size(); ++m) {
     const char* name = modes[m] == sim::ReputationMode::kEigenTrust
                            ? "EigenTrust [4]"
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
          util::Table::num(reports[at + 2].completion_summary.mean, 5)});
   }
   std::printf("%s", table.render().c_str());
-  bench::print_sweep_timing(timing);
+  bench::print_sweep_timing(sweep.timing);
   std::printf(
       "\nExpected shape: sybil praise multiplies the ledger backend's leak "
       "several\ntimes over (forged reports enter the score directly) but "

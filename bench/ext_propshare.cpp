@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
       cells.push_back(config);
     }
   }
-  exp::SweepTiming timing;
-  const auto reports =
-      exp::run_cells(cells, bench::jobs_from_cli(cli), &timing);
+  const exp::SweepResult result =
+      exp::run_cells(cells, exp::jobs_from_cli(cli));
+  const auto reports = result.reports();
 
   util::Table table("Head-to-head (no free-riders)");
   table.set_header({"Mechanism", "mean compl. (s)", "fairness F",
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     sweep.add_row(row);
   }
   std::printf("\n%s", sweep.render().c_str());
-  bench::print_sweep_timing(timing);
+  bench::print_sweep_timing(result.timing);
   std::printf(
       "\nExpected shape: PropShare matches BitTorrent's efficiency tier "
       "while being\nat least as fair (proportional response) and leaking "

@@ -3,10 +3,11 @@
 // six algorithms on the Section V-A scenario.
 //
 // Scales: --scale=paper (default, 1000 peers / 128 MB), mid, small;
-// --csv dumps the raw series. Supervised-sweep flags (--cell-timeout,
-// --event-budget, --journal, --resume; see exp/supervise.h) quarantine
-// failing algorithm cells instead of aborting; exit code 3 flags a
-// degraded sweep.
+// --csv dumps the raw series. A failing algorithm cell is quarantined
+// into its table row instead of aborting the sweep, and exit code 3 flags
+// the degraded sweep. The sweep flags (--cell-timeout, --event-budget,
+// --journal, --resume; see exp/supervise.h) add watchdogs and a
+// resumable journal.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -29,17 +30,10 @@ int main(int argc, char** argv) {
                 config.n_peers,
                 static_cast<long long>(config.file_bytes / (1024 * 1024)),
                 static_cast<unsigned long long>(config.seed));
-    if (control.active() || fleet.active()) {
-      const exp::SweepResult sweep = bench::run_figure_suite_supervised(
-          config, /*with_susceptibility=*/false, bench::jobs_from_cli(cli),
-          control, &fleet);
-      bench::print_fluid_overlay(config, sweep.ok_reports());
-      bench::maybe_dump_supervised_json(cli, sweep);
-      return sweep.complete() ? 0 : 3;
-    }
-    const auto reports = bench::run_figure_suite(
-        config, /*with_susceptibility=*/false, bench::jobs_from_cli(cli));
-    bench::print_fluid_overlay(config, reports);
+    const exp::SweepResult sweep = bench::run_figure_suite(
+        config, /*with_susceptibility=*/false, exp::jobs_from_cli(cli),
+        control, fleet);
+    bench::print_fluid_overlay(config, sweep.ok_reports());
 
     std::printf(
         "\nExpected shape (Fig. 4): altruism completes fastest; reciprocity "
@@ -47,8 +41,8 @@ int main(int argc, char** argv) {
         "fairness near 1 for the\nexchanging algorithms with T-Chain/"
         "FairTorrent the most fair by eq. 3;\nbootstrap: altruism ~ "
         "FairTorrent ~ T-Chain << BitTorrent < reputation <<\nreciprocity.\n");
-    bench::maybe_dump_csv(cli, reports);
-    return 0;
+    bench::maybe_dump_csv(cli, sweep);
+    return sweep.complete() ? 0 : 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fig4_compliant: %s\n", e.what());
     return 1;

@@ -69,10 +69,10 @@ int run(int argc, char** argv) {
               static_cast<long long>(base.file_bytes / (1024 * 1024)),
               static_cast<unsigned long long>(base.seed));
 
-  exp::SweepTiming timing;
-  const auto sim_reports = exp::run_cells_mixed(
-      cells, backends, bench::jobs_from_cli(cli), &timing);
-  bench::print_sweep_timing(timing);
+  const exp::SweepResult sweep =
+      exp::run_cells_mixed(cells, backends, exp::jobs_from_cli(cli));
+  bench::print_sweep_timing(sweep.timing);
+  const auto sim_reports = sweep.reports();
 
   util::Table table("sim vs fluid mean completion time");
   table.set_header({"Algorithm", "sim mean (s)", "fluid mean (s)",

@@ -3,8 +3,9 @@
 // (c) fairness. Attacks: plain free-riding everywhere, plus collusion vs
 // T-Chain, whitewashing vs FairTorrent, sybil praise vs reputation.
 //
-// Supervised-sweep flags (--cell-timeout, --event-budget, --journal,
-// --resume) quarantine failing cells; exit code 3 flags degraded coverage.
+// A failing cell is quarantined into its table row and exit code 3 flags
+// the degraded coverage. The sweep flags (--cell-timeout, --event-budget,
+// --journal, --resume) add watchdogs and a resumable journal.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -30,15 +31,9 @@ int main(int argc, char** argv) {
                 config.free_rider_fraction * 100.0, config.n_peers,
                 static_cast<long long>(config.file_bytes / (1024 * 1024)),
                 static_cast<unsigned long long>(config.seed));
-    if (control.active() || fleet.active()) {
-      const exp::SweepResult sweep = bench::run_figure_suite_supervised(
-          config, /*with_susceptibility=*/true, bench::jobs_from_cli(cli),
-          control, &fleet);
-      bench::maybe_dump_supervised_json(cli, sweep);
-      return sweep.complete() ? 0 : 3;
-    }
-    const auto reports = bench::run_figure_suite(
-        config, /*with_susceptibility=*/true, bench::jobs_from_cli(cli));
+    const exp::SweepResult sweep = bench::run_figure_suite(
+        config, /*with_susceptibility=*/true, exp::jobs_from_cli(cli),
+        control, fleet);
 
     std::printf(
         "\nExpected shape (Fig. 5): susceptibility ~0 for reciprocity and "
@@ -46,8 +41,8 @@ int main(int argc, char** argv) {
         "BitTorrent and FairTorrent\nin between. Efficiency and fairness of "
         "the susceptible algorithms degrade\nrelative to Fig. 4; T-Chain "
         "barely moves.\n");
-    bench::maybe_dump_csv(cli, reports);
-    return 0;
+    bench::maybe_dump_csv(cli, sweep);
+    return sweep.complete() ? 0 : 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fig5_freeriders: %s\n", e.what());
     return 1;

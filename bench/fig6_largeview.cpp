@@ -2,8 +2,9 @@
 // free-riders connect to several times more neighbors than compliant peers
 // (default 4x; --view-mult to sweep).
 //
-// Supervised-sweep flags (--cell-timeout, --event-budget, --journal,
-// --resume) quarantine failing cells; exit code 3 flags degraded coverage.
+// A failing cell is quarantined into its table row and exit code 3 flags
+// the degraded coverage. The sweep flags (--cell-timeout, --event-budget,
+// --journal, --resume) add watchdogs and a resumable journal.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -31,15 +32,9 @@ int main(int argc, char** argv) {
                 config.free_rider_fraction * 100.0,
                 config.graph.large_view_multiplier, config.n_peers,
                 static_cast<unsigned long long>(config.seed));
-    const std::size_t jobs = bench::jobs_from_cli(cli);
-    if (control.active() || fleet.active()) {
-      const exp::SweepResult sweep = bench::run_figure_suite_supervised(
-          config, /*with_susceptibility=*/true, jobs, control, &fleet);
-      bench::maybe_dump_supervised_json(cli, sweep);
-      return sweep.complete() ? 0 : 3;
-    }
-    const auto reports =
-        bench::run_figure_suite(config, /*with_susceptibility=*/true, jobs);
+    const std::size_t jobs = exp::jobs_from_cli(cli);
+    const exp::SweepResult sweep = bench::run_figure_suite(
+        config, /*with_susceptibility=*/true, jobs, control, fleet);
 
     std::printf(
         "\nExpected shape (Fig. 6): susceptibility rises vs Fig. 5 for the "
@@ -47,7 +42,7 @@ int main(int argc, char** argv) {
         "BitTorrent, FairTorrent);\naltruism/reputation were already handing "
         "free-riders their full demand share.\nT-Chain stays ~1%% and is now "
         "visibly more efficient and fair than the\nsusceptible hybrids.\n");
-    bench::maybe_dump_csv(cli, reports);
+    bench::maybe_dump_csv(cli, sweep);
 
     if (cli.has("sweep-view")) {
       std::printf("\nAblation: large-view multiplier vs susceptibility "
@@ -63,16 +58,16 @@ int main(int argc, char** argv) {
         c = exp::with_freeriders(c, c.free_rider_fraction, mult > 1.0);
         cells.push_back(c);
       }
-      exp::SweepTiming timing;
-      const auto sweep = exp::run_cells(cells, jobs, &timing);
+      const exp::SweepResult ablation = exp::run_cells(cells, jobs);
+      const auto reports = ablation.reports();
       for (std::size_t i = 0; i < mults.size(); ++i) {
         table.add_row({util::Table::num(mults[i], 2),
-                       util::Table::pct(sweep[i].susceptibility)});
+                       util::Table::pct(reports[i].susceptibility)});
       }
       std::printf("%s", table.render().c_str());
-      bench::print_sweep_timing(timing);
+      bench::print_sweep_timing(ablation.timing);
     }
-    return 0;
+    return sweep.complete() ? 0 : 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fig6_largeview: %s\n", e.what());
     return 1;

@@ -14,10 +14,10 @@
 //                     [--journal F] [--resume F]
 //                     [--fleet-listen [HOST:]PORT | --fleet-connect H:P]
 //
-// The supervised flags (see exp/supervise.h) quarantine failing cells
-// instead of aborting the whole matrix, journal completed cells
-// crash-safely, and make an interrupted sweep resumable; exit code 3
-// flags degraded coverage.
+// A failing cell is quarantined into its table row instead of aborting
+// the whole matrix, and exit code 3 flags the degraded coverage. The
+// sweep flags (see exp/supervise.h) add watchdogs, journal completed
+// cells crash-safely, and make an interrupted sweep resumable.
 //
 // The fleet flags (see fleet/options.h) distribute the same cell matrix
 // across machines: one process runs --fleet-listen (the coordinator;
@@ -26,9 +26,9 @@
 // and a SIGKILLed worker only costs wall-clock time.
 //
 // --audit runs the whole fault x mechanism matrix under the swarm
-// invariant auditor (requires a -DCOOPNET_AUDIT=ON build; any violation
-// aborts the sweep with the offending cell's diagnostic). This is the CI
-// audit smoke.
+// invariant auditor (requires a -DCOOPNET_AUDIT=ON build). A violation
+// fails its cell with the auditor's diagnostic, and the sweep exits 3.
+// This is the CI audit smoke.
 #include "bench_common.h"
 #include "sim/auditor.h"
 #include "sim/faults.h"
@@ -65,12 +65,12 @@ std::vector<FaultLevel> fault_levels() {
   return levels;
 }
 
-int run_supervised_sweep(const coopnet::util::Cli& cli,
-                         const std::vector<FaultLevel>& levels,
-                         const std::vector<coopnet::sim::SwarmConfig>& cells,
-                         std::size_t jobs, std::uint64_t base_seed,
-                         const coopnet::exp::SweepControl& control,
-                         const coopnet::fleet::FleetControl& fleet) {
+int sweep_and_report(const coopnet::util::Cli& cli,
+                     const std::vector<FaultLevel>& levels,
+                     const std::vector<coopnet::sim::SwarmConfig>& cells,
+                     std::size_t jobs, std::uint64_t base_seed,
+                     const coopnet::exp::SweepControl& control,
+                     const coopnet::fleet::FleetControl& fleet) {
   using namespace coopnet;
   exp::SweepJournal sj =
       bench::open_journal_from_cli(control, cells.size(), base_seed);
@@ -79,9 +79,9 @@ int run_supervised_sweep(const coopnet::util::Cli& cli,
   const exp::SweepResult sweep =
       fleet.coordinator()
           ? bench::serve_fleet_coordinator(cells, base_seed, fleet, sj)
-          : exp::run_cells_supervised(cells, jobs, control.supervision,
-                                      sj.journal.get(), sj.resume.get(),
-                                      control.checkpoint);
+          : exp::run_cells(cells, jobs, control.supervision,
+                           sj.journal.get(), sj.resume.get(),
+                           control.checkpoint);
 
   util::Table table(
       "Degradation under faults & churn (per fault level x mechanism)");
@@ -148,12 +148,12 @@ int run_supervised_sweep(const coopnet::util::Cli& cli,
   std::printf("\n%s", summary.render().c_str());
 
   if (cli.has("audit")) {
-    std::printf("\naudit: %zu swarms ran under the invariant auditor "
-                "(quarantined cells excluded)\n",
-                sweep.count(exp::CellOutcome::Status::kOk));
+    std::printf("\naudit: %zu of %zu swarms ran under the invariant "
+                "auditor with zero violations\n",
+                sweep.count(exp::CellOutcome::Status::kOk), cells.size());
   }
 
-  bench::maybe_dump_supervised_json(cli, sweep);
+  bench::maybe_dump_csv(cli, sweep);
   return sweep.complete() ? 0 : 3;
 }
 
@@ -172,7 +172,7 @@ int run_sweep(const coopnet::util::Cli& cli) {
       static_cast<std::uint64_t>(cli.get_int("audit-every", 1));
 
   const auto levels = fault_levels();
-  const std::size_t jobs = bench::jobs_from_cli(cli);
+  const std::size_t jobs = exp::jobs_from_cli(cli);
   const exp::SweepControl control = exp::sweep_control_from_cli(cli);
 
   // The whole sweep is one batch of independent (fault level, algorithm)
@@ -198,80 +198,8 @@ int run_sweep(const coopnet::util::Cli& cli) {
                "(jobs=%zu)...\n",
                levels.size(), core::kAllAlgorithms.size(), cells.size(),
                jobs);
-  if (control.active() || fleet.active()) {
-    return run_supervised_sweep(cli, levels, cells, jobs, base.seed, control,
-                                fleet);
-  }
-  exp::SweepTiming timing;
-  const std::vector<metrics::RunReport> all_reports =
-      exp::run_cells(cells, jobs, &timing);
-
-  util::Table table(
-      "Degradation under faults & churn (per fault level x mechanism)");
-  table.set_header({"Fault level", "Algorithm", "finished", "mean compl. (s)",
-                    "vs clean", "retries", "abandoned", "departed(rejoined)",
-                    "goodput"});
-
-  // Per-algorithm fault-free mean completion, for the "vs clean" column.
-  std::vector<double> clean_mean(core::kAllAlgorithms.size(), -1.0);
-
-  for (std::size_t li = 0; li < levels.size(); ++li) {
-    const auto& level = levels[li];
-    for (std::size_t ai = 0; ai < core::kAllAlgorithms.size(); ++ai) {
-      const core::Algorithm algo = core::kAllAlgorithms[ai];
-      const metrics::RunReport& r =
-          all_reports[li * core::kAllAlgorithms.size() + ai];
-
-      const bool finished_any = !r.completion_times.empty();
-      const double mean =
-          finished_any ? r.completion_summary.mean : -1.0;
-      if (level.name == "none") clean_mean[ai] = mean;
-      std::string vs_clean = "-";
-      if (mean > 0.0 && clean_mean[ai] > 0.0) {
-        vs_clean = util::Table::num(mean / clean_mean[ai], 3) + "x";
-      }
-      const auto& f = r.faults;
-      table.add_row(
-          {level.name, core::to_string(algo),
-           std::to_string(r.completion_times.size()) + "/" +
-               std::to_string(r.compliant_population),
-           finished_any ? util::Table::num(mean, 5) : "never",
-           vs_clean, std::to_string(f.retries_scheduled),
-           std::to_string(f.transfers_abandoned),
-           std::to_string(f.churn_departures) + "(" +
-               std::to_string(f.churn_rejoins) + ")",
-           util::Table::pct(r.goodput_ratio)});
-    }
-  }
-  std::printf("%s", table.render().c_str());
-  bench::print_sweep_timing(timing);
-
-  // Completion-rate-under-churn summary: the headline robustness number.
-  util::Table summary("Completion rate by fault level (fraction of "
-                      "compliant peers that finish)");
-  std::vector<std::string> header{"Algorithm"};
-  for (const auto& level : levels) header.push_back(level.name);
-  summary.set_header(header);
-  for (std::size_t ai = 0; ai < core::kAllAlgorithms.size(); ++ai) {
-    std::vector<std::string> row{
-        core::to_string(core::kAllAlgorithms[ai])};
-    for (std::size_t li = 0; li < levels.size(); ++li) {
-      const auto& r =
-          all_reports[li * core::kAllAlgorithms.size() + ai];
-      row.push_back(util::Table::pct(r.completed_fraction));
-    }
-    summary.add_row(row);
-  }
-  std::printf("\n%s", summary.render().c_str());
-
-  if (cli.has("audit")) {
-    std::printf("\naudit: %zu swarms ran under the invariant auditor with "
-                "zero violations\n",
-                cells.size());
-  }
-
-  bench::maybe_dump_csv(cli, all_reports);
-  return 0;
+  return sweep_and_report(cli, levels, cells, jobs, base.seed, control,
+                          fleet);
 }
 
 }  // namespace

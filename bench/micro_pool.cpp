@@ -68,6 +68,10 @@ void BM_ReplicatedSweep(benchmark::State& state) {
   const std::size_t reps = 8;
   for (auto _ : state) {
     const auto rep = exp::run_replicated(config, reps, 7, jobs);
+    if (!rep.sweep.complete()) {
+      state.SkipWithError(rep.sweep.degradation_summary().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(rep.completed_fraction.mean);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -90,9 +90,9 @@ void simulation_validation(const util::Cli& cli) {
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
     cells.push_back(config);
   }
-  exp::SweepTiming timing;
-  const auto reports =
-      exp::run_cells(cells, bench::jobs_from_cli(cli), &timing);
+  const exp::SweepResult sweep =
+      exp::run_cells(cells, exp::jobs_from_cli(cli));
+  const auto reports = sweep.reports();
 
   for (std::size_t i = 0; i < algos.size(); ++i) {
     const Algorithm a = algos[i];
@@ -112,7 +112,7 @@ void simulation_validation(const util::Cli& cli) {
                    util::Table::num(realized / predicted, 3)});
   }
   std::printf("\n%s", table.render().c_str());
-  bench::print_sweep_timing(timing);
+  bench::print_sweep_timing(sweep.timing);
   std::printf(
       "\nExpected shape: ratios of order 1; reciprocity omitted (Table I "
       "row is 0 -- no exchange ever starts).\n");

@@ -112,9 +112,9 @@ void simulation_cross_check(const util::Cli& cli) {
     config.free_rider_fraction = 0.2;  // plain free-riding, no extra attack
     cells.push_back(config);
   }
-  exp::SweepTiming timing;
-  const auto reports =
-      exp::run_cells(cells, bench::jobs_from_cli(cli), &timing);
+  const exp::SweepResult sweep =
+      exp::run_cells(cells, exp::jobs_from_cli(cli));
+  const auto reports = sweep.reports();
   for (std::size_t i = 0; i < core::kAllAlgorithms.size(); ++i) {
     const Algorithm a = core::kAllAlgorithms[i];
     table.add_row(
@@ -124,7 +124,7 @@ void simulation_cross_check(const util::Cli& cli) {
          util::Table::pct(reports[i].susceptibility)});
   }
   std::printf("%s", table.render().c_str());
-  bench::print_sweep_timing(timing);
+  bench::print_sweep_timing(sweep.timing);
   std::printf("Expected shape: both columns rank reciprocity = T-Chain ~ 0 "
               "< reputation/BitTorrent/FairTorrent < altruism.\n");
 }

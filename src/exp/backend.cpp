@@ -4,12 +4,9 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <stdexcept>
 
-#include "exp/runner.h"
-#include "metrics/collector.h"
-#include "util/thread_pool.h"
+#include "metrics/json.h"
 
 namespace coopnet::exp {
 
@@ -137,72 +134,56 @@ metrics::RunReport fluid_as_run_report(const core::FluidReport& fluid) {
   return report;
 }
 
-std::vector<metrics::RunReport> run_cells_mixed(
-    const std::vector<sim::SwarmConfig>& cells,
-    const std::vector<Backend>& backends, std::size_t jobs,
-    SweepTiming* timing) {
-  if (backends.empty()) return run_cells(cells, jobs, timing);
-  if (backends.size() != 1 && backends.size() != cells.size()) {
+namespace {
+
+// The fluid counterpart of run_supervised_cell: a fluid cell either
+// yields its projected report or is quarantined with the exception text.
+CellOutcome run_fluid_cell(std::size_t index,
+                           const sim::SwarmConfig& config) {
+  const auto start = std::chrono::steady_clock::now();
+  CellOutcome out;
+  out.index = index;
+  out.seed = config.seed;
+  out.algorithm = core::to_string(config.algorithm);
+  try {
+    out.report = fluid_as_run_report(run_fluid_scenario(config));
+    out.report_json = metrics::to_json(out.report);
+    out.has_report = true;
+    out.status = CellOutcome::Status::kOk;
+  } catch (const std::exception& e) {
+    out.status = CellOutcome::Status::kFailed;
+    out.error = e.what();
+  }
+  out.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  return out;
+}
+
+}  // namespace
+
+SweepResult run_cells_mixed(const std::vector<sim::SwarmConfig>& cells,
+                            const std::vector<Backend>& backends,
+                            std::size_t jobs) {
+  if (backends.size() > 1 && backends.size() != cells.size()) {
     throw std::invalid_argument(
         "run_cells_mixed: backends must be empty, one (broadcast), or "
         "one per cell");
   }
-  const auto backend_of = [&backends](std::size_t i) {
-    return backends.size() == 1 ? backends[0] : backends[i];
+  const auto fluid = [&backends](std::size_t i) {
+    return !backends.empty() &&
+           backends[backends.size() == 1 ? 0 : i] == Backend::kFluid;
   };
-  const auto run_one = [&](std::size_t i) -> metrics::RunReport {
-    return backend_of(i) == Backend::kFluid
-               ? fluid_as_run_report(run_fluid_scenario(cells[i]))
-               : run_scenario(cells[i]);
-  };
-
   if (jobs == 0) jobs = default_jobs();
   const auto start = std::chrono::steady_clock::now();
-
-  metrics::ReportCollector collector(cells.size());
-  std::exception_ptr first_error;
-  std::size_t failed = 0;
-  if (jobs == 1 || cells.size() <= 1) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      try {
-        collector.store(i, run_one(i));
-      } catch (...) {
-        first_error = std::current_exception();
-        failed = 1;
-        break;
-      }
-    }
-  } else {
-    util::ThreadPool pool(std::min(jobs, cells.size()));
-    std::vector<std::future<void>> pending;
-    pending.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      pending.push_back(pool.submit(
-          [&collector, &run_one, i] { collector.store(i, run_one(i)); }));
-    }
-    for (auto& f : pending) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-        ++failed;
-      }
-    }
-  }
-
-  if (timing != nullptr) {
-    timing->wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    timing->cells = cells.size();
-    timing->jobs = jobs;
-    timing->completed = collector.stored();
-    timing->failed = failed;
-    timing->skipped = cells.size() - collector.stored() - failed;
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return collector.take();
+  SweepResult result;
+  result.outcomes.resize(cells.size());
+  for_each_cell(cells.size(), jobs, [&](std::size_t i) {
+    result.outcomes[i] = fluid(i) ? run_fluid_cell(i, cells[i])
+                                  : run_supervised_cell(i, cells[i], {});
+  });
+  result.tally_timing(jobs, start);
+  return result;
 }
 
 }  // namespace coopnet::exp

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/fluid_model.h"
-#include "exp/schedule.h"
+#include "exp/supervise.h"
 #include "metrics/report.h"
 #include "sim/config.h"
 
@@ -48,14 +48,18 @@ core::FluidReport run_fluid_scenario(const sim::SwarmConfig& config);
 /// Per-peer lists and fairness series stay empty.
 metrics::RunReport fluid_as_run_report(const core::FluidReport& fluid);
 
-/// run_cells with a per-cell backend choice: `backends[i]` decides the
-/// engine for `cells[i]` (one entry may be broadcast to every cell; an
-/// empty vector means all-event, i.e. plain run_cells). The determinism
-/// contract is unchanged -- both backends are pure functions of their
-/// cell, so `jobs = N` output stays bit-identical to `jobs = 1`.
-std::vector<metrics::RunReport> run_cells_mixed(
-    const std::vector<sim::SwarmConfig>& cells,
-    const std::vector<Backend>& backends, std::size_t jobs,
-    SweepTiming* timing = nullptr);
+/// Runs every cell with a per-cell backend choice and returns one outcome
+/// per cell, in input order: `backends[i]` decides the engine for
+/// `cells[i]` (one entry may be broadcast to every cell; an empty vector
+/// means all-event). Event cells run through run_supervised_cell with the
+/// default (untriggered) Supervision and fluid cells are folded into the
+/// same CellOutcome shape, so a mixed sweep has run_cells' contract: a
+/// failing cell is quarantined, `timing` is filled for every sweep, and
+/// reports() returns the reports or throws with the degradation summary.
+/// Cells fan out through for_each_cell, so `jobs = N` output stays
+/// bit-identical to `jobs = 1`.
+SweepResult run_cells_mixed(const std::vector<sim::SwarmConfig>& cells,
+                            const std::vector<Backend>& backends,
+                            std::size_t jobs);
 
 }  // namespace coopnet::exp

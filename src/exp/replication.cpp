@@ -81,35 +81,21 @@ void fill_estimates(ReplicatedReport& out) {
 
 ReplicatedReport run_replicated(const sim::SwarmConfig& config,
                                 std::size_t replications,
-                                std::uint64_t seed0, std::size_t jobs) {
+                                std::uint64_t seed0, std::size_t jobs,
+                                const Supervision& supervision,
+                                RunJournal* journal,
+                                const JournalIndex* resume,
+                                const CheckpointPolicy& checkpoint) {
   if (replications < 1) {
     throw std::invalid_argument("run_replicated: replications < 1");
   }
   ReplicatedReport out;
   out.algorithm = config.algorithm;
   out.replications = replications;
-  out.runs = run_cells(replication_cells(config, replications, seed0), jobs);
+  out.sweep = run_cells(replication_cells(config, replications, seed0), jobs,
+                        supervision, journal, resume, checkpoint);
+  out.runs = out.sweep.ok_reports();
   fill_estimates(out);
-  return out;
-}
-
-SupervisedReplication run_replicated_supervised(
-    const sim::SwarmConfig& config, std::size_t replications,
-    std::uint64_t seed0, std::size_t jobs, const Supervision& supervision,
-    RunJournal* journal, const JournalIndex* resume,
-    const CheckpointPolicy& checkpoint) {
-  if (replications < 1) {
-    throw std::invalid_argument(
-        "run_replicated_supervised: replications < 1");
-  }
-  SupervisedReplication out;
-  out.sweep =
-      run_cells_supervised(replication_cells(config, replications, seed0),
-                           jobs, supervision, journal, resume, checkpoint);
-  out.aggregate.algorithm = config.algorithm;
-  out.aggregate.replications = replications;
-  out.aggregate.runs = out.sweep.ok_reports();
-  if (!out.aggregate.runs.empty()) fill_estimates(out.aggregate);
   return out;
 }
 

@@ -29,7 +29,8 @@ struct MetricEstimate {
   std::string to_string(int precision = 4) const;
 };
 
-/// Aggregated view of R runs of the same scenario.
+/// Aggregated view of R runs of the same scenario. The estimates cover
+/// the replications that produced reports.
 struct ReplicatedReport {
   core::Algorithm algorithm = core::Algorithm::kBitTorrent;
   std::size_t replications = 0;
@@ -40,8 +41,12 @@ struct ReplicatedReport {
   MetricEstimate settled_fairness;
   MetricEstimate fairness_F;
   MetricEstimate susceptibility;
-  /// The individual run reports, in seed order.
+  /// The reports of the ok replications, in seed order. Journal-resumed
+  /// cells contribute their scalar-only stub reports, whose %.17g scalars
+  /// keep resumed aggregates bit-identical to an uninterrupted run.
   std::vector<metrics::RunReport> runs;
+  /// One outcome per replication, in seed order.
+  SweepResult sweep;
 };
 
 /// Estimates a metric from scalar samples (skipping NaN-like negatives is
@@ -52,31 +57,17 @@ MetricEstimate estimate(const std::vector<double>& samples);
 /// r = 0..replications-1 (see exp/schedule.h), and aggregates. Requires
 /// replications >= 1. `jobs` cells run concurrently (1 = sequential on the
 /// calling thread, 0 = hardware concurrency); results are bit-identical
-/// across jobs values, and `runs` is always in replication order.
+/// across jobs values. Failed or timed-out replications are quarantined
+/// into `sweep` instead of aborting the rest, and outcomes are
+/// journaled/resumed when `journal`/`resume` are given (see
+/// exp/supervise.h).
 ReplicatedReport run_replicated(const sim::SwarmConfig& config,
                                 std::size_t replications,
                                 std::uint64_t seed0 = 1,
-                                std::size_t jobs = 1);
-
-/// run_replicated under supervision: per-cell outcomes plus the aggregate
-/// over the cells that produced reports.
-struct SupervisedReplication {
-  /// Aggregated over every ok cell (fresh and journal-resumed -- the
-  /// journal's %.17g scalars make resumed aggregates bit-identical to an
-  /// uninterrupted run). `runs` holds those reports in replication order.
-  ReplicatedReport aggregate;
-  SweepResult sweep;
-};
-
-/// Supervised counterpart of run_replicated: failed/timed-out
-/// replications are quarantined instead of aborting the sweep, outcomes
-/// are journaled/resumed when `journal`/`resume` are given, and the
-/// aggregate covers the surviving replications. With no failures and no
-/// supervision triggers the aggregate equals run_replicated's exactly.
-SupervisedReplication run_replicated_supervised(
-    const sim::SwarmConfig& config, std::size_t replications,
-    std::uint64_t seed0, std::size_t jobs, const Supervision& supervision,
-    RunJournal* journal = nullptr, const JournalIndex* resume = nullptr,
-    const CheckpointPolicy& checkpoint = {});
+                                std::size_t jobs = 1,
+                                const Supervision& supervision = {},
+                                RunJournal* journal = nullptr,
+                                const JournalIndex* resume = nullptr,
+                                const CheckpointPolicy& checkpoint = {});
 
 }  // namespace coopnet::exp

@@ -1,6 +1,5 @@
 #include "exp/runner.h"
 
-#include "exp/schedule.h"
 #include "sim/swarm.h"
 #include "strategy/factory.h"
 
@@ -52,18 +51,9 @@ std::vector<sim::SwarmConfig> algorithm_cells(const sim::SwarmConfig& base) {
 
 }  // namespace
 
-std::vector<metrics::RunReport> run_all_algorithms(
-    const sim::SwarmConfig& base, std::size_t jobs) {
+SweepResult run_all_algorithms(const sim::SwarmConfig& base,
+                               std::size_t jobs) {
   return run_cells(algorithm_cells(base), jobs);
-}
-
-SweepResult run_all_algorithms_supervised(const sim::SwarmConfig& base,
-                                          std::size_t jobs,
-                                          const Supervision& supervision,
-                                          RunJournal* journal,
-                                          const JournalIndex* resume) {
-  return run_cells_supervised(algorithm_cells(base), jobs, supervision,
-                              journal, resume);
 }
 
 }  // namespace coopnet::exp

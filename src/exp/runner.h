@@ -25,20 +25,12 @@ sim::SwarmConfig with_freeriders(sim::SwarmConfig config, double fraction,
                                  bool large_view);
 
 /// Runs all six algorithms over the same base scenario (same seed =>
-/// same capacities/topology draw per algorithm). The base config's
-/// `algorithm` field is overridden per run. `jobs` algorithms run
-/// concurrently (1 = sequential, 0 = hardware concurrency); the report
-/// order and contents are identical for every jobs value.
-std::vector<metrics::RunReport> run_all_algorithms(
-    const sim::SwarmConfig& base, std::size_t jobs = 1);
-
-/// Supervised counterpart of run_all_algorithms: a poisoned or runaway
-/// algorithm cell is quarantined into its CellOutcome and the remaining
-/// algorithms still run; outcomes are journaled/resumed when
-/// `journal`/`resume` are given (see exp/supervise.h).
-SweepResult run_all_algorithms_supervised(
-    const sim::SwarmConfig& base, std::size_t jobs,
-    const Supervision& supervision, RunJournal* journal = nullptr,
-    const JournalIndex* resume = nullptr);
+/// same capacities/topology draw per algorithm) through run_cells. The
+/// base config's `algorithm` field is overridden per run. `jobs`
+/// algorithms run concurrently (1 = sequential, 0 = hardware
+/// concurrency); the outcome order and contents are identical for every
+/// jobs value.
+SweepResult run_all_algorithms(const sim::SwarmConfig& base,
+                               std::size_t jobs = 1);
 
 }  // namespace coopnet::exp

@@ -1,11 +1,11 @@
 #include "exp/schedule.h"
 
-#include <chrono>
+#include <algorithm>
+#include <exception>
 #include <future>
 #include <sstream>
+#include <vector>
 
-#include "exp/runner.h"
-#include "metrics/collector.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -38,62 +38,30 @@ std::string SweepTiming::to_string() const {
   return os.str();
 }
 
-std::vector<metrics::RunReport> run_cells(
-    const std::vector<sim::SwarmConfig>& cells, std::size_t jobs,
-    SweepTiming* timing) {
+void for_each_cell(std::size_t n, std::size_t jobs,
+                   const std::function<void(std::size_t)>& body) {
   if (jobs == 0) jobs = default_jobs();
-  const auto start = std::chrono::steady_clock::now();
-
-  metrics::ReportCollector collector(cells.size());
-  std::exception_ptr first_error;
-  std::size_t failed = 0;
-  if (jobs == 1 || cells.size() <= 1) {
-    // Sequential reference path: same cells, same slots, no threads. A
-    // failing cell still aborts the rest of the sweep (legacy contract);
-    // only the timing accounting survives.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      try {
-        collector.store(i, run_scenario(cells[i]));
-      } catch (...) {
-        first_error = std::current_exception();
-        failed = 1;
-        break;
-      }
-    }
-  } else {
-    util::ThreadPool pool(std::min(jobs, cells.size()));
-    std::vector<std::future<void>> pending;
-    pending.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      pending.push_back(pool.submit([&collector, &cells, i] {
-        collector.store(i, run_scenario(cells[i]));
-      }));
-    }
-    // Drain every future so all cells finish (or fail) before the first
-    // failing cell's exception -- in submission order -- is rethrown.
-    for (auto& f : pending) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-        ++failed;
-      }
-    }
+  if (jobs == 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
   }
-
-  if (timing != nullptr) {
-    timing->wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    timing->cells = cells.size();
-    timing->jobs = jobs;
-    timing->completed = collector.stored();
-    timing->failed = failed;
-    timing->skipped = cells.size() - collector.stored() - failed;
+  util::ThreadPool pool(std::min(jobs, n));
+  std::vector<std::future<void>> pending;
+  pending.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pending.push_back(pool.submit([&body, i] { body(i); }));
+  }
+  // Drain every future so all cells finish (or fail) before the first
+  // failing cell's exception -- in index order -- is rethrown.
+  std::exception_ptr first_error;
+  for (auto& f : pending) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
   }
   if (first_error) std::rethrow_exception(first_error);
-  return collector.take();
 }
 
 }  // namespace coopnet::exp

@@ -1,9 +1,10 @@
-// Parallel experiment scheduler: runs independent (scenario, seed) cells
-// on a fixed-size thread pool with results written into pre-sized slots.
+// Parallel experiment scheduling: the seed schedule, the per-sweep timing
+// line, and the one fan-out (for_each_cell) that every sweep runs its
+// independent (scenario, seed) cells through.
 //
 // Determinism contract: a cell is a fully-specified SwarmConfig; the swarm
 // constructs its own RNG from config.seed, touches no shared mutable state,
-// and its report goes into the slot matching its submission index. Workers
+// and its result goes into the pre-sized slot matching its index. Workers
 // therefore only change *when* a cell runs, never *what* it computes or
 // *where* its result lands -- `jobs = N` output is bit-identical to
 // `jobs = 1` (enforced by tests/exp/parallel_determinism_test.cpp).
@@ -11,11 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <vector>
-
-#include "metrics/report.h"
-#include "sim/config.h"
 
 namespace coopnet::exp {
 
@@ -36,9 +34,8 @@ struct SweepTiming {
   std::size_t jobs = 1;
   /// Outcome counts. `completed` cells produced a report; `failed` threw
   /// or were cancelled by a watchdog; `skipped` were resumed from a
-  /// journal or never started. Filled by run_cells (including when it
-  /// rethrows -- timing is never lost to a failing cell) and by
-  /// run_cells_supervised.
+  /// journal or never started. Filled for every run_cells (supervise.h)
+  /// and run_cells_mixed (backend.h) sweep, degraded or not.
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::size_t skipped = 0;
@@ -51,15 +48,14 @@ struct SweepTiming {
   std::string to_string() const;
 };
 
-/// Runs every fully-specified config cell and returns the reports in input
-/// order. `jobs == 1` runs inline on the calling thread (no threads are
-/// created); `jobs > 1` dispatches to a ThreadPool of min(jobs, cells)
-/// workers. `jobs == 0` means default_jobs(). The first exception thrown
-/// by any cell is rethrown -- after `timing` (if given) has been filled,
-/// so partial-sweep accounting survives the failure. For sweeps that must
-/// outlive poisoned cells, use exp::run_cells_supervised (supervise.h).
-std::vector<metrics::RunReport> run_cells(
-    const std::vector<sim::SwarmConfig>& cells, std::size_t jobs,
-    SweepTiming* timing = nullptr);
+/// Runs `body(i)` once for every i in [0, n). `jobs == 1` or `n <= 1` runs
+/// inline on the calling thread (no threads are created); otherwise a
+/// ThreadPool of min(jobs, n) workers runs the bodies. `jobs == 0` means
+/// default_jobs(). A body that writes only slot i of a pre-sized vector
+/// needs no locking. If bodies throw, the first exception in index order
+/// is rethrown once the started cells have finished (the inline loop
+/// starts no cell after a throwing one).
+void for_each_cell(std::size_t n, std::size_t jobs,
+                   const std::function<void(std::size_t)>& body);
 
 }  // namespace coopnet::exp

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +15,6 @@
 #include "strategy/factory.h"
 #include "util/atomic_file.h"
 #include "util/byteio.h"
-#include "util/thread_pool.h"
 
 namespace coopnet::exp {
 
@@ -104,6 +102,30 @@ std::vector<metrics::RunReport> SweepResult::ok_reports() const {
     if (o.ok() && o.has_report) reports.push_back(o.report);
   }
   return reports;
+}
+
+std::vector<metrics::RunReport> SweepResult::reports() const {
+  if (!complete()) {
+    throw std::runtime_error(
+        "sweep degraded: " +
+        std::to_string(outcomes.size() - count(CellOutcome::Status::kOk)) +
+        " of " + std::to_string(outcomes.size()) +
+        " cells did not complete\n" + degradation_summary());
+  }
+  return ok_reports();
+}
+
+void SweepResult::tally_timing(std::size_t jobs,
+                               std::chrono::steady_clock::time_point start) {
+  timing.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  timing.cells = outcomes.size();
+  timing.jobs = jobs;
+  timing.completed = count(CellOutcome::Status::kOk);
+  timing.failed = count(CellOutcome::Status::kFailed) +
+                  count(CellOutcome::Status::kTimedOut);
+  timing.skipped = count(CellOutcome::Status::kSkipped);
 }
 
 std::string SweepResult::degradation_summary() const {
@@ -344,12 +366,10 @@ CellOutcome run_supervised_cell(std::size_t index,
   return out;
 }
 
-SweepResult run_cells_supervised(const std::vector<sim::SwarmConfig>& cells,
-                                 std::size_t jobs,
-                                 const Supervision& supervision,
-                                 RunJournal* journal,
-                                 const JournalIndex* resume,
-                                 const CheckpointPolicy& checkpoint) {
+SweepResult run_cells(const std::vector<sim::SwarmConfig>& cells,
+                      std::size_t jobs, const Supervision& supervision,
+                      RunJournal* journal, const JournalIndex* resume,
+                      const CheckpointPolicy& checkpoint) {
   supervision.validate();
   checkpoint.validate();
   if (jobs == 0) jobs = default_jobs();
@@ -381,8 +401,8 @@ SweepResult run_cells_supervised(const std::vector<sim::SwarmConfig>& cells,
     }
   }
 
-  // Each worker writes only its own pre-sized slot (same slot discipline
-  // as run_cells), so no synchronization beyond the journal's own lock.
+  // Each worker writes only its own pre-sized slot, so no
+  // synchronization beyond the journal's own lock.
   auto run_one = [&result, &cells, &supervision, journal, &checkpoint,
                   &prune](std::size_t i) {
     if (supervision.cancel != nullptr &&
@@ -408,35 +428,13 @@ SweepResult run_cells_supervised(const std::vector<sim::SwarmConfig>& cells,
     result.outcomes[i] = std::move(out);
   };
 
-  if (jobs == 1 || todo.size() <= 1) {
-    for (std::size_t i : todo) run_one(i);
-  } else {
-    util::ThreadPool pool(std::min(jobs, todo.size()));
-    std::vector<std::future<void>> pending;
-    pending.reserve(todo.size());
-    for (std::size_t i : todo) {
-      pending.push_back(pool.submit([&run_one, i] { run_one(i); }));
-    }
-    // run_one never throws for cell errors; a journal I/O failure is a
-    // sweep-level error and propagates.
-    for (auto& f : pending) f.get();
-  }
+  // run_one never throws for cell errors; a journal I/O failure is a
+  // sweep-level error and propagates.
+  for_each_cell(todo.size(), jobs,
+                [&run_one, &todo](std::size_t k) { run_one(todo[k]); });
 
-  result.timing.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  result.timing.cells = cells.size();
-  result.timing.jobs = jobs;
-  result.timing.completed = result.count(CellOutcome::Status::kOk);
-  result.timing.failed = result.count(CellOutcome::Status::kFailed) +
-                         result.count(CellOutcome::Status::kTimedOut);
-  result.timing.skipped = result.count(CellOutcome::Status::kSkipped);
+  result.tally_timing(jobs, start);
   return result;
-}
-
-bool SweepControl::active() const {
-  return supervision.any() || !journal_path.empty() ||
-         !resume_path.empty() || checkpoint.active();
 }
 
 SweepControl sweep_control_from_cli(const util::Cli& cli) {
@@ -511,6 +509,17 @@ SweepControl sweep_control_from_cli(const util::Cli& cli) {
   control.supervision.validate();
   control.checkpoint.validate();
   return control;
+}
+
+std::size_t jobs_from_cli(const util::Cli& cli) {
+  const long jobs = cli.get_int("jobs", 0);
+  if (jobs < 0 || static_cast<unsigned long>(jobs) > kMaxJobs) {
+    throw std::invalid_argument(
+        "--jobs must be between 1 and " + std::to_string(kMaxJobs) +
+        " (got " + cli.get_string("jobs", "") +
+        "); omit it or pass 0 to use every hardware thread");
+  }
+  return jobs == 0 ? default_jobs() : static_cast<std::size_t>(jobs);
 }
 
 SweepJournal open_sweep_journal(const SweepControl& control,

@@ -1,14 +1,14 @@
-// Supervised sweep execution: per-cell watchdogs, failure quarantine, and
-// structured outcomes.
+// Sweep execution: per-cell watchdogs, failure quarantine, and structured
+// outcomes. Every sweep in the repo runs through run_cells below.
 //
-// exp::run_cells keeps its rethrow-first contract for unsupervised
-// sweeps; run_cells_supervised never lets one cell kill the sweep. Every
-// cell yields a CellOutcome -- ok with its RunReport, failed with the
-// exception text, timed-out when the wall-clock watchdog or event budget
-// cancelled it, or skipped (resumed from a journal, or never started
-// because the sweep was interrupted) -- and the remaining cells always
-// complete, so a poisoned or livelocked cell costs exactly its own data
-// point.
+// run_cells never lets one cell kill the sweep. Every cell yields a
+// CellOutcome -- ok with its RunReport, failed with the exception text,
+// timed-out when the wall-clock watchdog or event budget cancelled it, or
+// skipped (resumed from a journal, or never started because the sweep was
+// interrupted) -- and the remaining cells always complete, so a poisoned
+// or livelocked cell costs exactly its own data point. Callers that index
+// reports by position use SweepResult::reports(), which throws when a
+// cell is not ok.
 //
 // Determinism contract: supervision is enforced cooperatively through
 // SimEngine::set_guard / set_event_limit / stop(). No extra events are
@@ -153,6 +153,10 @@ struct SweepResult {
   /// Reports of the ok cells, in input order (journal-resumed cells
   /// contribute their scalar-only stub reports).
   std::vector<metrics::RunReport> ok_reports() const;
+  /// Every cell's report, in input order, for callers that index reports
+  /// by position. Throws std::runtime_error carrying
+  /// degradation_summary() when any cell is not ok.
+  std::vector<metrics::RunReport> reports() const;
   /// One line per non-ok cell, e.g.
   /// "  cell 3 (T-Chain, seed 42): timed-out: wall-clock timeout ...".
   std::string degradation_summary() const;
@@ -160,6 +164,10 @@ struct SweepResult {
   /// metrics::to_json(reports) when every cell is ok; non-ok cells emit
   /// null in their slot.
   std::string merged_json() const;
+  /// Fills `timing` from the outcome counts (failed counts timed-out
+  /// cells too), with the wall time since `start` and the jobs used.
+  void tally_timing(std::size_t jobs,
+                    std::chrono::steady_clock::time_point start);
 };
 
 /// Installs the Supervision watchdogs on an engine (RAII-style: construct
@@ -197,23 +205,23 @@ CellOutcome run_supervised_cell(std::size_t index,
                                 const Supervision& supervision,
                                 const CheckpointPolicy& checkpoint = {});
 
-/// Supervised counterpart of run_cells. Every cell yields an outcome, no
-/// exception escapes a cell, and the remaining cells always complete
-/// (quarantine). With `journal`, each terminal outcome (ok / failed /
-/// timed-out) is appended and fsync'd as it lands; with `resume`,
-/// journaled cells are skipped and their recorded outcomes merged back in
-/// input order. Scheduling matches run_cells: jobs == 1 runs inline,
-/// jobs > 1 uses a ThreadPool, jobs == 0 means default_jobs(), and
-/// results are bit-identical across jobs values.
-SweepResult run_cells_supervised(const std::vector<sim::SwarmConfig>& cells,
-                                 std::size_t jobs,
-                                 const Supervision& supervision,
-                                 RunJournal* journal = nullptr,
-                                 const JournalIndex* resume = nullptr,
-                                 const CheckpointPolicy& checkpoint = {});
+/// Runs every fully-specified config cell through run_supervised_cell and
+/// returns one outcome per cell, in input order. No exception escapes a
+/// cell, and the remaining cells always complete (quarantine). With
+/// `journal`, each terminal outcome (ok / failed / timed-out) is appended
+/// and fsync'd as it lands; with `resume`, journaled cells are skipped and
+/// their recorded outcomes merged back in input order. Cells fan out
+/// through for_each_cell: jobs == 1 runs inline, jobs > 1 uses a
+/// ThreadPool, jobs == 0 means default_jobs(), and results are
+/// bit-identical across jobs values. `timing` is filled for every sweep.
+SweepResult run_cells(const std::vector<sim::SwarmConfig>& cells,
+                      std::size_t jobs, const Supervision& supervision = {},
+                      RunJournal* journal = nullptr,
+                      const JournalIndex* resume = nullptr,
+                      const CheckpointPolicy& checkpoint = {});
 
-/// The supervised-sweep flags shared by coopnet_run and the figure/churn
-/// benches: --cell-timeout, --event-budget, --journal, --resume.
+/// The sweep flags shared by coopnet_run and the figure/churn benches:
+/// --cell-timeout, --event-budget, --journal, --resume, --checkpoint-every.
 struct SweepControl {
   Supervision supervision;
   /// Journal to write ("" = none). --resume implies journaling new
@@ -224,9 +232,6 @@ struct SweepControl {
   /// Mid-cell snapshots (--checkpoint-every): files next to the journal,
   /// restored on --resume.
   CheckpointPolicy checkpoint;
-
-  /// True when any supervised-sweep flag was given.
-  bool active() const;
 };
 
 /// Parses and validates the supervised-sweep flags, rejecting
@@ -234,6 +239,17 @@ struct SweepControl {
 /// --checkpoint-every without a journal with actionable messages. Throws
 /// std::invalid_argument.
 SweepControl sweep_control_from_cli(const util::Cli& cli);
+
+/// Largest --jobs value a sweep accepts. Cells are whole simulations, so
+/// more workers than this only costs memory; the cap keeps a typo from
+/// asking for thousands of threads.
+inline constexpr std::size_t kMaxJobs = 256;
+
+/// Worker count selected by --jobs: absent or 0 means default_jobs(),
+/// otherwise 1..kMaxJobs (1 runs every cell on the calling thread; results
+/// are identical either way). Throws std::invalid_argument on a negative
+/// or oversized value.
+std::size_t jobs_from_cli(const util::Cli& cli);
 
 /// The opened journal/resume pair for one sweep.
 struct SweepJournal {

@@ -420,7 +420,7 @@ exp::SweepResult FleetCoordinator::merge() const {
     }
     // outcome_from_journal re-validates (seed, algorithm) and restores
     // the exact recorded report bytes; merging in index order makes the
-    // artifacts byte-identical to a local run_cells_supervised sweep.
+    // artifacts byte-identical to a local run_cells sweep.
     result.outcomes.push_back(exp::outcome_from_journal(it->second, cells_[i]));
   }
   result.timing.wall_seconds =

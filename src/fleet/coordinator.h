@@ -30,7 +30,7 @@
 //     the lease table and only unfinished cells are handed out.
 //
 // serve() returns a SweepResult whose merged_json() and aggregate
-// metrics are byte/bit-identical to run_cells_supervised over the same
+// metrics are byte/bit-identical to a local exp::run_cells over the same
 // cells (the tests and tools/ci_fleet_kill.sh enforce this).
 #pragma once
 

@@ -67,7 +67,7 @@ class FleetWorker {
  public:
   /// `cells` must be the same deterministic schedule the coordinator
   /// built (same sweep flags); `supervision` applies per cell, exactly
-  /// as in a local run_cells_supervised sweep. `checkpoint_every` > 0
+  /// as in a local run_cells sweep. `checkpoint_every` > 0
   /// (simulated seconds; same value as --checkpoint-every) snapshots
   /// each in-flight cell on that cadence and ships the snapshots to the
   /// coordinator; 0 disables checkpointing (byte-identical results

@@ -6,7 +6,7 @@
 // a shared queue is never the bottleneck, and the simple design keeps the
 // execution order irrelevant to results: every submitted task must be
 // self-contained, which is what makes `--jobs N` bit-identical to
-// `--jobs 1` at the experiment layer (see exp::run_cells).
+// `--jobs 1` at the experiment layer (see exp::for_each_cell).
 #pragma once
 
 #include <condition_variable>

@@ -147,7 +147,8 @@ const GridResults& grid() {
       cells.push_back(cells[i]);
       backends.push_back(exp::Backend::kFluid);
     }
-    auto reports = exp::run_cells_mixed(cells, backends, /*jobs=*/0);
+    auto reports =
+        exp::run_cells_mixed(cells, backends, /*jobs=*/0).reports();
     r.sim.assign(reports.begin(), reports.begin() + half);
     r.fluid.assign(reports.begin() + half, reports.end());
     return r;
@@ -261,8 +262,10 @@ TEST(FluidCrossval, MixedSchedulerIsJobsInvariant) {
       backends.push_back(backend);
     }
   }
-  const auto sequential = exp::run_cells_mixed(cells, backends, /*jobs=*/1);
-  const auto parallel = exp::run_cells_mixed(cells, backends, /*jobs=*/4);
+  const auto sequential =
+      exp::run_cells_mixed(cells, backends, /*jobs=*/1).reports();
+  const auto parallel =
+      exp::run_cells_mixed(cells, backends, /*jobs=*/4).reports();
   ASSERT_EQ(sequential.size(), parallel.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(metrics::to_json(sequential[i]), metrics::to_json(parallel[i]))

@@ -79,7 +79,7 @@ TEST(RunJournal, RoundTripsOutcomesExactly) {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
     journal.write_header(cells.size(), 7);
     const auto sweep =
-        run_cells_supervised(cells, 1, Supervision{}, &journal, nullptr);
+        run_cells(cells, 1, Supervision{}, &journal, nullptr);
     ASSERT_TRUE(sweep.complete());
     EXPECT_EQ(journal.records_written(), cells.size());
 
@@ -119,7 +119,7 @@ TEST(RunJournal, NonOkOutcomesJournalTheirDiagnostics) {
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
     journal.write_header(cells.size(), 9);
-    run_cells_supervised(cells, 1, Supervision{}, &journal, nullptr);
+    run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   const auto index = JournalIndex::load(path);
   const JournalEntry* failed = index.find(1);
@@ -142,14 +142,14 @@ TEST(RunJournal, ResumeAfterTruncationMergesByteIdentically) {
 
   // Uninterrupted reference.
   const auto reference =
-      run_cells_supervised(cells, 1, Supervision{}, nullptr, nullptr);
+      run_cells(cells, 1, Supervision{}, nullptr, nullptr);
   ASSERT_TRUE(reference.complete());
 
   // Full journaled run, then simulate a crash after two records landed.
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
     journal.write_header(cells.size(), 11);
-    run_cells_supervised(cells, 1, Supervision{}, &journal, nullptr);
+    run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   truncate_to_lines(path, 3);  // header + 2 cells
 
@@ -157,7 +157,7 @@ TEST(RunJournal, ResumeAfterTruncationMergesByteIdentically) {
   EXPECT_EQ(index.size(), 2u);
   RunJournal journal(path, RunJournal::Mode::kAppend);
   const auto resumed =
-      run_cells_supervised(cells, 2, Supervision{}, &journal, &index);
+      run_cells(cells, 2, Supervision{}, &journal, &index);
 
   EXPECT_EQ(resumed.resumed(), 2u);
   EXPECT_TRUE(resumed.complete());
@@ -173,7 +173,7 @@ TEST(RunJournal, ToleratesATornTrailingLine) {
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
     journal.write_header(cells.size(), 13);
-    run_cells_supervised(cells, 1, Supervision{}, &journal, nullptr);
+    run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   // A SIGKILL mid-write leaves a partial record with no trailing newline.
   {
@@ -196,7 +196,7 @@ TEST(RunJournal, LoadRejectsMidFileBitRotActionably) {
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
     journal.write_header(cells.size(), 31);
-    run_cells_supervised(cells, 1, Supervision{}, &journal, nullptr);
+    run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   const std::string whole = read_file(path);
 
@@ -343,7 +343,7 @@ TEST(RunJournal, LoaderRecoversAllCompleteRecordsAtEveryTruncation) {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
     journal.write_header(cells.size(), 23);
     const auto sweep =
-        run_cells_supervised(cells, 1, Supervision{}, &journal, nullptr);
+        run_cells(cells, 1, Supervision{}, &journal, nullptr);
     ASSERT_TRUE(sweep.complete());
   }
   const std::string whole = read_file(path);
@@ -394,7 +394,7 @@ TEST(RunJournal, LoaderRecoversAllCompleteRecordsAtEveryTruncation) {
 TEST(RunJournal, CellRecordRenderParseRoundTripsOnOneLine) {
   const auto cells = replication_cells(1, 29);
   const auto sweep =
-      run_cells_supervised(cells, 1, Supervision{}, nullptr, nullptr);
+      run_cells(cells, 1, Supervision{}, nullptr, nullptr);
   ASSERT_TRUE(sweep.complete());
 
   const std::string line = render_cell_record(sweep.outcomes[0]);
@@ -460,7 +460,7 @@ TEST(RunJournal, ResumeRejectsRecordsFromADifferentSweep) {
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
     journal.write_header(cells.size(), 17);
-    run_cells_supervised(cells, 1, Supervision{}, &journal, nullptr);
+    run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   const auto index = JournalIndex::load(path);
   const JournalEntry* entry = index.find(0);
@@ -501,39 +501,39 @@ TEST(RunReplicatedSupervised, ResumedAggregatesAreBitIdentical) {
 
   const auto reference =
       run_replicated(config, reps, /*seed0=*/21, /*jobs=*/1);
+  ASSERT_TRUE(reference.sweep.complete())
+      << reference.sweep.degradation_summary();
 
   const std::string path = temp_path("journal_aggregate.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
     journal.write_header(reps, 21);
-    run_replicated_supervised(config, reps, 21, 1, Supervision{}, &journal,
-                              nullptr);
+    run_replicated(config, reps, 21, 1, Supervision{}, &journal, nullptr);
   }
   truncate_to_lines(path, 3);  // header + 2 replications
 
   const auto index = JournalIndex::load(path);
   RunJournal journal(path, RunJournal::Mode::kAppend);
-  const auto resumed = run_replicated_supervised(config, reps, 21, 2,
-                                                 Supervision{}, &journal,
-                                                 &index);
+  const auto resumed =
+      run_replicated(config, reps, 21, 2, Supervision{}, &journal, &index);
 
   ASSERT_TRUE(resumed.sweep.complete());
   EXPECT_EQ(resumed.sweep.resumed(), 2u);
   EXPECT_EQ(resumed.sweep.merged_json(), metrics::to_json(reference.runs));
   // Aggregates recomputed over the journal stubs match bit-for-bit: the
   // scalars were stored at %.17g.
-  EXPECT_EQ(resumed.aggregate.completed_fraction.mean,
+  EXPECT_EQ(resumed.completed_fraction.mean,
             reference.completed_fraction.mean);
-  EXPECT_EQ(resumed.aggregate.mean_completion.mean,
+  EXPECT_EQ(resumed.mean_completion.mean,
             reference.mean_completion.mean);
-  EXPECT_EQ(resumed.aggregate.mean_completion.ci95_half_width,
+  EXPECT_EQ(resumed.mean_completion.ci95_half_width,
             reference.mean_completion.ci95_half_width);
-  EXPECT_EQ(resumed.aggregate.median_bootstrap.mean,
+  EXPECT_EQ(resumed.median_bootstrap.mean,
             reference.median_bootstrap.mean);
-  EXPECT_EQ(resumed.aggregate.settled_fairness.mean,
+  EXPECT_EQ(resumed.settled_fairness.mean,
             reference.settled_fairness.mean);
-  EXPECT_EQ(resumed.aggregate.fairness_F.mean, reference.fairness_F.mean);
-  EXPECT_EQ(resumed.aggregate.susceptibility.mean,
+  EXPECT_EQ(resumed.fairness_F.mean, reference.fairness_F.mean);
+  EXPECT_EQ(resumed.susceptibility.mean,
             reference.susceptibility.mean);
   std::remove(path.c_str());
 }

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "exp/replication.h"
 #include "exp/schedule.h"
+#include "exp/supervise.h"
 #include "metrics/json.h"
 #include "sim/faults.h"
 #include "util/rng.h"
@@ -42,6 +44,10 @@ TEST_P(ParallelDeterminismTest, SequentialAndParallelJsonAreByteIdentical) {
 
   const auto sequential = run_replicated(config, 4, /*seed0=*/11, /*jobs=*/1);
   const auto parallel = run_replicated(config, 4, /*seed0=*/11, /*jobs=*/4);
+  ASSERT_TRUE(sequential.sweep.complete())
+      << sequential.sweep.degradation_summary();
+  ASSERT_TRUE(parallel.sweep.complete())
+      << parallel.sweep.degradation_summary();
 
   ASSERT_EQ(sequential.runs.size(), parallel.runs.size());
   EXPECT_EQ(metrics::to_json(sequential.runs), metrics::to_json(parallel.runs));
@@ -82,8 +88,8 @@ TEST(RunCells, OrderMatchesInputAtEveryJobsLevel) {
     c.file_bytes = 1LL * 1024 * 1024;
     cells.push_back(c);
   }
-  const auto sequential = run_cells(cells, 1);
-  const auto parallel = run_cells(cells, 4);
+  const auto sequential = run_cells(cells, 1).reports();
+  const auto parallel = run_cells(cells, 4).reports();
   ASSERT_EQ(sequential.size(), cells.size());
   ASSERT_EQ(parallel.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -101,20 +107,33 @@ TEST(RunCells, FillsTimingAndPropagatesCellExceptions) {
     c.n_peers = 20;
     c.file_bytes = 1LL * 1024 * 1024;
   }
-  SweepTiming timing;
-  const auto reports = run_cells(cells, 2, &timing);
-  EXPECT_EQ(reports.size(), 3u);
-  EXPECT_EQ(timing.cells, 3u);
-  EXPECT_EQ(timing.jobs, 2u);
-  EXPECT_GT(timing.wall_seconds, 0.0);
-  EXPECT_GT(timing.throughput(), 0.0);
-  EXPECT_NE(timing.to_string().find("jobs=2"), std::string::npos);
+  const auto sweep = run_cells(cells, 2);
+  EXPECT_EQ(sweep.reports().size(), 3u);
+  EXPECT_EQ(sweep.timing.cells, 3u);
+  EXPECT_EQ(sweep.timing.jobs, 2u);
+  EXPECT_EQ(sweep.timing.completed, 3u);
+  EXPECT_GT(sweep.timing.wall_seconds, 0.0);
+  EXPECT_GT(sweep.timing.throughput(), 0.0);
+  EXPECT_NE(sweep.timing.to_string().find("jobs=2"), std::string::npos);
 
-  // An invalid cell's exception surfaces at the call site, sequential or
-  // parallel alike.
+  // An invalid cell's exception text surfaces through reports() at the
+  // call site, sequential or parallel alike, with the timing still filled.
   cells[1].n_peers = 0;  // validate() rejects this inside Swarm
-  EXPECT_THROW(run_cells(cells, 1), std::exception);
-  EXPECT_THROW(run_cells(cells, 4), std::exception);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    const auto degraded = run_cells(cells, jobs);
+    EXPECT_EQ(degraded.timing.cells, 3u) << "jobs=" << jobs;
+    EXPECT_EQ(degraded.timing.failed, 1u) << "jobs=" << jobs;
+    EXPECT_GT(degraded.timing.wall_seconds, 0.0);
+    ASSERT_FALSE(degraded.outcomes[1].error.empty());
+    try {
+      degraded.reports();
+      ADD_FAILURE() << "jobs=" << jobs << ": reports() must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(degraded.outcomes[1].error),
+                std::string::npos)
+          << "jobs=" << jobs;
+    }
+  }
 }
 
 TEST(CellSeed, IsStableDecorrelatedAndIndexable) {

@@ -75,6 +75,7 @@ TEST(RunReplicated, AggregatesAcrossSeeds) {
   auto config = sim::SwarmConfig::small(core::Algorithm::kAltruism, 0);
   config.n_peers = 30;
   const auto rep = run_replicated(config, 3, /*seed0=*/11);
+  ASSERT_TRUE(rep.sweep.complete()) << rep.sweep.degradation_summary();
   EXPECT_EQ(rep.replications, 3u);
   EXPECT_EQ(rep.runs.size(), 3u);
   EXPECT_EQ(rep.algorithm, core::Algorithm::kAltruism);
@@ -93,6 +94,7 @@ TEST(RunReplicated, UsesSplitmixSeedSchedule) {
   auto config = sim::SwarmConfig::small(core::Algorithm::kBitTorrent, 0);
   config.n_peers = 30;
   const auto rep = run_replicated(config, 2, /*seed0=*/11);
+  ASSERT_TRUE(rep.sweep.complete()) << rep.sweep.degradation_summary();
   auto direct = config;
   direct.seed = cell_seed(11, 1);
   EXPECT_EQ(metrics::to_json(rep.runs[1]),
@@ -109,6 +111,7 @@ TEST(RunReplicated, ReciprocityYieldsEmptyCompletionEstimates) {
   config.n_peers = 30;
   config.max_time = 60.0;
   const auto rep = run_replicated(config, 2);
+  ASSERT_TRUE(rep.sweep.complete()) << rep.sweep.degradation_summary();
   EXPECT_EQ(rep.mean_completion.samples, 0u);  // nobody ever finished
   EXPECT_NEAR(rep.completed_fraction.mean, 0.0, 1e-12);
 }

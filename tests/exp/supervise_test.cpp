@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "exp/journal.h"
+#include "exp/runner.h"
 #include "exp/schedule.h"
 #include "exp/supervise.h"
 #include "metrics/json.h"
@@ -50,7 +51,7 @@ TEST(RunCellsSupervised, PoisonCellIsQuarantinedAtEveryJobsLevel) {
   cells[1].n_peers = 0;  // SwarmConfig::validate() rejects this
 
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    const auto sweep = run_cells_supervised(cells, jobs, Supervision{});
+    const auto sweep = run_cells(cells, jobs, Supervision{});
     ASSERT_EQ(sweep.outcomes.size(), 4u) << "jobs=" << jobs;
     EXPECT_EQ(sweep.outcomes[1].status, CellOutcome::Status::kFailed);
     EXPECT_FALSE(sweep.outcomes[1].error.empty());
@@ -73,8 +74,8 @@ TEST(RunCellsSupervised, PoisonCellIsQuarantinedAtEveryJobsLevel) {
 TEST(RunCellsSupervised, QuarantinedSweepIsDeterministicAcrossJobs) {
   auto cells = mixed_cells(5);
   cells[2].n_peers = 0;
-  const auto sequential = run_cells_supervised(cells, 1, Supervision{});
-  const auto parallel = run_cells_supervised(cells, 4, Supervision{});
+  const auto sequential = run_cells(cells, 1, Supervision{});
+  const auto parallel = run_cells(cells, 4, Supervision{});
   EXPECT_EQ(sequential.merged_json(), parallel.merged_json());
 }
 
@@ -84,7 +85,7 @@ TEST(RunCellsSupervised, EventBudgetCancelsAfterExactlyNEvents) {
   Supervision supervision;
   supervision.event_budget = 500;
 
-  const auto first = run_cells_supervised(cells, 1, supervision);
+  const auto first = run_cells(cells, 1, supervision);
   ASSERT_EQ(first.outcomes.size(), 1u);
   EXPECT_EQ(first.outcomes[0].status, CellOutcome::Status::kTimedOut);
   EXPECT_EQ(first.outcomes[0].events, 500u);
@@ -92,7 +93,7 @@ TEST(RunCellsSupervised, EventBudgetCancelsAfterExactlyNEvents) {
   EXPECT_EQ(first.timing.failed, 1u);
 
   // Deterministic: the same budget cancels at the same point every time.
-  const auto second = run_cells_supervised(cells, 1, supervision);
+  const auto second = run_cells(cells, 1, supervision);
   EXPECT_EQ(second.outcomes[0].events, 500u);
   EXPECT_EQ(second.outcomes[0].status, first.outcomes[0].status);
   EXPECT_EQ(second.outcomes[0].error, first.outcomes[0].error);
@@ -108,7 +109,7 @@ TEST(RunCellsSupervised, WallClockWatchdogCancelsAndReportsTimeout) {
   supervision.cell_timeout = 1e-9;
   supervision.guard_every = 1;
 
-  const auto sweep = run_cells_supervised(cells, 1, supervision);
+  const auto sweep = run_cells(cells, 1, supervision);
   ASSERT_EQ(sweep.outcomes.size(), 1u);
   EXPECT_EQ(sweep.outcomes[0].status, CellOutcome::Status::kTimedOut);
   EXPECT_NE(sweep.outcomes[0].error.find("wall-clock timeout"),
@@ -119,8 +120,8 @@ TEST(RunCellsSupervised, WallClockWatchdogCancelsAndReportsTimeout) {
 }
 
 TEST(RunCellsSupervised, UntriggeredSupervisionIsByteIdentical) {
-  // Generous limits that never fire: the supervised sweep must produce
-  // exactly the bytes of the unsupervised one (the guard runs on the cold
+  // Generous limits that never fire: every cell must produce exactly the
+  // bytes of an unsupervised run_scenario (the guard runs on the cold
   // path, schedules no events, and draws no RNG).
   const auto cells = mixed_cells(4);
   Supervision supervision;
@@ -128,8 +129,9 @@ TEST(RunCellsSupervised, UntriggeredSupervisionIsByteIdentical) {
   supervision.event_budget = 1'000'000'000;
   supervision.guard_every = 64;
 
-  const auto plain = run_cells(cells, 1);
-  const auto sweep = run_cells_supervised(cells, 4, supervision);
+  std::vector<metrics::RunReport> plain;
+  for (const auto& cell : cells) plain.push_back(run_scenario(cell));
+  const auto sweep = run_cells(cells, 4, supervision);
   ASSERT_TRUE(sweep.complete());
   EXPECT_EQ(sweep.merged_json(), metrics::to_json(plain));
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -147,8 +149,7 @@ TEST(RunCellsSupervised, PreCancelledSweepSkipsEveryCellAndJournalsNothing) {
   const std::string path = ::testing::TempDir() + "supervise_skip.jsonl";
   RunJournal journal(path, RunJournal::Mode::kTruncate);
   journal.write_header(cells.size(), 3);
-  const auto sweep =
-      run_cells_supervised(cells, 2, supervision, &journal, nullptr);
+  const auto sweep = run_cells(cells, 2, supervision, &journal, nullptr);
 
   EXPECT_EQ(sweep.count(CellOutcome::Status::kSkipped), cells.size());
   EXPECT_EQ(sweep.timing.skipped, cells.size());
@@ -162,24 +163,54 @@ TEST(RunCellsSupervised, PreCancelledSweepSkipsEveryCellAndJournalsNothing) {
 }
 
 TEST(RunCells, FirstFailureStillFillsTiming) {
-  // The legacy rethrow-first contract keeps its exception, but the
-  // SweepTiming out-param no longer vanishes with it.
+  // A failing cell costs only itself: its timing is accounted, the other
+  // cells complete, and reports() throws with its diagnostic.
   auto cells = mixed_cells(3);
   cells[0].n_peers = 0;
-  SweepTiming timing;
-  EXPECT_THROW(run_cells(cells, 1, &timing), std::exception);
-  EXPECT_EQ(timing.cells, 3u);
-  EXPECT_EQ(timing.jobs, 1u);
-  EXPECT_GT(timing.wall_seconds, 0.0);
-  EXPECT_EQ(timing.failed, 1u);
-  EXPECT_NE(timing.to_string().find("failed"), std::string::npos);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    const auto sweep = run_cells(cells, jobs);
+    EXPECT_EQ(sweep.timing.cells, 3u) << "jobs=" << jobs;
+    EXPECT_EQ(sweep.timing.jobs, jobs);
+    EXPECT_GT(sweep.timing.wall_seconds, 0.0);
+    EXPECT_EQ(sweep.timing.failed, 1u);
+    EXPECT_EQ(sweep.timing.completed, 2u);
+    EXPECT_EQ(sweep.timing.skipped, 0u);
+    EXPECT_NE(sweep.timing.to_string().find("failed"), std::string::npos);
+    try {
+      sweep.reports();
+      ADD_FAILURE() << "reports() of a degraded sweep must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cell 0"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(sweep.outcomes[0].error),
+                std::string::npos);
+    }
+  }
+}
 
-  SweepTiming parallel_timing;
-  EXPECT_THROW(run_cells(cells, 4, &parallel_timing), std::exception);
-  EXPECT_EQ(parallel_timing.cells, 3u);
-  EXPECT_EQ(parallel_timing.completed + parallel_timing.failed +
-                parallel_timing.skipped,
-            3u);
+TEST(JobsFromCli, KeepsDefaultsAndRejectsOutOfRangeValues) {
+  EXPECT_EQ(jobs_from_cli(make_cli({})), default_jobs());
+  EXPECT_EQ(jobs_from_cli(make_cli({"--jobs", "0"})), default_jobs());
+  EXPECT_EQ(jobs_from_cli(make_cli({"--jobs", "3"})), 3u);
+  const std::string max = std::to_string(kMaxJobs);
+  EXPECT_EQ(jobs_from_cli(make_cli({"--jobs", max.c_str()})), kMaxJobs);
+
+  // Parse level only: no pool is ever started with these values.
+  const auto message_of = [](const char* value) {
+    try {
+      jobs_from_cli(make_cli({"--jobs", value}));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string over = std::to_string(kMaxJobs + 1);
+  for (const std::string& bad : {std::string("-1"), over,
+                                 std::string("4000")}) {
+    const std::string message = message_of(bad.c_str());
+    EXPECT_NE(message.find("--jobs"), std::string::npos) << bad;
+    EXPECT_NE(message.find(bad), std::string::npos) << bad;
+    EXPECT_NE(message.find(max), std::string::npos) << bad;
+  }
 }
 
 TEST(Supervision, ValidateRejectsNonsenseKnobs) {
@@ -200,12 +231,16 @@ TEST(Supervision, ValidateRejectsNonsenseKnobs) {
 }
 
 TEST(SweepControlFromCli, ParsesAndValidatesTheSharedFlags) {
-  EXPECT_FALSE(sweep_control_from_cli(make_cli({})).active());
+  const auto none = sweep_control_from_cli(make_cli({}));
+  EXPECT_FALSE(none.supervision.any());
+  EXPECT_TRUE(none.journal_path.empty());
+  EXPECT_TRUE(none.resume_path.empty());
+  EXPECT_FALSE(none.checkpoint.active());
 
   const auto control = sweep_control_from_cli(
       make_cli({"--cell-timeout", "2.5", "--event-budget", "100000",
                 "--journal", "j.jsonl"}));
-  EXPECT_TRUE(control.active());
+  EXPECT_TRUE(control.supervision.any());
   EXPECT_DOUBLE_EQ(control.supervision.cell_timeout, 2.5);
   EXPECT_EQ(control.supervision.event_budget, 100000u);
   EXPECT_EQ(control.journal_path, "j.jsonl");

@@ -3,7 +3,7 @@
 //
 // The headline guarantee under test: a fleet sweep's merged JSON and
 // replication aggregates are byte-identical to a single-machine
-// run_cells_supervised sweep of the same deterministic cell schedule --
+// run_cells sweep of the same deterministic cell schedule --
 // including when a worker vanishes mid-lease (SIGKILL-equivalent: its
 // socket just closes) and when the coordinator restarts from its own
 // journal.
@@ -101,7 +101,7 @@ TEST(FleetE2eTest, FleetSweepIsByteIdenticalToLocalSweep) {
 
   // Reference: uninterrupted single-machine supervised sweep.
   const exp::SweepResult reference =
-      exp::run_cells_supervised(cells, 2, supervision);
+      exp::run_cells(cells, 2, supervision);
 
   const std::string journal_path = temp_path("fleet_e2e.jsonl");
   exp::RunJournal journal(journal_path, exp::RunJournal::Mode::kTruncate);
@@ -143,7 +143,7 @@ TEST(FleetE2eTest, VanishedWorkerCellsAreReassignedAndMergeStaysExact) {
   const auto cells = small_cells(6, base_seed);
   const exp::Supervision supervision;
   const exp::SweepResult reference =
-      exp::run_cells_supervised(cells, 1, supervision);
+      exp::run_cells(cells, 1, supervision);
 
   const std::string journal_path = temp_path("fleet_e2e_kill.jsonl");
   exp::RunJournal journal(journal_path, exp::RunJournal::Mode::kTruncate);
@@ -179,7 +179,7 @@ TEST(FleetE2eTest, CoordinatorRestartResumesFromItsOwnJournal) {
   const auto cells = small_cells(6, base_seed);
   const exp::Supervision supervision;
   const exp::SweepResult reference =
-      exp::run_cells_supervised(cells, 1, supervision);
+      exp::run_cells(cells, 1, supervision);
 
   const std::string journal_path = temp_path("fleet_e2e_restart.jsonl");
   // "First life" of the coordinator: half the sweep lands in the journal
@@ -304,7 +304,7 @@ TEST(FleetE2eTest, PreemptedWorkersSnapshotResumesMidCellOnTheNextWorker) {
   }
   const exp::Supervision supervision;
   const exp::SweepResult reference =
-      exp::run_cells_supervised(cells, 1, supervision);
+      exp::run_cells(cells, 1, supervision);
   const double checkpoint_every = 200.0;  // simulated seconds
 
   const std::string journal_path = temp_path("fleet_e2e_ckpt.jsonl");

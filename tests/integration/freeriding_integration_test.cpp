@@ -103,7 +103,7 @@ TEST_F(FreeRiderSwarm, FreeRidingCostsEfficiencyForSusceptibleAlgorithms) {
   // Fig. 5b vs Fig. 4a: algorithms that leak bandwidth to free-riders get
   // slower for compliant users; T-Chain barely moves.
   std::map<Algorithm, double> baseline;
-  for (auto& r : run_all_algorithms(mid_scale(5))) {
+  for (auto& r : run_all_algorithms(mid_scale(5)).reports()) {
     if (!r.completion_times.empty()) {
       baseline[r.algorithm] = r.completion_summary.mean;
     }

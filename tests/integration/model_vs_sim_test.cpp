@@ -83,7 +83,7 @@ TEST(TableIIValidation, AnalyticalAndSimulatedBootstrapOrderingsAgree) {
   config.graph.degree = 30;
   config.max_time = 1500.0;
   std::map<Algorithm, double> boot;
-  for (auto& r : run_all_algorithms(config)) {
+  for (auto& r : run_all_algorithms(config).reports()) {
     boot[r.algorithm] = r.bootstrap_times.empty()
                             ? 1e9
                             : r.bootstrap_summary.median;

@@ -27,7 +27,7 @@ class CompliantSwarm : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     reports_ = new std::map<Algorithm, metrics::RunReport>();
-    for (auto& r : run_all_algorithms(mid_scale(5))) {
+    for (auto& r : run_all_algorithms(mid_scale(5)).reports()) {
       reports_->emplace(r.algorithm, std::move(r));
     }
   }
@@ -158,7 +158,7 @@ class SeedRobustness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedRobustness, HeadlineOrderingsHold) {
   std::map<Algorithm, metrics::RunReport> reports;
-  for (auto& r : run_all_algorithms(mid_scale(GetParam()))) {
+  for (auto& r : run_all_algorithms(mid_scale(GetParam())).reports()) {
     reports.emplace(r.algorithm, std::move(r));
   }
   // Efficiency: altruism fastest, reciprocity never.

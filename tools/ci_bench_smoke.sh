@@ -58,6 +58,24 @@ run ext_propshare   "${BENCH}/ext_propshare"   "${SMALL[@]}"
 run ext_bittyrant   "${BENCH}/ext_bittyrant"   "${SMALL[@]}"
 run ext_eigentrust  "${BENCH}/ext_eigentrust"  "${SMALL[@]}"
 
+# Artifacts must not depend on --jobs: the same toy sweep at --jobs 1 and
+# --jobs ${JOBS} has to write byte-identical --json-out files.
+mkdir -p "${BUILD_DIR}/bench-smoke"
+TOY=(--scale small --n 30 --file-mb 2 --max-time 600)
+for name in fig4_compliant fig_churn_sweep; do
+  for j in 1 "${JOBS}"; do
+    run "${name}_jobs${j}" "${BENCH}/${name}" "${TOY[@]}" --jobs "${j}" \
+      --json-out "${BUILD_DIR}/bench-smoke/${name}.jobs${j}.json"
+  done
+  echo "=== smoke: ${name} --json-out is --jobs invariant ==="
+  if ! cmp "${BUILD_DIR}/bench-smoke/${name}.jobs1.json" \
+      "${BUILD_DIR}/bench-smoke/${name}.jobs${JOBS}.json"; then
+    echo "FAILED: ${name} artifacts differ between --jobs 1 and" \
+      "--jobs ${JOBS}" >&2
+    fail=1
+  fi
+done
+
 # The scenario CLI: replicated + parallel + JSON in one pass.
 run coopnet_run "${TOOLS}/coopnet_run" --algo BitTorrent --n 30 --file-mb 2 \
   --reps 3 --jobs "${JOBS}" --json
@@ -65,7 +83,6 @@ run coopnet_run "${TOOLS}/coopnet_run" --algo BitTorrent --n 30 --file-mb 2 \
 # google-benchmark guards: one cheap kernel each, minimal measuring time.
 run micro_engine "${BENCH}/micro_engine" \
   --benchmark_filter='BM_QNeedsKernel' --benchmark_min_time=0.01
-mkdir -p "${BUILD_DIR}/bench-smoke"
 run micro_swarm "${BENCH}/micro_swarm" --max-n 100 \
   --json-out "${BUILD_DIR}/bench-smoke/BENCH_swarm.json"
 # The fluid backend: full record set (every cell is sub-second, including

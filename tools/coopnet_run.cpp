@@ -43,6 +43,10 @@ namespace {
 
 using namespace coopnet;
 
+// Largest --reps value: each replication holds a full report in memory
+// until the sweep ends.
+constexpr std::size_t kMaxReps = 100000;
+
 constexpr const char* kHelp = R"(coopnet_run -- run one cooperative-computing swarm scenario
 
 population:
@@ -109,10 +113,11 @@ backend:
                        backend at N=500..5000; single run only (--reps,
                        supervision, --trace, --audit need events)
 output:
-  --reps R             replications (mean +/- 95% CI; default 1)
-  --jobs J             replications run concurrently (default: all
-                       hardware threads; 1 = sequential; results are
-                       bit-identical for every J)
+  --reps R             replications, 1..100000 (mean +/- 95% CI;
+                       default 1)
+  --jobs J             replications run concurrently, 1..256 (default or
+                       0: all hardware threads; 1 = sequential; results
+                       are bit-identical for every J)
   --seed S             base seed (default 7)
   --json               print the full RunReport(s) as JSON
   --json-out FILE      write the JSON report(s) to FILE atomically
@@ -123,6 +128,8 @@ exit codes: 0 ok; 1 error; 3 degraded (some cells quarantined, the rest
 completed); 128+signal on SIGINT/SIGTERM (journal already flushed --
 rerun with --resume FILE to finish the sweep).
 )";
+static_assert(exp::kMaxJobs == 256 && kMaxReps == 100000,
+              "kHelp states the --jobs and --reps bounds");
 
 // SIGINT/SIGTERM flip the flag the cell guards poll; in-flight cells then
 // cancel at their next guard tick, the sweep drains (the journal is
@@ -239,35 +246,11 @@ sim::SwarmConfig config_from(const util::Cli& cli) {
   return config;
 }
 
-// Renders the replication aggregate table shared by the legacy and
-// supervised --reps paths.
-void print_aggregate(const std::string& title,
-                     const exp::ReplicatedReport& rep, double wall,
-                     std::size_t reps, std::size_t jobs) {
-  util::Table table(title);
-  table.set_header({"metric", "mean +/- 95% CI"});
-  table.add_row({"completed fraction",
-                 rep.completed_fraction.to_string()});
-  table.add_row({"mean completion (s)", rep.mean_completion.to_string()});
-  table.add_row({"median bootstrap (s)",
-                 rep.median_bootstrap.to_string()});
-  table.add_row({"settled fairness (u/d)",
-                 rep.settled_fairness.to_string()});
-  table.add_row({"fairness F", rep.fairness_F.to_string()});
-  table.add_row({"susceptibility", rep.susceptibility.to_string()});
-  std::printf("%s", table.render().c_str());
-  std::printf("replication wall-clock: %.3f s (%zu runs, %.3f runs/s, "
-              "jobs=%zu)\n",
-              wall, reps, wall > 0.0 ? static_cast<double>(reps) / wall : 0.0,
-              jobs);
-}
-
-// --reps with any supervision flag: per-replication watchdogs, quarantine,
-// journal/resume, and SIGINT/SIGTERM draining to exit 128+signum.
-int run_replicated_supervised_cli(const util::Cli& cli,
-                                  const sim::SwarmConfig& config,
-                                  std::size_t reps, std::size_t jobs,
-                                  const exp::SweepControl& control) {
+// --reps R: replications under the per-cell watchdogs, with quarantine,
+// optional journal/resume, and SIGINT/SIGTERM draining to exit 128+signum.
+int run_replicated_cli(const util::Cli& cli, const sim::SwarmConfig& config,
+                       std::size_t reps, std::size_t jobs,
+                       const exp::SweepControl& control) {
   exp::SweepJournal sj = exp::open_sweep_journal(control, reps, config.seed);
   if (sj.resume != nullptr) {
     std::fprintf(stderr,
@@ -279,20 +262,24 @@ int run_replicated_supervised_cli(const util::Cli& cli,
   exp::Supervision supervision = control.supervision;
   supervision.cancel = &g_cancel;
   install_signal_handlers();
-  const auto t0 = std::chrono::steady_clock::now();
-  const exp::SupervisedReplication out = exp::run_replicated_supervised(
+  const exp::ReplicatedReport out = exp::run_replicated(
       config, reps, config.seed, jobs, supervision, sj.journal.get(),
       sj.resume.get(), control.checkpoint);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   const std::size_t ok = out.sweep.count(exp::CellOutcome::Status::kOk);
-  const std::string title =
+  util::Table table(
       ok == reps ? "aggregated over " + std::to_string(reps) + " seeds"
                  : "aggregated over " + std::to_string(ok) + " of " +
-                       std::to_string(reps) + " seeds";
-  print_aggregate(title, out.aggregate, wall, reps, jobs);
-  std::printf("sweep: %s\n", out.sweep.timing.to_string().c_str());
+                       std::to_string(reps) + " seeds");
+  table.set_header({"metric", "mean +/- 95% CI"});
+  table.add_row({"completed fraction", out.completed_fraction.to_string()});
+  table.add_row({"mean completion (s)", out.mean_completion.to_string()});
+  table.add_row({"median bootstrap (s)", out.median_bootstrap.to_string()});
+  table.add_row({"settled fairness (u/d)",
+                 out.settled_fairness.to_string()});
+  table.add_row({"fairness F", out.fairness_F.to_string()});
+  table.add_row({"susceptibility", out.susceptibility.to_string()});
+  std::printf("%s", table.render().c_str());
+  std::printf("sweep wall-clock: %s\n", out.sweep.timing.to_string().c_str());
   if (!out.sweep.complete()) {
     std::printf("degraded coverage: %zu of %zu replications did not "
                 "complete\n%s",
@@ -380,7 +367,7 @@ int run(const util::Cli& cli) {
       exp::Backend::kFluid) {
     return run_fluid(cli, config);
   }
-  const auto reps = static_cast<std::size_t>(cli.get_int("reps", 1));
+  const std::size_t reps = cli.get_count("reps", 1, kMaxReps);
   exp::SweepControl control = exp::sweep_control_from_cli(cli);
   if (reps < 2 &&
       (!control.journal_path.empty() || !control.resume_path.empty())) {
@@ -397,28 +384,8 @@ int run(const util::Cli& cli) {
   }
 
   if (reps > 1) {
-    const long jobs_flag = cli.get_int("jobs", 0);
-    if (jobs_flag < 0) throw std::invalid_argument("--jobs must be >= 1");
-    const auto jobs = jobs_flag == 0 ? exp::default_jobs()
-                                     : static_cast<std::size_t>(jobs_flag);
-    if (control.active()) {
-      return run_replicated_supervised_cli(cli, config, reps, jobs, control);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto rep = exp::run_replicated(config, reps, config.seed, jobs);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    print_aggregate("aggregated over " + std::to_string(reps) + " seeds",
-                    rep, wall, reps, jobs);
-    if (cli.has("json")) {
-      std::printf("%s\n", metrics::to_json(rep.runs).c_str());
-    }
-    if (cli.has("json-out")) {
-      util::write_file_atomic(cli.get_string("json-out", ""),
-                              metrics::to_json(rep.runs) + "\n");
-    }
-    return 0;
+    return run_replicated_cli(cli, config, reps, exp::jobs_from_cli(cli),
+                              control);
   }
 
   // Single run; optionally with the in-memory trace and/or a streaming
