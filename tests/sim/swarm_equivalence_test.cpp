@@ -2,8 +2,11 @@
 // observably identical to the seed implementation. Each cell of the
 // 6-mechanism x {no-faults, moderate churn} x N in {50, 200} matrix is
 // pinned to a golden RunReport JSON (byte-identical) plus the streaming
-// trace-sink JSONL output (line-by-line for N = 50, where the full trace
-// is committed; line count + FNV-1a content hash for every cell).
+// trace-sink JSONL output (line-by-line for the N = 50 cells named in
+// trace_committed; line count + FNV-1a content hash for every cell).
+// T-Chain adds three admission cells per N that the matrix never reaches:
+// a backlog cap of 2 (most deliveries are refused), 20% colluding
+// free-riders, and max_incoming = 2.
 //
 // The goldens under tests/golden/ were generated from the pre-optimization
 // seed engine (std::priority_queue<std::function> scheduler, linear
@@ -42,9 +45,18 @@
 namespace coopnet::sim {
 namespace {
 
+/// T-Chain admission scenarios, each on the no-fault config.
+enum class Admission : std::uint8_t {
+  kDefault,
+  kBacklog2,     // tchain_backlog = 2
+  kColluders,    // free_rider_fraction = 0.2 with attack.collusion
+  kMaxIncoming2  // max_incoming = 2
+};
+
 struct Cell {
   core::Algorithm algo;
   bool churn;
+  Admission admission;
   std::size_t n;
 };
 
@@ -54,8 +66,23 @@ struct Cell {
 // its trace through the line count + FNV-1a hash in the meta file, which
 // is the same byte-identity check without megabytes of golden text.
 bool trace_committed(const Cell& cell) {
-  return cell.n == 50 && (cell.algo == core::Algorithm::kBitTorrent ||
-                          cell.algo == core::Algorithm::kTChain);
+  return cell.n == 50 && cell.admission == Admission::kDefault &&
+         (cell.algo == core::Algorithm::kBitTorrent ||
+          cell.algo == core::Algorithm::kTChain);
+}
+
+const char* scenario_name(const Cell& cell) {
+  switch (cell.admission) {
+    case Admission::kDefault:
+      return cell.churn ? "_churn" : "_clean";
+    case Admission::kBacklog2:
+      return "_backlog2";
+    case Admission::kColluders:
+      return "_colluders";
+    case Admission::kMaxIncoming2:
+      return "_maxincoming2";
+  }
+  return "_unknown";
 }
 
 std::string cell_name(const Cell& cell) {
@@ -63,8 +90,7 @@ std::string cell_name(const Cell& cell) {
   for (auto& c : name) {
     if (c == '-' || c == ' ') c = '_';
   }
-  return name + (cell.churn ? "_churn" : "_clean") + "_n" +
-         std::to_string(cell.n);
+  return name + scenario_name(cell) + "_n" + std::to_string(cell.n);
 }
 
 SwarmConfig cell_config(const Cell& cell) {
@@ -79,6 +105,20 @@ SwarmConfig cell_config(const Cell& cell) {
     config.faults = moderate_churn();
     config.faults.transfer_loss_rate = 0.05;
   }
+  switch (cell.admission) {
+    case Admission::kDefault:
+      break;
+    case Admission::kBacklog2:
+      config.tchain_backlog = 2;
+      break;
+    case Admission::kColluders:
+      config.free_rider_fraction = 0.2;
+      config.attack.collusion = true;
+      break;
+    case Admission::kMaxIncoming2:
+      config.max_incoming = 2;
+      break;
+  }
   return config;
 }
 
@@ -87,8 +127,14 @@ std::vector<Cell> all_cells() {
   for (core::Algorithm algo : core::kAllAlgorithms) {
     for (bool churn : {false, true}) {
       for (std::size_t n : {std::size_t{50}, std::size_t{200}}) {
-        cells.push_back({algo, churn, n});
+        cells.push_back({algo, churn, Admission::kDefault, n});
       }
+    }
+  }
+  for (Admission admission : {Admission::kBacklog2, Admission::kColluders,
+                              Admission::kMaxIncoming2}) {
+    for (std::size_t n : {std::size_t{50}, std::size_t{200}}) {
+      cells.push_back({core::Algorithm::kTChain, false, admission, n});
     }
   }
   return cells;
