@@ -63,12 +63,14 @@ std::optional<sim::UploadAction> TChainStrategy::plan_obligation(
                                /*locked=*/true};
     }
   }
-  // Any neighbor that needs the received piece.
-  const sim::Peer up = swarm.peer(p);
-  std::vector<sim::PeerId> candidates;
-  for (sim::PeerId n : up.neighbors()) {
-    if (n != ob.designator && can_deliver(swarm, n, ob.piece)) {
-      candidates.push_back(n);
+  // Any neighbor that needs the received piece: of the admitted ones
+  // (can_deliver's obligation-independent tests), those still missing it.
+  std::vector<sim::PeerId>& candidates = scan_.candidates;
+  candidates.clear();
+  for (const AdmittedNeighbor& n : scan_.admitted) {
+    if (n.id != ob.designator &&
+        !swarm.peer(n.id).unavailable().test(ob.piece)) {
+      candidates.push_back(n.id);
     }
   }
   if (!candidates.empty()) {
@@ -79,7 +81,8 @@ std::optional<sim::UploadAction> TChainStrategy::plan_obligation(
   // Generalized reciprocation: any transferable piece to any needy
   // neighbor ("users can reciprocate uploads by uploading a piece to any
   // user", Section III-A).
-  auto needy = swarm.needy_neighbors(p, /*include_locked_offer=*/true);
+  const std::vector<sim::PeerId>& needy =
+      needy_neighbors(swarm, p, /*include_locked_offer=*/true);
   if (!needy.empty()) {
     const sim::PeerId to = needy[swarm.rng().uniform_u64(needy.size())];
     const sim::PieceId piece =
@@ -91,9 +94,42 @@ std::optional<sim::UploadAction> TChainStrategy::plan_obligation(
   return std::nullopt;
 }
 
+void TChainStrategy::scan_neighbors(const sim::Swarm& swarm,
+                                    sim::PeerId uploader) {
+  scan_.admitted.clear();
+  scan_.needy_built[0] = scan_.needy_built[1] = false;
+  const sim::NeighborRange nbrs = swarm.peer(uploader).neighbors();
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const sim::ConstPeer q = swarm.peer(nbrs[i]);
+    if (q.active() && !q.is_seeder() && accepts_delivery(swarm, nbrs[i])) {
+      scan_.admitted.push_back({nbrs[i], static_cast<std::uint32_t>(i)});
+    }
+  }
+}
+
+const std::vector<sim::PeerId>& TChainStrategy::needy_neighbors(
+    sim::Swarm& swarm, sim::PeerId uploader, bool include_locked_offer) {
+  const int lane = include_locked_offer ? 1 : 0;
+  std::vector<sim::PeerId>& out = scan_.needy[lane];
+  if (scan_.needy_built[lane]) return out;
+  scan_.needy_built[lane] = true;
+  // Swarm::needy_neighbors' filters (active, accepts_incoming, can_offer
+  // through the per-edge memo, accepts_delivery) are pure predicates here,
+  // so filtering the admitted pass gives its list, in its neighbor order.
+  out.clear();
+  for (const AdmittedNeighbor& n : scan_.admitted) {
+    if (swarm.accepts_incoming(n.id) &&
+        swarm.neighbor_needs_from(uploader, n.index, include_locked_offer)) {
+      out.push_back(n.id);
+    }
+  }
+  return out;
+}
+
 std::optional<sim::UploadAction> TChainStrategy::next_upload(
     sim::Swarm& swarm, sim::PeerId uploader) {
   pending_plan_ = PendingPlan{};
+  scan_neighbors(swarm, uploader);
   // 1. Discharge the oldest feasible obligation.
   for (const Obligation& ob : state_[uploader].obligations) {
     if (auto action = plan_obligation(swarm, uploader, ob)) {
@@ -102,7 +138,8 @@ std::optional<sim::UploadAction> TChainStrategy::next_upload(
     }
   }
   // 2. Opportunistic seeding: initiate a fresh chain from usable pieces.
-  auto needy = swarm.needy_neighbors(uploader, /*include_locked_offer=*/false);
+  const std::vector<sim::PeerId>& needy =
+      needy_neighbors(swarm, uploader, /*include_locked_offer=*/false);
   if (needy.empty()) return std::nullopt;
   const sim::PeerId to = needy[swarm.rng().uniform_u64(needy.size())];
   const sim::PieceId piece = swarm.pick_piece(uploader, to);
@@ -194,18 +231,25 @@ void TChainStrategy::on_delivered(sim::Swarm& swarm, const sim::Transfer& t) {
   auto link = std::ranges::find(links, t.piece, &ChainLink::piece);
   if (link == links.end()) link = links.emplace(link);
   *link = ChainLink{t.piece, t.from, false};
-  state_[t.from].downstream.push_back({t.to, t.piece});
+  // The new link waits on the sender's key only if the sender still lacks
+  // it. A sender that already holds the piece usable (or is a seeder) can
+  // never again hold a link for it, so try_unlock would never walk its
+  // waiters for this piece: such a waiter is not recorded.
+  const sim::Peer sender = swarm.peer(t.from);
+  if (!sender.is_seeder() && !sender.pieces().test(t.piece)) {
+    state_[t.from].downstream.push_back({t.to, t.piece});
+  }
 
   // The sender designates where to reciprocate: itself if it needs
   // something from the receiver (direct reciprocity), otherwise a random
   // neighbor of the sender's that still needs this piece.
   sim::PeerId suggested = sim::kNoPeer;
-  if (!swarm.peer(t.from).is_seeder() &&
+  if (!sender.is_seeder() &&
       swarm.needs_from(t.from, t.to, /*include_locked_offer=*/true)) {
     suggested = t.from;
   } else {
     std::vector<sim::PeerId> pool;
-    for (sim::PeerId n : swarm.peer(t.from).neighbors()) {
+    for (sim::PeerId n : sender.neighbors()) {
       if (n == t.to || n == t.from) continue;
       const sim::Peer q = swarm.peer(n);
       if (q.active() && !q.is_seeder() && !q.unavailable().test(t.piece)) {
@@ -264,11 +308,30 @@ void TChainStrategy::try_unlock(sim::Swarm& swarm, sim::PeerId receiver,
   swarm.make_usable(receiver, piece, sender);
   // Keys cascade: anyone waiting on `receiver` for this piece can now be
   // unlocked (if they have fulfilled their own obligation).
-  // Copy out: try_unlock recursion may mutate the waiter list.
-  const auto waiters = state_[receiver].downstream;
-  for (const auto& [r2, p2] : waiters) {
+  //
+  // The walk is by index over the live list, with no copy. The recursion
+  // never appends to it: waiters are appended only by on_delivered. Nor
+  // does it walk or prune it: every nested call is for this same piece,
+  // and one that reaches (receiver, piece) again returns at the link check,
+  // because that link was erased above.
+  //
+  // Waiters whose receiver no longer holds a link for their piece are
+  // dropped; the rest keep their creation order. A link is never
+  // re-created once erased: the piece is then usable at its receiver for
+  // good (peer slots are not recycled within a run), so visiting such a
+  // waiter again would be a no-op.
+  std::vector<std::pair<sim::PeerId, sim::PieceId>>& waiters =
+      state_[receiver].downstream;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < waiters.size(); ++i) {
+    const auto [r2, p2] = waiters[i];
     if (p2 == piece) try_unlock(swarm, r2, p2);
+    if (std::ranges::find(state_[r2].links, p2, &ChainLink::piece) !=
+        state_[r2].links.end()) {
+      waiters[kept++] = waiters[i];
+    }
   }
+  waiters.resize(kept);
 }
 
 void TChainStrategy::grace_scan(sim::Swarm& swarm) {

@@ -59,7 +59,8 @@ class TChainStrategy final : public sim::ExchangeStrategy {
   // Serializes every mutable member: each peer's obligation queue,
   // in-flight duties, chain links and downstream waiters (non-empty peers,
   // in ascending id order), the attach-derived limits, and the staged
-  // plan. Timer sub 0 is the grace scan.
+  // plan; next_upload's scratch (scan_) is not state. Timer sub 0 is the
+  // grace scan.
   void checkpoint_save(util::ByteSink& sink) const override;
   void checkpoint_load(util::ByteSource& src, const sim::Swarm& swarm) override;
   sim::SmallEventFn rebuild_timer(sim::Swarm& swarm,
@@ -117,6 +118,14 @@ class TChainStrategy final : public sim::ExchangeStrategy {
                                                    const Obligation& ob);
   bool can_deliver(const sim::Swarm& swarm, sim::PeerId target,
                    sim::PieceId piece) const;
+  /// The one pass over `uploader`'s neighbors that a next_upload call
+  /// plans from: fills scan_.admitted and forgets the needy lists.
+  void scan_neighbors(const sim::Swarm& swarm, sim::PeerId uploader);
+  /// Swarm::needy_neighbors(uploader, include_locked_offer), built from
+  /// that pass at most once per next_upload call.
+  const std::vector<sim::PeerId>& needy_neighbors(sim::Swarm& swarm,
+                                                  sim::PeerId uploader,
+                                                  bool include_locked_offer);
   /// Marks the link for (receiver, piece) fulfilled and unlocks it if the
   /// sender already holds the key; cascades down the chain.
   void resolve_fulfilled(sim::Swarm& swarm, sim::PeerId receiver,
@@ -140,6 +149,24 @@ class TChainStrategy final : public sim::ExchangeStrategy {
     bool valid = false;
   };
   PendingPlan pending_plan_;
+
+  /// An active, non-seeder neighbor that accepts_delivery admits.
+  struct AdmittedNeighbor {
+    sim::PeerId id = sim::kNoPeer;
+    std::uint32_t index = 0;  // position in the uploader's neighbor list
+  };
+  /// next_upload's scratch, reused across calls. Within one call no peer
+  /// or strategy state changes (the planner only draws RNG), so every
+  /// neighbor's admission verdict is computed once per call instead of
+  /// once per obligation. Neither strategy state nor checkpointed.
+  struct NeighborScan {
+    std::vector<AdmittedNeighbor> admitted;  // in neighbor order
+    std::vector<sim::PeerId> candidates;  // one obligation's forward targets
+    /// needy_neighbors lists by offer lane (0: pieces, 1: transferable).
+    std::vector<sim::PeerId> needy[2];
+    bool needy_built[2] = {false, false};  // in the current call
+  };
+  NeighborScan scan_;
 };
 
 }  // namespace coopnet::strategy
