@@ -38,27 +38,14 @@
 #include "strategy/factory.h"
 #include "util/atomic_file.h"
 
+#include "pinned_configs.h"
+
 #ifndef COOPNET_GOLDEN_DIR
 #error "COOPNET_GOLDEN_DIR must point at tests/golden"
 #endif
 
 namespace coopnet::sim {
 namespace {
-
-/// T-Chain admission scenarios, each on the no-fault config.
-enum class Admission : std::uint8_t {
-  kDefault,
-  kBacklog2,     // tchain_backlog = 2
-  kColluders,    // free_rider_fraction = 0.2 with attack.collusion
-  kMaxIncoming2  // max_incoming = 2
-};
-
-struct Cell {
-  core::Algorithm algo;
-  bool churn;
-  Admission admission;
-  std::size_t n;
-};
 
 // Full traces are committed for the N = 50 BitTorrent and T-Chain cells
 // (the mechanisms with the richest transfer machinery), so a divergence
@@ -69,75 +56,6 @@ bool trace_committed(const Cell& cell) {
   return cell.n == 50 && cell.admission == Admission::kDefault &&
          (cell.algo == core::Algorithm::kBitTorrent ||
           cell.algo == core::Algorithm::kTChain);
-}
-
-const char* scenario_name(const Cell& cell) {
-  switch (cell.admission) {
-    case Admission::kDefault:
-      return cell.churn ? "_churn" : "_clean";
-    case Admission::kBacklog2:
-      return "_backlog2";
-    case Admission::kColluders:
-      return "_colluders";
-    case Admission::kMaxIncoming2:
-      return "_maxincoming2";
-  }
-  return "_unknown";
-}
-
-std::string cell_name(const Cell& cell) {
-  std::string name = core::to_string(cell.algo);
-  for (auto& c : name) {
-    if (c == '-' || c == ' ') c = '_';
-  }
-  return name + scenario_name(cell) + "_n" + std::to_string(cell.n);
-}
-
-SwarmConfig cell_config(const Cell& cell) {
-  auto config = SwarmConfig::small(cell.algo, /*seed=*/415);
-  config.n_peers = cell.n;
-  config.max_time = 4000.0;
-  if (cell.churn) {
-    // moderate_churn's ~500 s mean session against the small scenario's
-    // multi-hundred-second downloads: a sizeable minority of peers churn.
-    // The 5% loss rate layers the retry/backoff machinery on top, so the
-    // fault cells pin the failure paths too, not just the happy path.
-    config.faults = moderate_churn();
-    config.faults.transfer_loss_rate = 0.05;
-  }
-  switch (cell.admission) {
-    case Admission::kDefault:
-      break;
-    case Admission::kBacklog2:
-      config.tchain_backlog = 2;
-      break;
-    case Admission::kColluders:
-      config.free_rider_fraction = 0.2;
-      config.attack.collusion = true;
-      break;
-    case Admission::kMaxIncoming2:
-      config.max_incoming = 2;
-      break;
-  }
-  return config;
-}
-
-std::vector<Cell> all_cells() {
-  std::vector<Cell> cells;
-  for (core::Algorithm algo : core::kAllAlgorithms) {
-    for (bool churn : {false, true}) {
-      for (std::size_t n : {std::size_t{50}, std::size_t{200}}) {
-        cells.push_back({algo, churn, Admission::kDefault, n});
-      }
-    }
-  }
-  for (Admission admission : {Admission::kBacklog2, Admission::kColluders,
-                              Admission::kMaxIncoming2}) {
-    for (std::size_t n : {std::size_t{50}, std::size_t{200}}) {
-      cells.push_back({core::Algorithm::kTChain, false, admission, n});
-    }
-  }
-  return cells;
 }
 
 struct CellResult {
