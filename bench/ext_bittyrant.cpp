@@ -9,17 +9,18 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+// Each cell sets its own mechanism.
+const coopnet::exp::Scenario kScenario{
+    "mid", [](coopnet::sim::SwarmConfig& c) { c.strategic_fraction = 0.2; },
+    {"mechanism"}};
+
+}  // namespace
+
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
-  auto base = bench::scenario_from_cli(cli);
-  if (!cli.has("scale") && !cli.has("n")) {
-    base.n_peers = 300;
-    base.file_bytes = 32LL * 1024 * 1024;
-    base.graph.degree = 30;
-  }
-  base.strategic_fraction =
-      cli.get_double_in("strategic", 0.2, 0.0, 1.0);
+  const sim::SwarmConfig base = kScenario.from_cli(cli);
 
   std::printf("Extension: %.0f%% BitTyrant-style strategic clients, N = "
               "%zu\n\nGive-take ratio u/d: 1.0 = contributes as much as it "
@@ -68,4 +69,14 @@ int main(int argc, char** argv) {
       "nothing to save; altruism\nrewards not uploading at all (the "
       "strategic client is just a lazy peer).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare(kScenario.flags());
+  cli.declare(coopnet::exp::jobs_flags());
+  return cli.run(
+      "ext_bittyrant -- extension: BitTyrant-style strategic clients under "
+      "each mechanism",
+      run);
 }

@@ -6,16 +6,22 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+// Reputation throughout; each cell sets the backend, the free-riders and
+// the sybil attack.
+const coopnet::exp::Scenario kScenario{
+    "mid",
+    [](coopnet::sim::SwarmConfig& c) {
+      c.algorithm = coopnet::core::Algorithm::kReputation;
+    },
+    {"mechanism", "attack", "free-riders", "reputation"}};
+
+}  // namespace
+
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
-  auto base = bench::scenario_from_cli(cli);
-  if (!cli.has("scale") && !cli.has("n")) {
-    base.n_peers = 300;
-    base.file_bytes = 32LL * 1024 * 1024;
-    base.graph.degree = 30;
-  }
-  base.algorithm = core::Algorithm::kReputation;
+  const sim::SwarmConfig base = kScenario.from_cli(cli);
 
   std::printf("Extension: reputation backends under sybil praise "
               "(footnote 6), N = %zu\n\n", base.n_peers);
@@ -62,4 +68,14 @@ int main(int argc, char** argv) {
       "received service and\nanchored at the seeders), at comparable "
       "honest-swarm efficiency.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare(kScenario.flags());
+  cli.declare(coopnet::exp::jobs_flags());
+  return cli.run(
+      "ext_eigentrust -- extension: EigenTrust vs the global ledger under "
+      "sybil praise",
+      run);
 }

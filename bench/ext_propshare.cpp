@@ -8,15 +8,17 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+// Each cell sets its own mechanism and free-rider fraction.
+const coopnet::exp::Scenario kScenario{"mid", nullptr,
+                                       {"mechanism", "free-riders"}};
+
+}  // namespace
+
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
-  auto base = bench::scenario_from_cli(cli);
-  if (!cli.has("scale") && !cli.has("n")) {
-    base.n_peers = 300;  // mid scale by default; this is an ablation
-    base.file_bytes = 32LL * 1024 * 1024;
-    base.graph.degree = 30;
-  }
+  const sim::SwarmConfig base = kScenario.from_cli(cli);
 
   std::printf("Extension: PropShare (proportional-share reciprocity) vs "
               "BitTorrent, N = %zu\n\n", base.n_peers);
@@ -73,4 +75,14 @@ int main(int argc, char** argv) {
       "while being\nat least as fair (proportional response) and leaking "
       "no more than the\nalpha_BT altruism budget to free-riders.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare(kScenario.flags());
+  cli.declare(coopnet::exp::jobs_flags());
+  return cli.run(
+      "ext_propshare -- extension: PropShare vs BitTorrent, head to head and "
+      "under free-riding",
+      run);
 }

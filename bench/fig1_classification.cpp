@@ -57,9 +57,8 @@ const char* classification(Algorithm a) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 7)));
+int run(const coopnet::util::Cli& cli) {
+  util::Rng rng(cli.get_u64("seed", 7));
   const auto caps = core::sorted_descending(
       core::CapacityDistribution::default_mix().sample(1000, rng));
 
@@ -111,4 +110,13 @@ int main(int argc, char** argv) {
       "only the reciprocity/reputation hybrid (T-Chain)\nalso keeps "
       "reciprocity's free-riding resistance.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({{"run", "seed", "S", "random seed (default 7)"}});
+  return cli.run(
+      "fig1_classification -- Figure 1: the mechanisms' classification, "
+      "derived from the model",
+      run);
 }

@@ -132,12 +132,11 @@ void proposition3(const std::vector<double>& caps, util::Rng& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 7)));
+int run(const coopnet::util::Cli& cli) {
+  util::Rng rng(cli.get_u64("seed", 7));
   const auto caps = core::sorted_descending(
       core::CapacityDistribution::default_mix().sample(
-          static_cast<std::size_t>(cli.get_int("n", 1000)), rng));
+          cli.get_count("n", 1000, sim::kMaxPeerCount), rng));
   core::ModelParams params;
   // No seeder here: Figure 2 ranks the exchange mechanisms themselves
   // (with a seeder, reciprocity's metrics become finite but meaningless).
@@ -147,4 +146,17 @@ int main(int argc, char** argv) {
   alpha_sweeps(caps);
   proposition3(caps, rng);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "n", "N",
+       "users in the sampled capacity population (default 1000)"},
+      {"run", "seed", "S", "random seed (default 7)"},
+  });
+  return cli.run(
+      "fig2_ideal_ranking -- Figure 2: fairness and efficiency in the "
+      "idealized equilibrium",
+      run);
 }

@@ -107,14 +107,29 @@ void alpha_threshold_table(std::int64_t M, std::int64_t N) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const std::int64_t M = cli.get_int("pieces", 128);
-  const std::int64_t N = cli.get_int("n", 1000);
+int run(const coopnet::util::Cli& cli) {
+  const auto M = static_cast<std::int64_t>(
+      cli.get_count("pieces", 128, sim::kMaxPeerCount));
+  const auto N = static_cast<std::int64_t>(
+      cli.get_count("n", 1000, sim::kMaxPeerCount));
   const double alpha_bt = cli.get_double_in("alpha-bt", 0.2, 0.0, 1.0);
 
   pi_table(M, N, alpha_bt);
   convergence_series(M);
   alpha_threshold_table(M, N);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "pieces", "M", "pieces in the file (default 128)"},
+      {"scenario", "n", "N", "swarm size (default 1000)"},
+      {"scenario", "alpha-bt", "F",
+       "BitTorrent altruism share in [0, 1] (default 0.2)"},
+  });
+  return cli.run(
+      "fig3_piece_availability -- Figure 3: piece-exchange probabilities "
+      "under availability constraints",
+      run);
 }

@@ -6,7 +6,7 @@
 // the S-curve) and where the mean-field limit frays (the discrete tail).
 //
 //   fig4_fluid_overlay [--scale mid|small|paper] [--n N] [--file-mb M]
-//                      [--seed S] [--max-time T] [--jobs K]
+//                      [--seed S] [--max-time T] [--jobs K] (--help: all)
 //
 // Defaults to --scale mid (300 peers, 32 MB) so the artifact renders in
 // about a minute; both backends consume the identical SwarmConfig,
@@ -51,9 +51,11 @@ util::PlotSeries fluid_completion_series(const core::FluidReport& report) {
   return s;
 }
 
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  auto base = bench::scenario_from_cli(cli, "mid");
+// Each cell sets its own mechanism.
+const exp::Scenario kScenario{"mid", nullptr, {"mechanism"}};
+
+int run(const util::Cli& cli) {
+  const sim::SwarmConfig base = kScenario.from_cli(cli);
 
   std::vector<sim::SwarmConfig> cells;
   std::vector<exp::Backend> backends;
@@ -117,10 +119,11 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fig4_fluid_overlay: %s\n", e.what());
-    return 1;
-  }
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare(kScenario.flags());
+  cli.declare(coopnet::exp::jobs_flags());
+  return cli.run(
+      "fig4_fluid_overlay -- Figure 4a: event-simulated vs fluid-predicted "
+      "completion curves",
+      run);
 }

@@ -52,9 +52,8 @@ sim::SwarmConfig fluid_config(core::Algorithm algo, bool churn,
   return config;
 }
 
-int run(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 415));
+int run(const util::Cli& cli) {
+  const auto seed = cli.get_u64("seed", 415);
   const std::string json_out = cli.get_string("json-out", "");
 
   struct Cell {
@@ -110,10 +109,10 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"run", "seed", "S", "random seed (default 415)"},
+      {"output", "json-out", "FILE", "write the BENCH_fluid.json document"},
+  });
+  return cli.run("micro_fluid -- fluid-backend throughput benchmark", run);
 }

@@ -105,9 +105,8 @@ int run_scale_leg(const util::Cli& cli, std::uint64_t seed,
   return 0;
 }
 
-int run(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+int run(const util::Cli& cli) {
+  const auto seed = cli.get_u64("seed", 7);
   const std::string json_out = cli.get_string("json-out", "");
   if (cli.has("peers")) return run_scale_leg(cli, seed, json_out);
   const auto max_n = cli.get_count("max-n", 5000, sim::kMaxPeerCount);
@@ -163,10 +162,16 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"run", "seed", "S", "random seed (default 7)"},
+      {"run", "max-n", "N",
+       "largest sweep population: 100, 1000, 5000 up to N (default 5000)"},
+      {"run", "peers", "N",
+       "run the single-swarm scale leg with N peers instead of the sweep"},
+      {"run", "horizon", "S",
+       "simulated seconds of the scale leg (default 120)"},
+      {"output", "json-out", "FILE", "write the BENCH_swarm*.json document"},
+  });
+  return cli.run("micro_swarm -- six-mechanism swarm throughput benchmark", run);
 }

@@ -78,7 +78,7 @@ void simulation_validation(const util::Cli& cli) {
   for (Algorithm a : algos) {
     sim::SwarmConfig config;
     config.algorithm = a;
-    config.n_peers = static_cast<std::size_t>(cli.get_int("n", 120));
+    config.n_peers = cli.get_count("n", 120, sim::kMaxPeerCount);
     config.file_bytes = 64 * 128 * 1024;
     config.piece_bytes = 128 * 1024;
     config.capacities = core::CapacityDistribution::homogeneous(capacity);
@@ -87,7 +87,7 @@ void simulation_validation(const util::Cli& cli) {
     config.flash_crowd_window = 2.0;
     config.tchain_grace = 8.0;
     config.max_time = 4000.0;
-    config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+    config.seed = cli.get_u64("seed", 7);
     cells.push_back(config);
   }
   const exp::SweepResult sweep =
@@ -120,12 +120,11 @@ void simulation_validation(const util::Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 7)));
+int run(const coopnet::util::Cli& cli) {
+  util::Rng rng(cli.get_u64("seed", 7));
   const auto caps = core::sorted_descending(
       core::CapacityDistribution::default_mix().sample(
-          static_cast<std::size_t>(cli.get_int("n", 1000)), rng));
+          cli.get_count("n", 1000, sim::kMaxPeerCount), rng));
 
   core::ModelParams params;
   params.seeder_rate = 4.0 * 1024 * 1024;
@@ -134,4 +133,20 @@ int main(int argc, char** argv) {
   nbt_ablation(caps);
   if (!cli.has("no-sim")) simulation_validation(cli);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "n", "N",
+       "users in the analytic population (default 1000) and leechers in the "
+       "simulation check (default 120)"},
+      {"run", "seed", "S", "random seed (default 7)"},
+      {"run", "no-sim", "", "skip the simulation check"},
+  });
+  cli.declare(coopnet::exp::jobs_flags());
+  return cli.run(
+      "table1_equilibrium -- Table I: equilibrium download rates, with a "
+      "simulation check",
+      run);
 }

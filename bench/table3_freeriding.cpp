@@ -97,7 +97,7 @@ void simulation_cross_check(const util::Cli& cli) {
   util::Table table("");
   table.set_header({"Algorithm", "Table III exploitable share",
                     "realized susceptibility"});
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 7)));
+  util::Rng rng(cli.get_u64("seed", 7));
   const auto caps = core::sorted_descending(
       core::CapacityDistribution::default_mix().sample(300, rng));
   const double total = core::total_capacity(caps);
@@ -131,15 +131,28 @@ void simulation_cross_check(const util::Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 7)));
+int run(const coopnet::util::Cli& cli) {
+  util::Rng rng(cli.get_u64("seed", 7));
   const auto caps = core::sorted_descending(
       core::CapacityDistribution::default_mix().sample(
-          static_cast<std::size_t>(cli.get_int("n", 1000)), rng));
+          cli.get_count("n", 1000, sim::kMaxPeerCount), rng));
 
   main_table(caps);
   sweeps(caps);
   if (!cli.has("no-sim")) simulation_cross_check(cli);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "n", "N", "users in the analytic population (default 1000)"},
+      {"run", "seed", "S", "random seed (default 7)"},
+      {"run", "no-sim", "", "skip the simulation check"},
+  });
+  cli.declare(coopnet::exp::jobs_flags());
+  return cli.run(
+      "table3_freeriding -- Table III: resources available to free-riders, "
+      "with a simulation check",
+      run);
 }

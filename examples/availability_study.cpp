@@ -13,15 +13,14 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
   const core::Algorithm algo =
       core::algorithm_from_string(cli.get_string("algo", "BitTorrent"));
 
   auto config = sim::SwarmConfig::paper_scale(
-      algo, static_cast<std::uint64_t>(cli.get_int("seed", 5)));
-  config.n_peers = static_cast<std::size_t>(cli.get_int("n", 200));
+      algo, cli.get_u64("seed", 5));
+  config.n_peers = cli.get_count("n", 200, sim::kMaxPeerCount);
   config.file_bytes = 32LL * 1024 * 1024;
   config.graph.degree = 25;
   config.max_time = 2000.0;
@@ -77,4 +76,17 @@ int main(int argc, char** argv) {
       "(Cor. 2); as the swarm fills, all three\nconverge toward 1 and "
       "piece availability stops being the bottleneck.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "algo", "NAME", "mechanism (default BitTorrent)"},
+      {"scenario", "n", "N", "leechers (default 200)"},
+      {"run", "seed", "S", "random seed (default 5)"},
+  });
+  return cli.run(
+      "availability_study -- measured piece availability fed into the eq. 4-8 "
+      "model",
+      run);
 }

@@ -12,10 +12,9 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 300));
+  const auto n = cli.get_count("n", 300, sim::kMaxPeerCount);
 
   // --- analytical side: Table II at this swarm's scale -------------------
   core::BootstrapParams params;
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
                         "p90 bootstrap (s)", "bootstrapped"});
   for (core::Algorithm algo : core::kAllAlgorithms) {
     auto config = sim::SwarmConfig::paper_scale(
-        algo, static_cast<std::uint64_t>(cli.get_int("seed", 9)));
+        algo, cli.get_u64("seed", 9));
     config.n_peers = n;
     config.file_bytes = 32LL * 1024 * 1024;
     config.graph.degree = 30;
@@ -73,4 +72,16 @@ int main(int argc, char** argv) {
       "newcomers are an order of\nmagnitude slower; pure reciprocity leaves "
       "bootstrapping entirely to the\nseeder.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "n", "N", "flash-crowd size (default 300)"},
+      {"run", "seed", "S", "random seed (default 9)"},
+  });
+  return cli.run(
+      "flash_crowd_bootstrap -- analytical vs simulated flash-crowd "
+      "bootstrapping",
+      run);
 }

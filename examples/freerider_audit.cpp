@@ -12,11 +12,10 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 300));
-  const double max_fraction = cli.get_double("max-fraction", 0.4);
+  const auto n = cli.get_count("n", 300, sim::kMaxPeerCount);
+  const double max_fraction = cli.get_double_in("max-fraction", 0.4, 0.1, 0.9);
   const bool large_view = cli.has("large-view");
 
   std::printf("Free-riding audit: %zu peers, worst-case attack per "
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {core::to_string(algo)};
 
     auto base = sim::SwarmConfig::paper_scale(
-        algo, static_cast<std::uint64_t>(cli.get_int("seed", 17)));
+        algo, cli.get_u64("seed", 17));
     base.n_peers = n;
     base.file_bytes = 32LL * 1024 * 1024;
     base.graph.degree = 30;
@@ -71,4 +70,21 @@ int main(int argc, char** argv) {
       "reputation system hand free-riders their full demand\nshare; "
       "BitTorrent and FairTorrent leak their altruism budget.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "n", "N", "leechers (default 300)"},
+      {"scenario", "max-fraction", "F",
+       "largest free-rider fraction swept in steps of 0.1, in [0.1, 0.9] "
+       "(default 0.4)"},
+      {"scenario", "large-view", "",
+       "free-riders also use the large-view exploit"},
+      {"run", "seed", "S", "random seed (default 17)"},
+  });
+  return cli.run(
+      "freerider_audit -- susceptibility of each mechanism to its worst "
+      "free-riding attack",
+      run);
 }

@@ -15,12 +15,12 @@
 #include "util/histogram.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
   const auto devices =
-      static_cast<std::size_t>(cli.get_int("devices", 400));
-  const long update_mb = cli.get_int("update-mb", 16);
+      cli.get_count("devices", 400, sim::kMaxPeerCount);
+  const auto update_mb =
+      static_cast<long>(cli.get_count("update-mb", 16, 1L << 20));
 
   std::printf("IoT update dissemination: %zu devices, %ld MiB update, "
               "heterogeneous uplinks\n"
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   for (core::Algorithm algo : core::kAllAlgorithms) {
     auto config = sim::SwarmConfig::paper_scale(
-        algo, static_cast<std::uint64_t>(cli.get_int("seed", 3)));
+        algo, cli.get_u64("seed", 3));
     config.n_peers = devices;
     config.file_bytes = update_mb * 1024LL * 1024LL;
     config.piece_bytes = 128LL * 1024;
@@ -86,4 +86,17 @@ int main(int argc, char** argv) {
       "contributions proportional to consumption,\nwhich is what a mixed "
       "battery-powered fleet needs.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "devices", "N", "devices (default 400)"},
+      {"scenario", "update-mb", "MB", "update size, MiB (default 16)"},
+      {"run", "seed", "S", "random seed (default 3)"},
+  });
+  return cli.run(
+      "iot_update_dissemination -- pushing a firmware update to a "
+      "heterogeneous device fleet",
+      run);
 }

@@ -11,9 +11,8 @@
 #include "exp/runner.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
 
   // 1. Pick an incentive mechanism (all six of the paper's algorithms are
   //    available: Reciprocity, T-Chain, BitTorrent, FairTorrent,
@@ -25,8 +24,8 @@ int main(int argc, char** argv) {
   //    SwarmConfig::paper_scale reproduces Section V-A (1000 peers,
   //    128 MB file). Every knob is a plain struct field.
   auto config = sim::SwarmConfig::small(
-      algo, static_cast<std::uint64_t>(cli.get_int("seed", 42)));
-  config.n_peers = static_cast<std::size_t>(cli.get_int("n", 200));
+      algo, cli.get_u64("seed", 42));
+  config.n_peers = cli.get_count("n", 200, sim::kMaxPeerCount);
   config.max_time = 2000.0;
 
   // 3. Run. run_scenario wires the strategy, swarm, and metrics together.
@@ -63,4 +62,16 @@ int main(int argc, char** argv) {
               static_cast<double>(report.total_uploaded_bytes) /
                   (1024.0 * 1024.0));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "algo", "NAME", "mechanism (default T-Chain)"},
+      {"scenario", "n", "N", "leechers (default 200)"},
+      {"run", "seed", "S", "random seed (default 42)"},
+  });
+  return cli.run(
+      "quickstart -- simulate one cooperative swarm and read the results",
+      run);
 }

@@ -15,15 +15,14 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
   const core::Algorithm algo =
       core::algorithm_from_string(cli.get_string("algo", "T-Chain"));
 
   auto base = sim::SwarmConfig::small(
-      algo, static_cast<std::uint64_t>(cli.get_int("seed", 11)));
-  base.n_peers = static_cast<std::size_t>(cli.get_int("n", 60));
+      algo, cli.get_u64("seed", 11));
+  base.n_peers = cli.get_count("n", 60, sim::kMaxPeerCount);
 
   struct Variant {
     const char* name;
@@ -75,4 +74,17 @@ int main(int argc, char** argv) {
       "\nSame seed + same FaultConfig reproduces a run bit for bit; a\n"
       "default FaultConfig is exactly the ideal simulator.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  coopnet::util::Cli cli(argc, argv);
+  cli.declare({
+      {"scenario", "algo", "NAME", "mechanism (default T-Chain)"},
+      {"scenario", "n", "N", "leechers (default 60)"},
+      {"run", "seed", "S", "random seed (default 11)"},
+  });
+  return cli.run(
+      "unreliable_swarm -- one mechanism under increasing transfer loss and "
+      "churn",
+      run);
 }

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "fleet/lease.h"
 #include "util/backoff.h"
@@ -55,5 +56,8 @@ struct FleetControl {
 /// actionable message on conflicts (both roles at once, malformed
 /// endpoints, heartbeat slower than the lease).
 FleetControl fleet_control_from_cli(const util::Cli& cli);
+
+/// The flags fleet_control_from_cli reads, for util::Cli::declare.
+std::vector<util::CliFlag> fleet_flags();
 
 }  // namespace coopnet::fleet

@@ -1,11 +1,9 @@
 #include "sim/checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#include "core/algorithm.h"
 #include "sim/event_kinds.h"
 #include "sim/swarm.h"
 #include "util/byteio.h"
@@ -17,38 +15,6 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'O', 'P', 'C', 'K', 'P', 'T'};
 constexpr std::uint32_t kFormatVersion = 3;
-
-// --- canonical config rendering ------------------------------------------
-
-/// Doubles are rendered as their IEEE-754 bit pattern: the fingerprint
-/// must mean bit-equality, not printf-rounded equality.
-void put_double_field(std::string& out, const char* key, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s=%016llx\n", key,
-                static_cast<unsigned long long>(bits));
-  out += buf;
-}
-
-void put_u64_field(std::string& out, const char* key, std::uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s=%llu\n", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void put_i64_field(std::string& out, const char* key, std::int64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s=%lld\n", key,
-                static_cast<long long>(v));
-  out += buf;
-}
-
-void put_bool_field(std::string& out, const char* key, bool v) {
-  out += key;
-  out += v ? "=1\n" : "=0\n";
-}
 
 // --- section payload helpers ---------------------------------------------
 
@@ -105,83 +71,6 @@ const SnapshotSection& require_section(
 }
 
 }  // namespace
-
-std::string canonical_config_string(const SwarmConfig& config) {
-  std::string out;
-  out.reserve(1024);
-  out += "algorithm=" + core::to_string(config.algorithm) + "\n";
-
-  put_u64_field(out, "n_peers", config.n_peers);
-  put_double_field(out, "free_rider_fraction", config.free_rider_fraction);
-  put_double_field(out, "strategic_fraction", config.strategic_fraction);
-  put_u64_field(out, "capacity_classes", config.capacities.classes().size());
-  for (const core::CapacityClass& c : config.capacities.classes()) {
-    put_double_field(out, "capacity_rate", c.rate);
-    put_double_field(out, "capacity_fraction", c.fraction);
-  }
-  put_double_field(out, "seeder_capacity", config.seeder_capacity);
-  put_u64_field(out, "seeder_count", config.seeder_count);
-
-  put_i64_field(out, "file_bytes", config.file_bytes);
-  put_i64_field(out, "piece_bytes", config.piece_bytes);
-
-  put_u64_field(out, "arrivals", static_cast<std::uint64_t>(config.arrivals));
-  put_double_field(out, "flash_crowd_window", config.flash_crowd_window);
-  put_double_field(out, "arrival_rate", config.arrival_rate);
-  put_u64_field(out, "graph_degree", config.graph.degree);
-  put_double_field(out, "graph_large_view_multiplier",
-                   config.graph.large_view_multiplier);
-  put_i64_field(out, "max_incoming", config.max_incoming);
-
-  put_i64_field(out, "upload_slots", config.upload_slots);
-  put_i64_field(out, "seeder_slots", config.seeder_slots);
-  put_double_field(out, "rechoke_interval", config.rechoke_interval);
-  put_i64_field(out, "optimistic_rounds", config.optimistic_rounds);
-  put_i64_field(out, "n_bt", config.n_bt);
-  put_double_field(out, "alpha_r", config.alpha_r);
-  put_u64_field(out, "reputation_mode",
-                static_cast<std::uint64_t>(config.reputation_mode));
-  put_u64_field(out, "piece_selection",
-                static_cast<std::uint64_t>(config.piece_selection));
-  put_double_field(out, "tchain_grace", config.tchain_grace);
-  put_i64_field(out, "tchain_backlog", config.tchain_backlog);
-
-  put_bool_field(out, "attack_collusion", config.attack.collusion);
-  put_bool_field(out, "attack_whitewashing", config.attack.whitewashing);
-  put_double_field(out, "attack_whitewash_interval",
-                   config.attack.whitewash_interval);
-  put_bool_field(out, "attack_sybil_praise", config.attack.sybil_praise);
-  put_double_field(out, "attack_sybil_interval",
-                   config.attack.sybil_interval);
-  put_double_field(out, "attack_sybil_rate", config.attack.sybil_rate);
-  put_bool_field(out, "attack_large_view", config.attack.large_view);
-
-  put_double_field(out, "fault_transfer_loss_rate",
-                   config.faults.transfer_loss_rate);
-  put_double_field(out, "fault_transfer_stall_rate",
-                   config.faults.transfer_stall_rate);
-  put_double_field(out, "fault_stall_timeout", config.faults.stall_timeout);
-  put_i64_field(out, "fault_max_retries", config.faults.max_retries);
-  put_double_field(out, "fault_retry_backoff", config.faults.retry_backoff);
-  put_double_field(out, "fault_retry_backoff_factor",
-                   config.faults.retry_backoff_factor);
-  put_double_field(out, "fault_retry_backoff_cap",
-                   config.faults.retry_backoff_cap);
-  put_double_field(out, "fault_churn_rate", config.faults.churn_rate);
-  put_double_field(out, "fault_rejoin_probability",
-                   config.faults.rejoin_probability);
-  put_double_field(out, "fault_mean_downtime", config.faults.mean_downtime);
-  put_double_field(out, "fault_seeder_uptime", config.faults.seeder_uptime);
-  put_double_field(out, "fault_seeder_downtime",
-                   config.faults.seeder_downtime);
-
-  put_double_field(out, "linger_time", config.linger_time);
-  put_double_field(out, "max_time", config.max_time);
-  put_double_field(out, "retry_interval", config.retry_interval);
-  put_u64_field(out, "seed", config.seed);
-  put_u64_field(out, "audit_every", config.audit_every);
-  return out;
-}
 
 // --- container ------------------------------------------------------------
 

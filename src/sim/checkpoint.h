@@ -93,10 +93,6 @@ class SwarmCheckpoint {
                       const std::vector<SnapshotSection>& sections);
 };
 
-/// Canonical rendering of every result-affecting SwarmConfig field --
-/// doubles as IEEE-754 bit patterns, so equality means bit-equality.
-std::string canonical_config_string(const SwarmConfig& config);
-
 /// Wraps sections in the versioned container: magic, format version, a
 /// CRC32+length fingerprint of canonical_config_string(config), then each
 /// section CRC-framed. The result is what lands on disk / on the wire.

@@ -1,23 +1,8 @@
 #include "sim/faults.h"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-#include <string>
-
 #include "util/backoff.h"
 
 namespace coopnet::sim {
-
-namespace {
-
-bool finite(double v) { return std::isfinite(v); }
-
-void require(bool ok, const char* what) {
-  if (!ok) throw std::invalid_argument(std::string("FaultConfig: ") + what);
-}
-
-}  // namespace
 
 Seconds FaultConfig::backoff_for(int attempt) const {
   // The shared capped-exponential schedule (util::Backoff) with this
@@ -26,40 +11,6 @@ Seconds FaultConfig::backoff_for(int attempt) const {
   return util::Backoff{retry_backoff, retry_backoff_factor,
                        retry_backoff_cap}
       .delay_for(attempt);
-}
-
-void FaultConfig::validate() const {
-  require(finite(transfer_loss_rate) && transfer_loss_rate >= 0.0 &&
-              transfer_loss_rate < 1.0,
-          "transfer_loss_rate outside [0, 1)");
-  require(finite(transfer_stall_rate) && transfer_stall_rate >= 0.0 &&
-              transfer_stall_rate < 1.0,
-          "transfer_stall_rate outside [0, 1)");
-  require(finite(stall_timeout), "stall_timeout not finite");
-  if (transfer_stall_rate > 0.0) {
-    require(stall_timeout > 0.0, "stall_timeout <= 0 with stalls enabled");
-  }
-  require(max_retries >= 0, "max_retries < 0");
-  require(finite(retry_backoff) && retry_backoff > 0.0,
-          "retry_backoff <= 0");
-  require(finite(retry_backoff_factor) && retry_backoff_factor >= 1.0,
-          "retry_backoff_factor < 1");
-  require(finite(retry_backoff_cap) && retry_backoff_cap >= retry_backoff,
-          "retry_backoff_cap < retry_backoff");
-  require(finite(churn_rate) && churn_rate >= 0.0, "churn_rate < 0");
-  require(finite(rejoin_probability) && rejoin_probability >= 0.0 &&
-              rejoin_probability <= 1.0,
-          "rejoin_probability outside [0, 1]");
-  require(finite(mean_downtime) && mean_downtime >= 0.0,
-          "mean_downtime < 0");
-  require(finite(seeder_uptime) && seeder_uptime >= 0.0,
-          "seeder_uptime < 0");
-  require(finite(seeder_downtime) && seeder_downtime >= 0.0,
-          "seeder_downtime < 0");
-  if (seeder_uptime > 0.0 || seeder_downtime > 0.0) {
-    require(seeder_uptime > 0.0 && seeder_downtime > 0.0,
-            "seeder outages need both seeder_uptime and seeder_downtime > 0");
-  }
 }
 
 FaultConfig lossy_faults(double loss_rate) {

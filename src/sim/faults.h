@@ -76,6 +76,8 @@ struct FaultConfig {
   Seconds backoff_for(int attempt) const;
 
   /// Throws std::invalid_argument on out-of-range or non-finite knobs.
+  /// Defined next to the config schema (config.cpp), whose rows give the
+  /// ranges.
   void validate() const;
 };
 
