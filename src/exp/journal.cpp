@@ -55,10 +55,11 @@ CrcStatus check_record_crc(const std::string& line, std::uint32_t* expected,
   return *expected == *actual ? CrcStatus::kOk : CrcStatus::kMismatch;
 }
 
-std::string render_header_line(std::size_t cells, std::uint64_t base_seed) {
+std::string render_header_line(const SweepFingerprint& sweep) {
   std::ostringstream os;
   os << "{\"kind\":\"header\",\"schema\":" << kJournalSchemaVersion
-     << ",\"cells\":" << cells << ",\"base_seed\":" << base_seed << "}";
+     << ",\"cells\":" << sweep.cells << ",\"base_seed\":" << sweep.base_seed
+     << ",\"config_crc\":" << sweep.config_crc << "}";
   return add_record_crc(os.str());
 }
 
@@ -202,6 +203,22 @@ bool parse_cell_line(const std::string& line, JournalEntry* entry) {
 
 }  // namespace
 
+SweepFingerprint SweepFingerprint::of(
+    const std::vector<sim::SwarmConfig>& cells, std::uint64_t base_seed) {
+  std::uint32_t crc = 0;
+  for (const sim::SwarmConfig& cell : cells) {
+    crc = util::crc32(sim::canonical_config_string(cell), crc);
+  }
+  return {cells.size(), base_seed, crc};
+}
+
+std::string SweepFingerprint::describe() const {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", config_crc);
+  return std::to_string(cells) + " cells with base seed " +
+         std::to_string(base_seed) + " and config CRC " + crc;
+}
+
 JournalIndex JournalIndex::load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -293,10 +310,15 @@ JournalIndex JournalIndex::load(const std::string& path) {
       // Schema first: a pre-crc journal gets the version-mismatch
       // message (with its remedy), not a confusing "no crc field".
       verify_record_crc(line, line_no);
+      std::uint64_t config_crc = 0;
       if (find_field(line, "cells", &raw) && parse_u64(raw, &cells) &&
           find_field(line, "base_seed", &raw) &&
-          parse_u64(raw, &index.base_seed_)) {
-        index.sweep_cells_ = static_cast<std::size_t>(cells);
+          parse_u64(raw, &index.fingerprint_.base_seed) &&
+          find_field(line, "config_crc", &raw) &&
+          parse_u64(raw, &config_crc) && config_crc <= 0xFFFFFFFFu) {
+        index.fingerprint_.cells = static_cast<std::size_t>(cells);
+        index.fingerprint_.config_crc =
+            static_cast<std::uint32_t>(config_crc);
         index.schema_ = schema;
         header_seen = true;
       } else {
@@ -310,11 +332,11 @@ JournalIndex JournalIndex::load(const std::string& path) {
         // declared is not a torn line -- it is a journal/sweep mismatch
         // (or corruption the strict parsers could not catch), and quietly
         // dropping or keeping it would merge the wrong data point.
-        if (header_seen && entry.index >= index.sweep_cells_) {
+        if (header_seen && entry.index >= index.fingerprint_.cells) {
           std::ostringstream os;
           os << "run journal " << path << " has a record for cell "
              << entry.index << " but its header declares only "
-             << index.sweep_cells_
+             << index.fingerprint_.cells
              << " cells; the journal does not belong to this sweep -- "
                 "check the --journal path, or delete it and rerun fresh "
                 "(without --resume)";
@@ -365,9 +387,9 @@ RunJournal::~RunJournal() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void RunJournal::write_header(std::size_t cells, std::uint64_t base_seed) {
+void RunJournal::write_header(const SweepFingerprint& sweep) {
   std::lock_guard<std::mutex> lock(mu_);
-  write_line(render_header_line(cells, base_seed));
+  write_line(render_header_line(sweep));
 }
 
 void RunJournal::record(const CellOutcome& outcome) {

@@ -4,7 +4,8 @@
 //
 // Format -- one JSON object per line:
 //
-//   {"kind":"header","schema":2,"cells":12,"base_seed":7,"crc":...}
+//   {"kind":"header","schema":3,"cells":12,"base_seed":7,
+//    "config_crc":...,"crc":...}
 //   {"kind":"cell","index":3,"seed":...,"algorithm":"BitTorrent",
 //    "status":"ok","error":"","wall_s":...,"events":...,
 //    "compliant_population":40,"completions":38,"bootstraps":40,
@@ -22,7 +23,9 @@
 // "report" key is escaped (every inner quote becomes \"), so the
 // scalar-field scans can never match keys inside the embedded report.
 //
-// The final "crc" field (schema 2) is the util::crc32 of every line byte
+// The header pins the sweep's SweepFingerprint (schema 3 added the
+// config CRC), so --resume refuses a journal written by another command
+// line. The final "crc" field (schema 2) is the util::crc32 of every line byte
 // before the `,"crc"` suffix. A torn TRAILING line (the crash case --
 // fwrite cut short, so the newline never landed) is still tolerated and
 // dropped; but a complete, newline-terminated line whose checksum does
@@ -46,7 +49,8 @@ namespace coopnet::exp {
 /// header's "schema" field. Bump when a record field changes meaning or
 /// layout; loaders reject any other version with an actionable error
 /// instead of silently merging incompatible records.
-inline constexpr std::uint64_t kJournalSchemaVersion = 2;
+inline constexpr std::uint64_t kJournalSchemaVersion = 3;
+
 
 /// One journaled cell record, as parsed back from disk.
 struct JournalEntry {
@@ -84,9 +88,8 @@ class JournalIndex {
   /// The journaled record for cell `index`, or nullptr.
   const JournalEntry* find(std::size_t index) const;
   std::size_t size() const { return entries_.size(); }
-  /// Sweep shape recorded in the header, for resume validation.
-  std::size_t sweep_cells() const { return sweep_cells_; }
-  std::uint64_t base_seed() const { return base_seed_; }
+  /// The sweep recorded in the header, for resume validation.
+  const SweepFingerprint& fingerprint() const { return fingerprint_; }
   /// Schema version the journal was written with (always
   /// kJournalSchemaVersion -- load() rejects anything else).
   std::uint64_t schema() const { return schema_; }
@@ -95,8 +98,7 @@ class JournalIndex {
 
  private:
   std::map<std::size_t, JournalEntry> entries_;
-  std::size_t sweep_cells_ = 0;
-  std::uint64_t base_seed_ = 0;
+  SweepFingerprint fingerprint_;
   std::uint64_t schema_ = kJournalSchemaVersion;
   std::size_t torn_lines_ = 0;
 };
@@ -116,8 +118,8 @@ class RunJournal {
   RunJournal(const RunJournal&) = delete;
   RunJournal& operator=(const RunJournal&) = delete;
 
-  /// Writes the sweep-shape header line (fresh journals only).
-  void write_header(std::size_t cells, std::uint64_t base_seed);
+  /// Writes the sweep's header line (fresh journals only).
+  void write_header(const SweepFingerprint& sweep);
 
   /// Appends one terminal outcome, durably (write + flush + fsync before
   /// returning). Throws std::runtime_error on I/O failure.

@@ -32,9 +32,6 @@ MetricEstimate estimate(const std::vector<double>& samples) {
   return e;
 }
 
-namespace {
-
-/// Builds the R replication cells for `config` seeded from `seed0`.
 std::vector<sim::SwarmConfig> replication_cells(const sim::SwarmConfig& config,
                                                 std::size_t replications,
                                                 std::uint64_t seed0) {
@@ -44,6 +41,8 @@ std::vector<sim::SwarmConfig> replication_cells(const sim::SwarmConfig& config,
   }
   return cells;
 }
+
+namespace {
 
 /// Fills the per-metric estimates of `out` from out.runs.
 void fill_estimates(ReplicatedReport& out) {

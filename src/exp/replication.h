@@ -53,6 +53,11 @@ struct ReplicatedReport {
 /// the caller's job). Requires at least one sample.
 MetricEstimate estimate(const std::vector<double>& samples);
 
+/// The R replication cells of `config`: seeds cell_seed(seed0, r).
+std::vector<sim::SwarmConfig> replication_cells(const sim::SwarmConfig& config,
+                                                std::size_t replications,
+                                                std::uint64_t seed0);
+
 /// Runs `config` under the per-replication seeds cell_seed(seed0, r),
 /// r = 0..replications-1 (see exp/schedule.h), and aggregates. Requires
 /// replications >= 1. `jobs` cells run concurrently (1 = sequential on the

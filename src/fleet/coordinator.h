@@ -102,7 +102,7 @@ class FleetCoordinator {
   exp::SweepResult merge() const;
 
   std::vector<sim::SwarmConfig> cells_;
-  std::uint64_t base_seed_;
+  exp::SweepFingerprint sweep_;
   FleetControl control_;
   exp::RunJournal* journal_;
   LeaseTable table_;

@@ -7,7 +7,8 @@
 // append the received bytes straight into its fsync'd journal).
 //
 //   worker -> coordinator
-//     HELLO <proto> <name> <cells> <base_seed>   join + sweep fingerprint
+//     HELLO <proto> <name> <cells> <base_seed> <config_crc>
+//                                                join + sweep fingerprint
 //     REQUEST                                    ask for a lease
 //     RESULT <journal cell line>                 one terminal cell outcome
 //     CKPT <index> <hex snapshot>                mid-cell snapshot (v2)
@@ -46,8 +47,9 @@
 namespace coopnet::fleet {
 
 /// Protocol revision sent in HELLO; the coordinator rejects mismatches.
-/// v2 added the CKPT frame (mid-cell snapshot relay).
-inline constexpr int kProtocolVersion = 2;
+/// v2 added the CKPT frame (mid-cell snapshot relay); v3 added the cells'
+/// config CRC to the HELLO fingerprint (exp::SweepFingerprint).
+inline constexpr int kProtocolVersion = 3;
 
 /// One parsed frame. Fields beyond `type` are meaningful only for the
 /// frame types that carry them (see the map above).
@@ -71,6 +73,7 @@ struct Frame {
   std::string name;          // HELLO worker name; ERROR message
   std::size_t cells = 0;     // HELLO sweep fingerprint
   std::uint64_t base_seed = 0;  // HELLO sweep fingerprint
+  std::uint32_t config_crc = 0;  // HELLO sweep fingerprint
   double heartbeat_s = 0.0;  // WELCOME
   double lease_s = 0.0;      // WELCOME
   double wait_s = 0.0;       // WAIT
@@ -86,7 +89,7 @@ const char* to_string(Frame::Type type);
 // Renderers: one complete frame line, WITHOUT the trailing '\n' (the
 // send path appends it).
 std::string render_hello(const std::string& name, std::size_t cells,
-                         std::uint64_t base_seed);
+                         std::uint64_t base_seed, std::uint32_t config_crc);
 std::string render_welcome(double heartbeat_s, double lease_s);
 std::string render_error(const std::string& message);
 std::string render_request();

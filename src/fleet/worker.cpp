@@ -85,7 +85,7 @@ FleetWorker::FleetWorker(const std::vector<sim::SwarmConfig>& cells,
                          const exp::Supervision& supervision,
                          double checkpoint_every)
     : cells_(cells),
-      base_seed_(base_seed),
+      sweep_(exp::SweepFingerprint::of(cells, base_seed)),
       control_(control),
       supervision_(supervision),
       checkpoint_every_(checkpoint_every) {
@@ -141,8 +141,9 @@ void FleetWorker::connect_and_join() {
       continue;
     }
     buf_ = LineBuffer();
-    if (!send_frame(sock_, render_hello(control_.worker_name,
-                                        cells_.size(), base_seed_))) {
+    if (!send_frame(sock_,
+                    render_hello(control_.worker_name, sweep_.cells,
+                                 sweep_.base_seed, sweep_.config_crc))) {
       last_error = "connection dropped while sending HELLO";
       sock_.close();
       continue;

@@ -103,7 +103,7 @@ class FleetWorker {
   void flush_outbox();
 
   std::vector<sim::SwarmConfig> cells_;
-  std::uint64_t base_seed_;
+  exp::SweepFingerprint sweep_;
   FleetControl control_;
   exp::Supervision supervision_;
   double checkpoint_every_ = 0.0;

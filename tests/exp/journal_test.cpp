@@ -77,7 +77,7 @@ TEST(RunJournal, RoundTripsOutcomesExactly) {
   const std::string path = temp_path("journal_roundtrip.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), 7);
+    journal.write_header(SweepFingerprint::of(cells, 7));
     const auto sweep =
         run_cells(cells, 1, Supervision{}, &journal, nullptr);
     ASSERT_TRUE(sweep.complete());
@@ -85,8 +85,7 @@ TEST(RunJournal, RoundTripsOutcomesExactly) {
 
     const auto index = JournalIndex::load(path);
     EXPECT_EQ(index.size(), cells.size());
-    EXPECT_EQ(index.sweep_cells(), cells.size());
-    EXPECT_EQ(index.base_seed(), 7u);
+    EXPECT_EQ(index.fingerprint(), SweepFingerprint::of(cells, 7));
     EXPECT_EQ(index.torn_lines(), 0u);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const JournalEntry* entry = index.find(i);
@@ -118,7 +117,7 @@ TEST(RunJournal, NonOkOutcomesJournalTheirDiagnostics) {
   const std::string path = temp_path("journal_failures.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), 9);
+    journal.write_header(SweepFingerprint::of(cells, 9));
     run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   const auto index = JournalIndex::load(path);
@@ -148,7 +147,7 @@ TEST(RunJournal, ResumeAfterTruncationMergesByteIdentically) {
   // Full journaled run, then simulate a crash after two records landed.
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), 11);
+    journal.write_header(SweepFingerprint::of(cells, 11));
     run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   truncate_to_lines(path, 3);  // header + 2 cells
@@ -172,7 +171,7 @@ TEST(RunJournal, ToleratesATornTrailingLine) {
   const std::string path = temp_path("journal_torn.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), 13);
+    journal.write_header(SweepFingerprint::of(cells, 13));
     run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   // A SIGKILL mid-write leaves a partial record with no trailing newline.
@@ -195,7 +194,7 @@ TEST(RunJournal, LoadRejectsMidFileBitRotActionably) {
   const std::string path = temp_path("journal_bitrot.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), 31);
+    journal.write_header(SweepFingerprint::of(cells, 31));
     run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   const std::string whole = read_file(path);
@@ -257,7 +256,9 @@ TEST(RunJournal, LoadRejectsASchemaVersionMismatchActionably) {
     const std::string what = e.what();
     // The error names both versions and tells the user what to do.
     EXPECT_NE(what.find("schema version 99"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version " + std::to_string(kJournalSchemaVersion)),
+              std::string::npos)
+        << what;
     EXPECT_NE(what.find("rerun"), std::string::npos) << what;
   }
 
@@ -281,7 +282,7 @@ TEST(RunJournal, LoadRejectsAnOutOfRangeCellIndexActionably) {
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << with_crc(
-               R"({"kind":"header","schema":2,"cells":2,"base_seed":7})")
+               R"({"kind":"header","schema":3,"cells":2,"base_seed":7,"config_crc":0})")
         << "\n"
         << with_crc(
                R"({"kind":"cell","index":5,"seed":9,"algorithm":"bt",)"
@@ -303,7 +304,7 @@ TEST(RunJournal, LoadRejectsAnOutOfRangeCellIndexActionably) {
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << with_crc(
-               R"({"kind":"header","schema":2,"cells":2,"base_seed":7})")
+               R"({"kind":"header","schema":3,"cells":2,"base_seed":7,"config_crc":0})")
         << "\n"
         << with_crc(
                R"({"kind":"cell","index":-1,"seed":9,"algorithm":"bt",)"
@@ -319,7 +320,7 @@ TEST(RunJournal, LoadRejectsAnOutOfRangeCellIndexActionably) {
 TEST(RunJournal, SchemaMismatchRejectsResumeEndToEnd) {
   const std::string path = temp_path("journal_schema_resume.jsonl");
   {
-    // Schema 1 (the pre-checksum layout) against a schema-2 reader.
+    // Schema 1 (the pre-checksum layout) against a schema-3 reader.
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << R"({"kind":"header","schema":1,"cells":4,"base_seed":11})"
         << "\n";
@@ -327,7 +328,8 @@ TEST(RunJournal, SchemaMismatchRejectsResumeEndToEnd) {
   SweepControl control;
   control.resume_path = path;
   control.journal_path = path;
-  EXPECT_THROW(open_sweep_journal(control, 4, 11), std::runtime_error);
+  EXPECT_THROW(open_sweep_journal(control, SweepFingerprint{4, 11, 0}),
+               std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -341,7 +343,7 @@ TEST(RunJournal, LoaderRecoversAllCompleteRecordsAtEveryTruncation) {
   const std::string path = temp_path("journal_everycut.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), 23);
+    journal.write_header(SweepFingerprint::of(cells, 23));
     const auto sweep =
         run_cells(cells, 1, Supervision{}, &journal, nullptr);
     ASSERT_TRUE(sweep.complete());
@@ -411,7 +413,7 @@ TEST(RunJournal, CellRecordRenderParseRoundTripsOnOneLine) {
   EXPECT_FALSE(parse_cell_record("RESULT garbage", &entry));
   EXPECT_FALSE(parse_cell_record(line.substr(0, line.size() / 2), &entry));
   EXPECT_FALSE(parse_cell_record(
-      R"({"kind":"header","schema":2,"cells":1,"base_seed":1})", &entry));
+      R"({"kind":"header","schema":3,"cells":1,"base_seed":1,"config_crc":0})", &entry));
   // A single bit flipped anywhere in an otherwise well-formed record
   // fails the checksum and is rejected before any field is trusted.
   {
@@ -431,7 +433,7 @@ TEST(RunJournal, CellRecordRenderParseRoundTripsOnOneLine) {
   const std::string path = temp_path("journal_rawline.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), 29);
+    journal.write_header(SweepFingerprint::of(cells, 29));
     journal.append_record_line(line);
     EXPECT_EQ(journal.records_written(), 1u);
   }
@@ -459,7 +461,7 @@ TEST(RunJournal, ResumeRejectsRecordsFromADifferentSweep) {
   const std::string path = temp_path("journal_mismatch.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), 17);
+    journal.write_header(SweepFingerprint::of(cells, 17));
     run_cells(cells, 1, Supervision{}, &journal, nullptr);
   }
   const auto index = JournalIndex::load(path);
@@ -481,17 +483,32 @@ TEST(RunJournal, ResumeRejectsRecordsFromADifferentSweep) {
 }
 
 TEST(OpenSweepJournal, RejectsAHeaderFromADifferentCommandLine) {
+  const auto cells = replication_cells(4, 11);
   const std::string path = temp_path("journal_header_mismatch.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(4, 11);
+    journal.write_header(SweepFingerprint::of(cells, 11));
   }
   SweepControl control;
   control.resume_path = path;
   control.journal_path = path;
-  EXPECT_NO_THROW(open_sweep_journal(control, 4, 11));
-  EXPECT_THROW(open_sweep_journal(control, 5, 11), std::invalid_argument);
-  EXPECT_THROW(open_sweep_journal(control, 4, 12), std::invalid_argument);
+  // The same cells run under another --loss: only the config CRC differs.
+  auto lossy = cells;
+  for (auto& cell : lossy) cell.faults.transfer_loss_rate = 0.1;
+  EXPECT_NO_THROW(open_sweep_journal(control, SweepFingerprint::of(cells, 11)));
+  EXPECT_THROW(
+      open_sweep_journal(control,
+                         SweepFingerprint::of(replication_cells(5, 11), 11)),
+      std::invalid_argument);
+  EXPECT_THROW(open_sweep_journal(control, SweepFingerprint::of(cells, 12)),
+               std::invalid_argument);
+  try {
+    open_sweep_journal(control, SweepFingerprint::of(lossy, 11));
+    FAIL() << "a journal of another config must not resume";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("config CRC"), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 
@@ -507,7 +524,8 @@ TEST(RunReplicatedSupervised, ResumedAggregatesAreBitIdentical) {
   const std::string path = temp_path("journal_aggregate.jsonl");
   {
     RunJournal journal(path, RunJournal::Mode::kTruncate);
-    journal.write_header(reps, 21);
+    journal.write_header(
+        SweepFingerprint::of(exp::replication_cells(config, reps, 21), 21));
     run_replicated(config, reps, 21, 1, Supervision{}, &journal, nullptr);
   }
   truncate_to_lines(path, 3);  // header + 2 replications

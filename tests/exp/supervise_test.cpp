@@ -148,7 +148,7 @@ TEST(RunCellsSupervised, PreCancelledSweepSkipsEveryCellAndJournalsNothing) {
 
   const std::string path = ::testing::TempDir() + "supervise_skip.jsonl";
   RunJournal journal(path, RunJournal::Mode::kTruncate);
-  journal.write_header(cells.size(), 3);
+  journal.write_header(SweepFingerprint::of(cells, 3));
   const auto sweep = run_cells(cells, 2, supervision, &journal, nullptr);
 
   EXPECT_EQ(sweep.count(CellOutcome::Status::kSkipped), cells.size());

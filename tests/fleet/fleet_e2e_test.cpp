@@ -69,10 +69,12 @@ FleetControl worker_control(std::uint16_t port, const std::string& name) {
 /// A worker that joins, takes one lease, and vanishes without delivering
 /// results -- the in-process stand-in for SIGKILL (the kernel closing the
 /// socket is exactly what the coordinator observes either way).
-void run_vanishing_worker(std::uint16_t port, std::size_t cells,
-                          std::uint64_t base_seed) {
+void run_vanishing_worker(std::uint16_t port,
+                          const exp::SweepFingerprint& sweep) {
   util::Socket sock = util::tcp_connect("127.0.0.1", port);
-  ASSERT_TRUE(send_frame(sock, render_hello("vanisher", cells, base_seed)));
+  ASSERT_TRUE(send_frame(sock, render_hello("vanisher", sweep.cells,
+                                            sweep.base_seed,
+                                            sweep.config_crc)));
   LineBuffer buf;
   std::string line;
   const auto read_line = [&]() {
@@ -105,7 +107,7 @@ TEST(FleetE2eTest, FleetSweepIsByteIdenticalToLocalSweep) {
 
   const std::string journal_path = temp_path("fleet_e2e.jsonl");
   exp::RunJournal journal(journal_path, exp::RunJournal::Mode::kTruncate);
-  journal.write_header(cells.size(), base_seed);
+  journal.write_header(exp::SweepFingerprint::of(cells, base_seed));
   FleetCoordinator coordinator(cells, base_seed, coordinator_control(),
                                &journal, nullptr);
   const std::uint16_t port = coordinator.port();
@@ -147,7 +149,7 @@ TEST(FleetE2eTest, VanishedWorkerCellsAreReassignedAndMergeStaysExact) {
 
   const std::string journal_path = temp_path("fleet_e2e_kill.jsonl");
   exp::RunJournal journal(journal_path, exp::RunJournal::Mode::kTruncate);
-  journal.write_header(cells.size(), base_seed);
+  journal.write_header(exp::SweepFingerprint::of(cells, base_seed));
   FleetCoordinator coordinator(cells, base_seed, coordinator_control(),
                                &journal, nullptr);
   const std::uint16_t port = coordinator.port();
@@ -158,7 +160,7 @@ TEST(FleetE2eTest, VanishedWorkerCellsAreReassignedAndMergeStaysExact) {
   // The vanishing worker grabs the first lease and dies holding it;
   // the good worker (started after it got its lease) must pick up the
   // re-queued cells.
-  run_vanishing_worker(port, cells.size(), base_seed);
+  run_vanishing_worker(port, exp::SweepFingerprint::of(cells, base_seed));
   FleetWorker worker(cells, base_seed, worker_control(port, "survivor"),
                      supervision);
   const WorkerStats stats = worker.run();
@@ -187,7 +189,7 @@ TEST(FleetE2eTest, CoordinatorRestartResumesFromItsOwnJournal) {
   // way the coordinator would have).
   {
     exp::RunJournal journal(journal_path, exp::RunJournal::Mode::kTruncate);
-    journal.write_header(cells.size(), base_seed);
+    journal.write_header(exp::SweepFingerprint::of(cells, base_seed));
     for (std::size_t i = 0; i < 3; ++i) {
       journal.append_record_line(exp::render_cell_record(
           exp::run_supervised_cell(i, cells[i], supervision)));
@@ -223,7 +225,7 @@ TEST(FleetE2eTest, FingerprintMismatchIsRejectedFatally) {
 
   const std::string journal_path = temp_path("fleet_e2e_reject.jsonl");
   exp::RunJournal journal(journal_path, exp::RunJournal::Mode::kTruncate);
-  journal.write_header(cells.size(), base_seed);
+  journal.write_header(exp::SweepFingerprint::of(cells, base_seed));
   FleetCoordinator coordinator(cells, base_seed, coordinator_control(),
                                &journal, nullptr);
   const std::uint16_t port = coordinator.port();
@@ -231,13 +233,24 @@ TEST(FleetE2eTest, FingerprintMismatchIsRejectedFatally) {
   exp::SweepResult fleet_result;
   std::thread serve([&] { fleet_result = coordinator.serve(); });
 
-  // A worker built from a different command line (wrong base seed) must
-  // be turned away with an ERROR, not fed cells it would compute
-  // differently.
+  // A worker built from a different command line (wrong base seed, or
+  // the same cells and seed under another --file-mb) must be turned away
+  // with an ERROR, not fed cells it would compute differently.
   const auto wrong_cells = small_cells(2, base_seed + 1);
   FleetWorker impostor(wrong_cells, base_seed + 1,
                        worker_control(port, "impostor"), supervision);
   EXPECT_THROW(impostor.run(), std::runtime_error);
+  auto bigger_file = cells;
+  for (auto& cell : bigger_file) cell.file_bytes *= 2;
+  FleetWorker reconfigured(bigger_file, base_seed,
+                           worker_control(port, "reconfigured"), supervision);
+  try {
+    reconfigured.run();
+    ADD_FAILURE() << "a worker with another config must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("config CRC"), std::string::npos)
+        << e.what();
+  }
 
   FleetWorker worker(cells, base_seed, worker_control(port, "legit"),
                      supervision);
@@ -246,7 +259,7 @@ TEST(FleetE2eTest, FingerprintMismatchIsRejectedFatally) {
 
   EXPECT_TRUE(fleet_result.complete());
   EXPECT_EQ(coordinator.stats().workers_joined, 1u)
-      << "the impostor never counts as joined";
+      << "the impostors never count as joined";
 }
 
 TEST(FleetE2eTest, PoisonedCellIsQuarantinedAfterMaxAttempts) {
@@ -260,7 +273,7 @@ TEST(FleetE2eTest, PoisonedCellIsQuarantinedAfterMaxAttempts) {
 
   const std::string journal_path = temp_path("fleet_e2e_poison.jsonl");
   exp::RunJournal journal(journal_path, exp::RunJournal::Mode::kTruncate);
-  journal.write_header(cells.size(), base_seed);
+  journal.write_header(exp::SweepFingerprint::of(cells, base_seed));
   FleetCoordinator coordinator(cells, base_seed, control, &journal, nullptr);
   const std::uint16_t port = coordinator.port();
 
@@ -270,7 +283,7 @@ TEST(FleetE2eTest, PoisonedCellIsQuarantinedAfterMaxAttempts) {
   // The vanisher takes cells [0,2) to its grave; with max_attempts == 1
   // they are quarantined as failed instead of ever re-running -- the
   // fleet-wide "one poisoned cell costs one data point" contract.
-  run_vanishing_worker(port, cells.size(), base_seed);
+  run_vanishing_worker(port, exp::SweepFingerprint::of(cells, base_seed));
   FleetWorker worker(cells, base_seed, worker_control(port, "survivor"),
                      supervision);
   const WorkerStats stats = worker.run();
@@ -309,7 +322,7 @@ TEST(FleetE2eTest, PreemptedWorkersSnapshotResumesMidCellOnTheNextWorker) {
 
   const std::string journal_path = temp_path("fleet_e2e_ckpt.jsonl");
   exp::RunJournal journal(journal_path, exp::RunJournal::Mode::kTruncate);
-  journal.write_header(cells.size(), base_seed);
+  journal.write_header(exp::SweepFingerprint::of(cells, base_seed));
   FleetControl control = coordinator_control();
   control.heartbeat_interval = 0.1;  // snapshots ride the heartbeats
   FleetCoordinator coordinator(cells, base_seed, control, &journal,
