@@ -1,7 +1,10 @@
-// Sweep command lines, driven through the real binaries: coopnet_run's
-// --reps parsing and the figure benches' output flags under a journal.
+// Command lines driven through the real binaries: coopnet_run's --reps
+// parsing and typed flag values, the figure benches' output flags under a
+// journal, and the strict CLI of every util::Cli binary.
 //
-// The binary paths come from CMake as COOPNET_RUN_BIN and FIG4_BIN.
+// The binary paths come from CMake: COOPNET_RUN_BIN, FIG4_BIN, TABLE1_BIN,
+// TABLE3_BIN, QUICKSTART_BIN, and CLI_BINARIES (every util::Cli binary,
+// ':'-separated).
 #include <fcntl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -14,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -87,6 +91,99 @@ TEST(CoopnetRunCli, RejectsNonPositiveRepsWithTheLegalRange) {
   EXPECT_EQ(help.exit_code, 0);
   EXPECT_NE(help.out.find("--reps R             replications, 1..100000"),
             std::string::npos);
+  ::rmdir(dir.c_str());
+}
+
+// Each flag value is parsed with its field's type and range: a value
+// that used to wrap, truncate or fall back to the default exits 1 with
+// the legal range on stderr.
+TEST(CoopnetRunCli, RejectsValuesOutsideTheFieldsRange) {
+  const std::string dir = make_temp_dir("coopnet_ranges");
+  ASSERT_FALSE(dir.empty());
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--seed", "-1"}, "[0, 18446744073709551615]"},
+       {{"--tchain-backlog", "4294967297"}, "[0, 2147483647]"},
+       {{"--audit-every", "-1"}, "[0, 18446744073709551615]"},
+       {{"--n="}, "[2, 100000000]"},
+       {{"--large-view=maybe"}, "boolean"}};
+  for (const auto& [flags, range] : cases) {
+    std::vector<std::string> args = {COOPNET_RUN_BIN, "--algo", "T-Chain",
+                                     "--n", "30", "--file-mb", "2"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const Outcome run = run_binary(args, dir);
+    EXPECT_EQ(run.exit_code, 1) << flags[0];
+    EXPECT_NE(run.err.find(range), std::string::npos) << run.err;
+  }
+  const Outcome max_seed =
+      run_binary({COOPNET_RUN_BIN, "--algo", "Altruism", "--n", "20",
+                  "--file-mb", "1", "--seed", "18446744073709551615"},
+                 dir);
+  EXPECT_EQ(max_seed.exit_code, 0) << max_seed.err;
+  ::rmdir(dir.c_str());
+}
+
+TEST(CoopnetRunCli, SwitchesAndNewFlagsChangeTheRun) {
+  const std::string dir = make_temp_dir("coopnet_switches");
+  ASSERT_FALSE(dir.empty());
+  const auto report = [&dir](std::vector<std::string> extra) {
+    std::vector<std::string> args = {COOPNET_RUN_BIN, "--n",  "200",
+                                     "--file-mb",     "1",    "--free-riders",
+                                     "0.2",           "--json"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    const Outcome run = run_binary(args, dir);
+    EXPECT_EQ(run.exit_code, 0) << run.err;
+    return run.out;
+  };
+  const std::string plain = report({});
+  EXPECT_EQ(report({"--large-view=false"}), plain);
+  EXPECT_NE(report({"--large-view"}), plain);
+  EXPECT_NE(report({"--algo", "T-Chain", "--max-incoming", "1"}),
+            report({"--algo", "T-Chain"}));
+
+  const Outcome typo =
+      run_binary({COOPNET_RUN_BIN, "--max-incomming", "2"}, dir);
+  EXPECT_EQ(typo.exit_code, 2);
+  EXPECT_NE(typo.err.find("did you mean --max-incoming?"), std::string::npos)
+      << typo.err;
+  ::rmdir(dir.c_str());
+}
+
+// Counts go through Cli::get_count before any work starts: a zero or
+// negative --n used to abort on an uncaught exception or run forever.
+TEST(BenchCli, BadCountsExitOneBeforeAnyWork) {
+  const std::string dir = make_temp_dir("coopnet_counts");
+  ASSERT_FALSE(dir.empty());
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{TABLE1_BIN, "--n", "0", "--no-sim"},
+        std::vector<std::string>{TABLE3_BIN, "--n", "-1", "--no-sim"},
+        std::vector<std::string>{QUICKSTART_BIN, "--n", "-3"}}) {
+    const Outcome run = run_binary(args, dir);
+    EXPECT_EQ(run.exit_code, 1) << args[0];
+    EXPECT_NE(run.err.find("[1, 100000000]"), std::string::npos) << run.err;
+    EXPECT_TRUE(run.out.empty()) << args[0] << " started working:\n"
+                                 << run.out;
+  }
+  ::rmdir(dir.c_str());
+}
+
+TEST(StrictCli, EveryBinaryPrintsHelpAndRejectsAnUndeclaredFlag) {
+  const std::string dir = make_temp_dir("coopnet_strict");
+  ASSERT_FALSE(dir.empty());
+  std::vector<std::string> binaries;
+  std::istringstream list(CLI_BINARIES);
+  for (std::string path; std::getline(list, path, ':');) {
+    binaries.push_back(path);
+  }
+  EXPECT_EQ(binaries.size(), 23u);
+  for (const std::string& binary : binaries) {
+    const Outcome help = run_binary({binary, "--help"}, dir);
+    EXPECT_EQ(help.exit_code, 0) << binary;
+    EXPECT_FALSE(help.out.empty()) << binary;
+    const Outcome bad = run_binary({binary, "--no-such-flag"}, dir);
+    EXPECT_EQ(bad.exit_code, 2) << binary;
+    EXPECT_NE(bad.err.find("unknown flag --no-such-flag"), std::string::npos)
+        << binary << ": " << bad.err;
+  }
   ::rmdir(dir.c_str());
 }
 

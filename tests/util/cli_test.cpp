@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace coopnet::util {
 namespace {
 
@@ -90,6 +93,80 @@ TEST(Cli, GetDoubleInRange) {
 TEST(Cli, GetDouble) {
   const auto cli = make({"--x=2.5"});
   EXPECT_EQ(cli.get_double("x", 0.0), 2.5);
+}
+
+Cli declared(std::initializer_list<const char*> args) {
+  Cli cli = make(args);
+  cli.declare({{"scenario", "max-incoming", "N", "downloads per leecher"},
+               {"scenario", "seed", "S", "random seed"},
+               {"output", "json", "", "print JSON"}});
+  return cli;
+}
+
+int ok_body(const Cli&) { return 0; }
+int throwing_body(const Cli&) { throw std::invalid_argument("bad value"); }
+
+TEST(Cli, RunRejectsAnUndeclaredFlagNamingTheNearest) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(declared({"--max-incomming", "2"}).run("about", ok_body), 2);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--max-incomming"), std::string::npos) << err;
+  EXPECT_NE(err.find("did you mean --max-incoming?"), std::string::npos)
+      << err;
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(declared({"stray"}).run("about", ok_body), 2);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("'stray'"),
+            std::string::npos);
+  EXPECT_EQ(declared({"--seed", "3", "--json"}).run("about", ok_body), 0);
+}
+
+TEST(Cli, RunPrintsUsageForHelpWithoutRunningTheBody) {
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(declared({"--help", "--bogus"}).run("about text", throwing_body),
+            0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(out.rfind("about text\n", 0), 0u) << out;
+  EXPECT_NE(out.find("scenario:\n  --max-incoming N     downloads per leecher"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("output:\n  --json               print JSON"),
+            std::string::npos)
+      << out;
+}
+
+TEST(Cli, RunTurnsAThrownValueErrorIntoExitOne) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(declared({}).run("about", throwing_body), 1);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("bad value"),
+            std::string::npos);
+}
+
+TEST(Cli, DeclaredSwitchReadsItsValue) {
+  EXPECT_TRUE(declared({"--json"}).has("json"));
+  EXPECT_TRUE(declared({"--json=on"}).has("json"));
+  EXPECT_FALSE(declared({"--json=false"}).has("json"));
+  EXPECT_THROW(declared({"--json=maybe"}).has("json"), std::invalid_argument);
+}
+
+TEST(Cli, DeclaringAFlagTwiceIsAProgrammingError) {
+  Cli cli = declared({});
+  EXPECT_THROW(cli.declare({{"x", "seed", "S", "again"}}), std::logic_error);
+}
+
+TEST(Cli, EmptyValuesAreErrorsNotDefaults) {
+  EXPECT_THROW(make({"--n="}).get_int("n", 7), std::invalid_argument);
+  EXPECT_THROW(make({"--n"}).get_count("n", 7, 100), std::invalid_argument);
+  EXPECT_THROW(make({"--x="}).get_double("x", 1.0), std::invalid_argument);
+}
+
+TEST(Cli, GetU64TakesTheWholeRangeAndNoSign) {
+  EXPECT_EQ(make({"--seed=18446744073709551615"}).get_u64("seed", 0),
+            18446744073709551615ULL);
+  EXPECT_EQ(make({}).get_u64("seed", 7), 7u);
+  EXPECT_THROW(make({"--seed=-1"}).get_u64("seed", 0), std::invalid_argument);
+  EXPECT_THROW(make({"--seed=18446744073709551616"}).get_u64("seed", 0),
+               std::invalid_argument);
 }
 
 TEST(Cli, ProgramName) {
