@@ -1,8 +1,10 @@
 #include "util/parse.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace coopnet::util {
@@ -90,6 +92,55 @@ bool parse_double(const std::string& token, double* out, DoubleFormat format) {
   }
   *out = value;
   return true;
+}
+
+
+bool Range::contains(double v) const {
+  return std::isfinite(v) && (lo_open ? v > lo : v >= lo) &&
+         (hi_open ? v < hi : v <= hi);
+}
+
+std::string Range::describe(std::uint64_t integer_max) const {
+  if (integer_max > 0) {
+    const double first = lo_open ? lo + 1.0 : lo;
+    return "an integer in [" +
+           std::to_string(static_cast<std::uint64_t>(std::max(first, 0.0))) +
+           ", " +
+           std::to_string(hi < static_cast<double>(integer_max)
+                              ? static_cast<std::uint64_t>(hi)
+                              : integer_max) +
+           "]";
+  }
+  return std::string("a number in ") + (lo_open ? "(" : "[") + shortest(lo) +
+         ", " + shortest(hi) + (hi_open || std::isinf(hi) ? ")" : "]");
+}
+
+std::optional<std::uint64_t> parse_integer(const std::string& text,
+                                           std::uint64_t max,
+                                           const Range& range) {
+  std::uint64_t out = 0;
+  if (!parse_u64(text, &out) || out > max ||
+      !range.contains(static_cast<double>(out))) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+std::optional<double> parse_number(const std::string& text,
+                                   const Range& range) {
+  double out = 0.0;
+  if (!parse_double(text, &out) || !range.contains(out)) return std::nullopt;
+  return out;
+}
+
+std::string shortest(double v) {
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  char buf[40];
+  for (int precision = 6; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
 }
 
 }  // namespace coopnet::util

@@ -1,7 +1,8 @@
 // Hardened numeric token parsing, shared by every path that reads
 // numbers out of untrusted or corruptible text: run-journal records
 // (exp/journal.cpp), fleet wire frames (fleet/protocol.cpp), and CLI
-// option values (util/cli.cpp).
+// option values (util/cli.cpp, the config schema's flags), the last
+// checked against a Range.
 //
 // Why not bare strtoull/strtod: strtoull silently *wraps* a leading '-'
 // ("-1" parses as ULLONG_MAX), accepts leading whitespace and "0x"
@@ -14,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 
 namespace coopnet::util {
@@ -45,5 +48,30 @@ enum class DoubleFormat {
 /// therefore rejected under kFinite.
 bool parse_double(const std::string& token, double* out,
                   DoubleFormat format = DoubleFormat::kFinite);
+
+/// The legal values of a setting: finite and within [lo, hi], an open
+/// end excluded.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool contains(double v) const;
+  /// "a number in (0, inf)"; for an integer setting (`integer_max` > 0)
+  /// "an integer in [2, 100000000]", with hi capped at `integer_max`.
+  std::string describe(std::uint64_t integer_max = 0) const;
+};
+
+/// A setting's text as a non-negative integer: digits only, at most `max` and
+/// in `range` (a sign, junk or an overflow fails instead of wrapping).
+std::optional<std::uint64_t> parse_integer(const std::string& text,
+                                           std::uint64_t max,
+                                           const Range& range);
+/// A setting's text as a finite number (parse_double) in `range`.
+std::optional<double> parse_number(const std::string& text,
+                                   const Range& range);
+/// The shortest decimal that parses back to exactly `v`.
+std::string shortest(double v);
 
 }  // namespace coopnet::util

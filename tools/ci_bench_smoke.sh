@@ -79,6 +79,10 @@ done
 # The scenario CLI: replicated + parallel + JSON in one pass.
 run coopnet_run "${TOOLS}/coopnet_run" --algo BitTorrent --n 30 --file-mb 2 \
   --reps 3 --jobs "${JOBS}" --json
+# A config field with no flag before the config schema: T-Chain with at
+# most two downloads in flight per leecher.
+run coopnet_run_max_incoming "${TOOLS}/coopnet_run" --algo T-Chain --n 30 \
+  --file-mb 2 --max-incoming 2 --json
 
 # google-benchmark guards: one cheap kernel each, minimal measuring time.
 run micro_engine "${BENCH}/micro_engine" \
