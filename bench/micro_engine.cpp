@@ -37,6 +37,12 @@ using namespace coopnet;
 // identically -- pop order decides the RNG draws, and the differential
 // suite pins pop order -- so the optimized/reference ratio isolates pure
 // scheduler cost.
+//
+// With `fixed` set, delays come from the simulator's fixed set instead of
+// a continuous range: each small event is a 1 s tick that re-arms itself
+// and, 30% of the time, starts a payload lasting one of six fixed piece
+// times; a payload only completes. That is the shape SimEngine's
+// fixed-delay lanes serve.
 template <typename Engine>
 struct ChurnDriver {
   static constexpr bool kTags = std::is_same_v<Engine, sim::SimEngine>;
@@ -49,10 +55,13 @@ struct ChurnDriver {
     std::uint32_t b[4];
   };
 
+  static constexpr double kPieceTimes[] = {10.0, 5.0, 2.5, 1.25, 0.3125, 0.5};
+
   Engine engine;
   util::Rng rng{42};
   std::uint64_t fired = 0;
   std::uint64_t budget = 0;
+  bool fixed = false;
   double sink = 0.0;
 
   void fire_small() {
@@ -62,7 +71,7 @@ struct ChurnDriver {
   void fire_payload(double a0) {
     ++fired;
     sink += a0;
-    reschedule();
+    if (!fixed) reschedule();
   }
   void schedule_small(double delay) {
     if constexpr (kTags) {
@@ -85,11 +94,13 @@ struct ChurnDriver {
   }
   void reschedule() {
     if (fired >= budget) return;
-    schedule_small(rng.uniform(0.0, 2.0));
+    schedule_small(fixed ? 1.0 : rng.uniform(0.0, 2.0));
     if (rng.bernoulli(0.3)) {
       Payload p{};
       p.a[0] = 1.0;
-      schedule_payload(rng.uniform(0.0, 4.0), p);
+      schedule_payload(fixed ? kPieceTimes[rng.uniform_u64(6)]
+                             : rng.uniform(0.0, 4.0),
+                       p);
     }
   }
   void run() {
@@ -108,11 +119,13 @@ struct ChurnDriver {
 };
 
 template <typename Engine>
-std::uint64_t run_churn(std::size_t pending, std::uint64_t budget) {
+std::uint64_t run_churn(std::size_t pending, std::uint64_t budget,
+                        bool fixed = false) {
   ChurnDriver<Engine> driver;
   driver.budget = budget;
+  driver.fixed = fixed;
   for (std::size_t i = 0; i < pending; ++i) {
-    driver.schedule_small(driver.rng.uniform(0.0, 2.0));
+    driver.schedule_small(driver.rng.uniform(0.0, fixed ? 1.0 : 2.0));
   }
   driver.run();
   benchmark::DoNotOptimize(driver.sink);
@@ -174,6 +187,27 @@ void BM_EventQueueChurnReference(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueueChurnReference)->Arg(1000)->Arg(100000);
+
+// The same churn with the simulator's fixed delays (ChurnDriver::fixed).
+void BM_EventQueueFixedChurn(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    events += run_churn<sim::SimEngine>(pending, pending * 20, true);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueFixedChurn)->Arg(20000);
+
+void BM_EventQueueFixedChurnReference(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    events += run_churn<sim::ReferenceEngine>(pending, pending * 20, true);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueFixedChurnReference)->Arg(20000);
 
 void BM_PieceSetOfferScan(benchmark::State& state) {
   const auto m = static_cast<sim::PieceId>(state.range(0));
@@ -302,19 +336,23 @@ int emit_bench_json(const std::string& path) {
     const char* name;
     std::size_t pending;
     std::uint64_t budget;
+    bool fixed;
   };
-  for (const Workload& w : {Workload{"churn/pending=1000", 1000, 2000000},
-                            Workload{"churn/pending=100000", 100000,
-                                     2000000}}) {
+  for (const Workload& w :
+       {Workload{"churn/pending=1000", 1000, 2000000, false},
+        Workload{"churn/pending=100000", 100000, 2000000, false},
+        Workload{"fixed_churn/pending=20000", 20000, 2000000, true}}) {
     BenchRecord opt;
     opt.name = std::string("engine_") + w.name;
-    std::tie(opt.events, opt.wall_s) = best_of(
-        [&w] { return run_churn<sim::SimEngine>(w.pending, w.budget); });
+    std::tie(opt.events, opt.wall_s) = best_of([&w] {
+      return run_churn<sim::SimEngine>(w.pending, w.budget, w.fixed);
+    });
 
     BenchRecord ref;
     ref.name = std::string("reference_") + w.name;
-    std::tie(ref.events, ref.wall_s) = best_of(
-        [&w] { return run_churn<sim::ReferenceEngine>(w.pending, w.budget); });
+    std::tie(ref.events, ref.wall_s) = best_of([&w] {
+      return run_churn<sim::ReferenceEngine>(w.pending, w.budget, w.fixed);
+    });
 
     opt.extra.push_back(
         {"speedup_vs_reference", opt.events_per_sec() / ref.events_per_sec()});

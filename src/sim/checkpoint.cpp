@@ -437,10 +437,10 @@ void SwarmCheckpoint::restore(Swarm& swarm,
     (void)sec_audit;
 #endif
 
+    swarm.engine_.set_now(now);
     for (const SimEngine::QueueEntry& e : entries) {
       swarm.engine_.restore_entry(e);
     }
-    swarm.engine_.set_now(now);
     swarm.engine_.set_next_seq(next_seq);
     swarm.engine_.set_processed(processed);
   } catch (const CheckpointError&) {

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,7 +19,13 @@ void require_kind(const EventTag& tag, const char* what) {
 
 void SimEngine::schedule(Seconds delay, const EventTag& tag) {
   if (delay < 0.0) throw std::invalid_argument("SimEngine: negative delay");
-  schedule_at(now_ + delay, tag);
+  require_kind(tag, "schedule");
+  const std::size_t lane = lane_for(delay);
+  if (lane == kHeap) {
+    push_entry(now_ + delay, next_seq_++, tag);
+  } else {
+    push_lane(lane, now_ + delay, tag);
+  }
 }
 
 void SimEngine::schedule_at(Seconds at, const EventTag& tag) {
@@ -29,18 +36,127 @@ void SimEngine::schedule_at(Seconds at, const EventTag& tag) {
   push_entry(at, next_seq_++, tag);
 }
 
-void SimEngine::push_entry(Seconds at, std::uint64_t seq,
-                           const EventTag& tag) {
-  std::uint32_t slot;
+std::uint32_t SimEngine::store(const EventTag& tag) {
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     pool_[slot] = tag;
-  } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(tag);
+    return slot;
   }
-  const Meta m{seq, slot};
+  pool_.push_back(tag);
+  return static_cast<std::uint32_t>(pool_.size() - 1);
+}
+
+EventTag SimEngine::release(std::uint32_t slot) {
+  free_slots_.push_back(slot);
+  return pool_[slot];
+}
+
+std::size_t SimEngine::lane_for(Seconds delay) {
+  for (std::size_t k = 0; k < n_lanes_; ++k) {
+    if (lane_delay_[k] == delay) return k;
+  }
+  // First sighting: remember the delay and use the heap. A continuous
+  // delay never comes back, so it never takes a lane.
+  std::uint64_t bits;
+  std::memcpy(&bits, &delay, sizeof bits);
+  Seconds& recent = recent_[(bits * 0x9E3779B97F4A7C15ULL) >> 59];
+  static_assert(kRecentDelays == 32, "the hash keeps the top 5 bits");
+  if (recent != delay) {
+    recent = delay;
+    return kHeap;
+  }
+  // Second sighting: open a lane, or take over an empty one.
+  std::size_t lane = n_lanes_;
+  if (lane < kMaxLanes) {
+    ++n_lanes_;
+  } else {
+    for (lane = 0; lane < kMaxLanes && lanes_[lane].size != 0; ++lane) {
+    }
+    if (lane == kMaxLanes) return kHeap;
+  }
+  lane_delay_[lane] = delay;
+  return lane;
+}
+
+void SimEngine::push_lane(std::size_t lane, Seconds at, const EventTag& tag) {
+  const LaneEntry e{at, next_seq_++, store(tag)};
+  Lane& l = lanes_[lane];
+  if (l.head == kNoChunk) {
+    l.head = l.tail = new_chunk();
+  } else if (l.tail_pos == kChunk) {
+    const std::uint32_t c = new_chunk();
+    chunk_next_[l.tail] = c;
+    l.tail = c;
+    l.tail_pos = 0;
+  }
+  chunks_[l.tail][l.tail_pos++] = e;
+  ++l.size;
+  ++in_lanes_;
+  // Only a lane that was empty gets a new head. Its seq is the largest
+  // queued, so it beats the current best head only on time.
+  if (l.size == 1) {
+    l.head_time = at;
+    l.head_seq = e.seq;
+    if (best_lane_ == kEmpty || at < lanes_[best_lane_].head_time) {
+      best_lane_ = lane;
+    }
+  }
+}
+
+EventTag SimEngine::pop_lane(std::size_t lane) {
+  Lane& l = lanes_[lane];
+  const std::uint32_t slot = front(l).slot;
+  now_ = l.head_time;
+  __builtin_prefetch(&pool_[slot]);
+  --in_lanes_;
+  if (--l.size == 0) {
+    l.head_pos = l.tail_pos = 0;  // head == tail: rewind the kept chunk
+  } else {
+    if (++l.head_pos == kChunk) {
+      free_chunks_.push_back(l.head);
+      l.head = chunk_next_[l.head];
+      l.head_pos = 0;
+    }
+    const LaneEntry& h = front(l);
+    l.head_time = h.time;
+    l.head_seq = h.seq;
+  }
+  find_best_lane();
+  return release(slot);
+}
+
+void SimEngine::find_best_lane() {
+  best_lane_ = kEmpty;
+  for (std::size_t k = 0; k < n_lanes_; ++k) {
+    const Lane& l = lanes_[k];
+    if (l.size == 0) continue;
+    if (best_lane_ == kEmpty) {
+      best_lane_ = k;
+      continue;
+    }
+    const Lane& b = lanes_[best_lane_];
+    if (l.head_time < b.head_time ||
+        (l.head_time == b.head_time && l.head_seq < b.head_seq)) {
+      best_lane_ = k;
+    }
+  }
+}
+
+std::uint32_t SimEngine::new_chunk() {
+  if (!free_chunks_.empty()) {
+    const std::uint32_t c = free_chunks_.back();
+    free_chunks_.pop_back();
+    return c;
+  }
+  chunks_.emplace_back(kChunk);
+  chunk_next_.push_back(kNoChunk);
+  return static_cast<std::uint32_t>(chunk_next_.size() - 1);
+}
+
+void SimEngine::push_entry(Seconds at, std::uint64_t seq,
+                           const EventTag& tag) {
+  const Meta m{seq, store(tag)};
   // Grow both halves, then sift the new entry up from the first free leaf.
   times_.push_back(at);
   meta_.push_back(m);
@@ -59,8 +175,7 @@ EventTag SimEngine::pop_top() {
   times_.pop_back();
   meta_.pop_back();
   if (times_.size() > kRoot) sift_down_from_root(last_time, last_meta);
-  free_slots_.push_back(slot);
-  return pool_[slot];
+  return release(slot);
 }
 
 void SimEngine::sift_up(std::size_t i, Seconds time, Meta m) {
@@ -134,23 +249,39 @@ void SimEngine::after_event() {
 
 std::vector<SimEngine::QueueEntry> SimEngine::snapshot_queue() const {
   std::vector<QueueEntry> entries;
-  entries.reserve(times_.size() - kRoot);
+  entries.reserve(pending());
   for (std::size_t i = kRoot; i < times_.size(); ++i) {
-    QueueEntry e;
-    e.time = times_[i];
-    e.seq = meta_[i].seq;
-    e.tag = pool_[meta_[i].slot];
-    entries.push_back(e);
+    entries.push_back({times_[i], meta_[i].seq, pool_[meta_[i].slot]});
   }
-  // Heap layout depends on insertion history, which chunked runs and
-  // restores may vary; (time, seq) order is the canonical, history-free
-  // form every equivalent run serializes identically.
+  for (std::size_t k = 0; k < n_lanes_; ++k) {
+    const Lane& l = lanes_[k];
+    std::uint32_t c = l.head;
+    std::uint32_t pos = l.head_pos;
+    for (std::size_t i = 0; i < l.size; ++i) {
+      const LaneEntry& e = chunks_[c][pos];
+      entries.push_back({e.time, e.seq, pool_[e.slot]});
+      if (++pos == kChunk) {
+        c = chunk_next_[c];
+        pos = 0;
+      }
+    }
+  }
+  // Heap layout and the heap/lane split depend on insertion history, which
+  // chunked runs and restores may vary; (time, seq) order is the canonical,
+  // history-free form every equivalent run serializes identically.
   std::sort(entries.begin(), entries.end(),
             [](const QueueEntry& a, const QueueEntry& b) {
               return a.time < b.time ||
                      (a.time == b.time && a.seq < b.seq);
             });
   return entries;
+}
+
+void SimEngine::set_now(Seconds t) {
+  if (pending() != 0) {
+    throw std::logic_error("SimEngine::set_now: the engine has queued events");
+  }
+  now_ = t;
 }
 
 void SimEngine::restore_entry(const QueueEntry& entry) {

@@ -1,4 +1,4 @@
-// Differential test: the indexed 4-ary heap engine (sim/engine.h) against
+// Differential test: the lane-and-heap engine (sim/engine.h) against
 // the seed std::priority_queue model (sim/reference_engine.h), driven
 // side-by-side through randomized schedule/schedule_at/run/run_until/stop/
 // reset_stop sequences. The engines must agree on everything observable:
@@ -121,6 +121,57 @@ std::vector<Op> random_tape(std::uint64_t seed, std::size_t n_ops) {
   return tape;
 }
 
+// A tape whose delays mostly come from a fixed set of 24 values -- more
+// than SimEngine's 16 fixed-delay lanes, so lanes fill, drain and pass to
+// other delays mid-run -- mixed with continuous delays (which stay in the
+// heap), schedule_at, nested schedules and short run_until windows that
+// keep many lanes non-empty at once. The set includes values such as 0.1
+// and 0.7 whose sums with the clock round, and 0 and 1 us for same-time
+// ties.
+std::vector<Op> fixed_delay_tape(std::uint64_t seed, std::size_t n_ops) {
+  static constexpr double kDelays[] = {
+      0.0, 1e-6, 0.1,  0.2,    0.3,  0.3125, 0.4,  0.5,
+      0.6, 0.7,  0.8,  0.9,    1.0,  1.1,    1.25, 1.5,
+      2.0, 2.5,  3.0,  3.3333, 4.0,  5.0,    7.5,  10.0};
+  constexpr std::size_t kFixed = sizeof kDelays / sizeof kDelays[0];
+  util::Rng rng(seed);
+  auto fixed = [&rng] { return kDelays[rng.uniform_u64(kFixed)]; };
+  std::vector<Op> tape;
+  tape.reserve(n_ops);
+  int label = 0;
+  for (std::size_t i = 0; i < n_ops; ++i) {
+    Op op;
+    const std::uint64_t k = rng.uniform_u64(20);
+    if (k < 8) {
+      op.kind = Op::Kind::kSchedule;
+      op.a = fixed();
+    } else if (k < 10) {
+      op.kind = Op::Kind::kSchedule;
+      op.a = rng.uniform(0.0, 6.0);
+    } else if (k < 12) {
+      op.kind = Op::Kind::kScheduleAt;
+      op.a = fixed();
+    } else if (k < 15) {
+      op.kind = Op::Kind::kNested;
+      op.a = fixed();
+      op.b = fixed();
+    } else if (k < 16) {
+      op.kind = Op::Kind::kStopper;
+      op.a = fixed();
+    } else if (k < 18) {
+      op.kind = Op::Kind::kRunUntil;
+      op.a = rng.uniform(0.0, 1.5);
+    } else if (k < 19) {
+      op.kind = Op::Kind::kRun;
+    } else {
+      op.kind = Op::Kind::kResetStop;
+    }
+    op.label = label++;
+    tape.push_back(op);
+  }
+  return tape;
+}
+
 // Replays the tape against any engine with ReferenceEngine's interface,
 // recording fired-event labels, clocks, and counters into a transcript.
 template <typename Engine>
@@ -179,20 +230,29 @@ std::vector<std::string> replay(const std::vector<Op>& tape) {
   return transcript;
 }
 
+// Every transcript line must match, which pins pop order, tie-breaks,
+// clock movement, and the counters.
+void expect_matches_reference(const std::vector<Op>& tape,
+                              std::uint64_t seed) {
+  const auto optimized = replay<ClosureEngine>(tape);
+  const auto reference = replay<ReferenceEngine>(tape);
+  ASSERT_EQ(optimized.size(), reference.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(optimized[i], reference[i])
+        << "seed " << seed << " transcript line " << i;
+  }
+}
+
 TEST(EngineDifferential, RandomTapesMatchReferenceModel) {
-  // ~10k operations across seeds; every transcript line must match, which
-  // pins pop order, tie-breaks, clock movement, and the counters.
-  constexpr std::size_t kSeeds = 20;
-  constexpr std::size_t kOpsPerSeed = 500;
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const auto tape = random_tape(seed, kOpsPerSeed);
-    const auto optimized = replay<ClosureEngine>(tape);
-    const auto reference = replay<ReferenceEngine>(tape);
-    ASSERT_EQ(optimized.size(), reference.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(optimized[i], reference[i])
-          << "seed " << seed << " transcript line " << i;
-    }
+  // ~10k operations across seeds.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_matches_reference(random_tape(seed, 500), seed);
+  }
+}
+
+TEST(EngineDifferential, FixedDelayTapesMatchReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_matches_reference(fixed_delay_tape(seed, 800), seed);
   }
 }
 

@@ -287,5 +287,66 @@ TEST(SimEngine, RestoredQueuePopsInTheOriginalOrder) {
   EXPECT_EQ(restored.events_processed(), original.events_processed());
 }
 
+TEST(SimEngine, SnapshotMergesFixedDelayLanesInPopOrder) {
+  // Recurring delays ride the engine's FIFO lanes (from their second use
+  // on), continuous ones and schedule_at the heap. snapshot_queue must
+  // merge both into (time, seq) order -- the order the events pop in --
+  // and an engine restored from it must keep popping in the original
+  // order while it queues the same fixed delays again, now into lanes
+  // beside a heap that holds every restored event.
+  static constexpr Seconds kDelays[] = {0.5, 1.0, 2.5, 0.1};
+  auto chain = [](SimEngine& e, Trace& trace) {
+    return [&e, &trace](const EventTag& tag) {
+      trace.emplace_back(e.now(), tag.a);
+      if (tag.a < 400) e.schedule(kDelays[tag.a % 4], label_tag(tag.a + 8));
+    };
+  };
+  SimEngine original;
+  Trace original_trace;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    original.schedule(kDelays[i % 4], label_tag(i));
+    if (i % 10 == 0) original.schedule_at(1.0, label_tag(500 + i));
+    if (i % 10 == 5) original.schedule(0.37 * i, label_tag(600 + i));
+  }
+  original.run_until(3.0, chain(original, original_trace));
+  const std::size_t executed = original_trace.size();
+  const std::vector<SimEngine::QueueEntry> queue = original.snapshot_queue();
+  ASSERT_EQ(queue.size(), original.pending());
+  ASSERT_GT(queue.size(), 10u);
+  for (std::size_t i = 1; i < queue.size(); ++i) {
+    EXPECT_TRUE(queue[i - 1].time < queue[i].time ||
+                (queue[i - 1].time == queue[i].time &&
+                 queue[i - 1].seq < queue[i].seq))
+        << "entry " << i;
+  }
+  // Drained without scheduling anything, a copy pops exactly the snapshot.
+  SimEngine drained = original;
+  Trace drained_trace;
+  drained.run([&drained, &drained_trace](const EventTag& tag) {
+    drained_trace.emplace_back(drained.now(), tag.a);
+  });
+  ASSERT_EQ(drained_trace.size(), queue.size());
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    EXPECT_EQ(drained_trace[i], std::make_pair(queue[i].time, queue[i].tag.a))
+        << "pop " << i;
+  }
+
+  SimEngine restored;
+  restored.set_now(original.now());
+  restored.set_next_seq(original.next_seq());
+  restored.set_processed(original.events_processed());
+  for (const SimEngine::QueueEntry& entry : queue) {
+    restored.restore_entry(entry);
+  }
+  EXPECT_THROW(restored.set_now(0.0), std::logic_error);
+  Trace restored_trace;
+  original.run(chain(original, original_trace));
+  restored.run(chain(restored, restored_trace));
+  const Trace tail(original_trace.begin() + executed, original_trace.end());
+  EXPECT_EQ(restored_trace, tail);
+  EXPECT_EQ(restored.now(), original.now());
+  EXPECT_EQ(restored.events_processed(), original.events_processed());
+}
+
 }  // namespace
 }  // namespace coopnet::sim
