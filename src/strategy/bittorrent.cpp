@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/event_kinds.h"
 #include "sim/swarm.h"
@@ -53,21 +54,27 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   // Interested candidates: active neighbors we could serve. The check
   // goes through the per-edge memo; the verdicts -- and so the candidate
   // list, the shuffle's draw count, and everything downstream -- are
-  // identical to the plain needs_from scan.
+  // identical to the plain needs_from scan. Each candidate's receipt count
+  // this round is read once, here, not once per sort comparison: the sort
+  // key, and so the order, are the same.
+  struct Ranked {
+    Pick pick;
+    sim::Bytes received;
+  };
   const sim::NeighborRange nbrs = p.neighbors();
-  std::vector<Pick> candidates;
-  candidates.reserve(nbrs.size());
+  std::vector<Ranked> ranked;
+  ranked.reserve(nbrs.size());
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     if (swarm.neighbor_needs_from(id, i)) {
-      candidates.push_back(Pick{static_cast<std::uint32_t>(i), nbrs[i]});
+      ranked.push_back({Pick{static_cast<std::uint32_t>(i), nbrs[i]},
+                        round_received(p, nbrs[i])});
     }
   }
   // Random shuffle first so the stable sort breaks byte-count ties fairly.
-  swarm.rng().shuffle(candidates);
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&p](const Pick& a, const Pick& b) {
-                     return round_received(p, a.id) >
-                            round_received(p, b.id);
+  swarm.rng().shuffle(ranked);
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const Ranked& a, const Ranked& b) {
+                     return a.received > b.received;
                    });
 
   // Tit-for-tat slots are reserved for actual reciprocators: only
@@ -81,10 +88,10 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
            st.unchoked.end();
   };
   st.unchoked.clear();
-  for (const Pick& n : candidates) {
+  for (const Ranked& n : ranked) {
     if (st.unchoked.size() >= n_bt) break;
-    if (round_received(p, n.id) <= 0) break;
-    st.unchoked.push_back(n);
+    if (n.received <= 0) break;
+    st.unchoked.push_back(n.pick);
   }
 
   const bool optimistic_stale =
@@ -94,8 +101,8 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   if (rotate_optimistic || optimistic_stale) {
     st.optimistic = Pick{};
     std::vector<Pick> pool;
-    for (const Pick& n : candidates) {
-      if (!in_unchoked(n.id)) pool.push_back(n);
+    for (const Ranked& n : ranked) {
+      if (!in_unchoked(n.pick.id)) pool.push_back(n.pick);
     }
     if (!pool.empty()) {
       st.optimistic = pool[swarm.rng().uniform_u64(pool.size())];
