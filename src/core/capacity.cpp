@@ -57,8 +57,13 @@ std::vector<double> CapacityDistribution::sample(std::size_t n,
     assigned += counts[i];
     remainders.emplace_back(exact - std::floor(exact), i);
   }
+  // Equal remainders go to the lower class index, so the counts never
+  // depend on how the sort orders ties.
   std::sort(remainders.begin(), remainders.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+            [](const auto& a, const auto& b) {
+              return a.first > b.first ||
+                     (a.first == b.first && a.second < b.second);
+            });
   for (std::size_t r = 0; assigned < n; ++r) {
     ++counts[remainders[r % remainders.size()].second];
     ++assigned;

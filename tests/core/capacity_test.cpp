@@ -39,6 +39,22 @@ TEST(CapacityDistribution, LargestRemainderRounding) {
   EXPECT_EQ(counts[2.0], 1);
 }
 
+TEST(CapacityDistribution, RemainderTiesGoToTheLowerClass) {
+  // N = 50 over the default mix: exact counts 15, 12.5, 10, 7.5 and 5.
+  // The 256 KiB and 1 MiB classes tie on remainder 0.5 for the one spare
+  // slot; the lower class index (256 KiB) takes it.
+  constexpr double kKiB = 1024.0;
+  util::Rng rng(4);
+  const auto v = CapacityDistribution::default_mix().sample(50, rng);
+  std::map<double, int> counts;
+  for (double x : v) ++counts[x];
+  EXPECT_EQ(counts[128 * kKiB], 15);
+  EXPECT_EQ(counts[256 * kKiB], 13);
+  EXPECT_EQ(counts[512 * kKiB], 10);
+  EXPECT_EQ(counts[1024 * kKiB], 7);
+  EXPECT_EQ(counts[4096 * kKiB], 5);
+}
+
 TEST(CapacityDistribution, SampleZeroIsEmpty) {
   util::Rng rng(3);
   EXPECT_TRUE(CapacityDistribution::homogeneous(1.0).sample(0, rng).empty());
