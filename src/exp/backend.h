@@ -37,6 +37,11 @@ Backend backend_from_string(const std::string& name);
 /// them must use the event backend.
 core::FluidSpec fluid_spec_from(const sim::SwarmConfig& config);
 
+/// CLI flags of the config schema rows (sim::schema) whose fields
+/// fluid_spec_from does not read, in schema order. A fluid run given one
+/// of them would silently ignore it.
+std::vector<std::string> fluid_unmodelled_flags();
+
 /// Runs one cell on the fluid backend (fluid_spec_from + fluid_run).
 core::FluidReport run_fluid_scenario(const sim::SwarmConfig& config);
 

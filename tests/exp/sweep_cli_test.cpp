@@ -148,6 +148,40 @@ TEST(CoopnetRunCli, SwitchesAndNewFlagsChangeTheRun) {
   ::rmdir(dir.c_str());
 }
 
+// --backend fluid reads only some config fields: a flag for any other
+// field exits 1 naming the event backend instead of being ignored. The
+// fields it models, and the seed and piece size, still run.
+TEST(CoopnetRunCli, FluidBackendRejectsFieldsItDoesNotModel) {
+  const std::string dir = make_temp_dir("coopnet_fluid");
+  ASSERT_FALSE(dir.empty());
+  const std::vector<std::string> fluid = {COOPNET_RUN_BIN, "--backend",
+                                          "fluid",         "--algo",
+                                          "BitTorrent",    "--n",
+                                          "1000",          "--file-mb",
+                                          "8"};
+  for (const std::vector<std::string>& flag :
+       {std::vector<std::string>{"--max-incoming", "1"},
+        {"--tchain-backlog", "3"},
+        {"--stall", "0.1"},
+        {"--retry-interval", "2"}}) {
+    std::vector<std::string> args = fluid;
+    args.insert(args.end(), flag.begin(), flag.end());
+    const Outcome run = run_binary(args, dir);
+    EXPECT_EQ(run.exit_code, 1) << flag[0];
+    EXPECT_NE(run.err.find(flag[0] + " needs the event backend"),
+              std::string::npos)
+        << run.err;
+  }
+  std::vector<std::string> modelled = fluid;
+  modelled.insert(modelled.end(),
+                  {"--piece-kb", "128", "--seed", "415", "--max-time", "4000",
+                   "--churn-rate", "0.001", "--loss", "0.05", "--linger",
+                   "10", "--n-bt", "3"});
+  const Outcome ok = run_binary(modelled, dir);
+  EXPECT_EQ(ok.exit_code, 0) << ok.err;
+  ::rmdir(dir.c_str());
+}
+
 // Counts go through Cli::get_count before any work starts: a zero or
 // negative --n used to abort on an uncaught exception or run forever.
 TEST(BenchCli, BadCountsExitOneBeforeAnyWork) {

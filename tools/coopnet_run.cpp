@@ -77,7 +77,8 @@ std::vector<util::CliFlag> run_flags() {
        "discrete events: O(steps) regardless of --n, so --n 1000000 runs in "
        "milliseconds. Cross-validated against the event backend at "
        "N=500..5000; single run only (--reps, supervision, --trace, --audit "
-       "need events)"},
+       "need events), and a flag for a field it does not model is an "
+       "error"},
       {"output", "reps", "R",
        "replications, 1.." + std::to_string(kMaxReps) +
            " (mean +/- 95% CI; default 1)"},
@@ -188,14 +189,21 @@ int run_replicated_cli(const util::Cli& cli, const sim::SwarmConfig& config,
 // a compact summary and honors --json/--json-out with the FluidReport
 // schema (%.17g doubles; golden-pinned under tests/golden/fluid_*.json).
 int run_fluid(const util::Cli& cli, const sim::SwarmConfig& config) {
-  for (const char* flag : {"reps", "trace", "trace-out", "audit",
-                           "audit-every", "journal", "resume",
-                           "cell-timeout", "event-budget",
+  for (const char* flag : {"reps", "trace", "trace-out", "audit", "journal",
+                           "resume", "cell-timeout", "event-budget",
                            "checkpoint-every", "checkpoint", "restore"}) {
     if (cli.has(flag)) {
       throw std::invalid_argument(
           std::string("--") + flag +
           " needs the event backend (--backend event)");
+    }
+  }
+  for (const std::string& flag : exp::fluid_unmodelled_flags()) {
+    if (cli.has(flag)) {
+      throw std::invalid_argument(
+          "--" + flag +
+          " needs the event backend (--backend event); the fluid backend "
+          "does not model it");
     }
   }
   const auto t0 = std::chrono::steady_clock::now();
