@@ -71,9 +71,9 @@ void load_series(util::ByteSource& src, util::TimeSeries& series,
 
 void RunMetrics::checkpoint_save(util::ByteSink& sink) const {
   sink.put_u64(completion_.size());
-  for (const double t : completion_) sink.put_double(t);
+  sink.put_span(completion_.data(), completion_.size());
   sink.put_u64(bootstrap_.size());
-  for (const double t : bootstrap_) sink.put_double(t);
+  sink.put_span(bootstrap_.data(), bootstrap_.size());
   save_series(sink, fairness_);
   save_series(sink, susceptibility_);
 }
@@ -81,10 +81,10 @@ void RunMetrics::checkpoint_save(util::ByteSink& sink) const {
 void RunMetrics::checkpoint_load(util::ByteSource& src) {
   const std::size_t n_completion = src.get_count(8);
   completion_.resize(n_completion);
-  for (double& t : completion_) t = src.get_double();
+  src.get_span(completion_.data(), n_completion);
   const std::size_t n_bootstrap = src.get_count(8);
   bootstrap_.resize(n_bootstrap);
-  for (double& t : bootstrap_) t = src.get_double();
+  src.get_span(bootstrap_.data(), n_bootstrap);
   load_series(src, fairness_, "fairness");
   load_series(src, susceptibility_, "susceptibility");
 }

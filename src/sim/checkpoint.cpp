@@ -1,5 +1,6 @@
 #include "sim/checkpoint.h"
 
+#include <cassert>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -15,6 +16,19 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'O', 'P', 'C', 'K', 'P', 'T'};
 constexpr std::uint32_t kFormatVersion = 3;
+
+/// Container header: magic, version, flags, fingerprint CRC and length,
+/// section count. Each section adds a 16-byte frame (id, CRC, length).
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 4 + 4 + 8 + 4;
+constexpr std::size_t kFrameBytes = 4 + 4 + 8;
+
+/// One queue record: time, seq, then the tag's eight u32s, two doubles
+/// and one i64.
+constexpr std::size_t kQueueEntryBytes = 8 + 8 + 8 * 4 + 2 * 8 + 8;
+
+/// The swarm section's scalars after the reputation ledger: the census
+/// and the thirteen FaultStats counters.
+constexpr std::size_t kSwarmScalarBytes = 8 + 13 * 8;
 
 // --- section payload helpers ---------------------------------------------
 
@@ -77,7 +91,12 @@ const SnapshotSection& require_section(
 std::string encode_snapshot(const SwarmConfig& config,
                             const std::vector<SnapshotSection>& sections) {
   const std::string fingerprint = canonical_config_string(config);
+  std::size_t bytes = kHeaderBytes;
+  for (const SnapshotSection& s : sections) {
+    bytes += kFrameBytes + s.payload.size();
+  }
   util::ByteSink sink;
+  sink.reserve(bytes);
   sink.put_bytes(kMagic, sizeof(kMagic));
   sink.put_u32(kFormatVersion);
   sink.put_u32(0);  // flags, reserved
@@ -89,6 +108,7 @@ std::string encode_snapshot(const SwarmConfig& config,
     sink.put_u32(util::crc32(s.payload));
     sink.put_string(s.payload);
   }
+  assert(sink.size() == bytes && "encode_snapshot: size formula out of date");
   return sink.take();
 }
 
@@ -187,6 +207,7 @@ std::vector<SnapshotSection> SwarmCheckpoint::save(const Swarm& swarm) {
 
   {
     util::ByteSink sink;
+    sink.reserve(8 + 8 + 8);
     sink.put_double(swarm.engine_.now());
     sink.put_u64(swarm.engine_.next_seq());
     sink.put_u64(swarm.engine_.events_processed());
@@ -196,6 +217,7 @@ std::vector<SnapshotSection> SwarmCheckpoint::save(const Swarm& swarm) {
     util::ByteSink sink;
     const std::vector<SimEngine::QueueEntry> entries =
         swarm.engine_.snapshot_queue();
+    sink.reserve(8 + entries.size() * kQueueEntryBytes);
     sink.put_u64(entries.size());
     for (const SimEngine::QueueEntry& e : entries) {
       sink.put_double(e.time);
@@ -208,7 +230,7 @@ std::vector<SnapshotSection> SwarmCheckpoint::save(const Swarm& swarm) {
     util::ByteSink sink;
     std::uint64_t words[4];
     swarm.rng_.save_state(words);
-    for (const std::uint64_t w : words) sink.put_u64(w);
+    sink.put_span(words, 4);
     sections.push_back({kSectionRng, sink.take()});
   }
   {
@@ -223,8 +245,10 @@ std::vector<SnapshotSection> SwarmCheckpoint::save(const Swarm& swarm) {
   }
   {
     util::ByteSink sink;
+    sink.reserve(8 + 8 * swarm.reputation_.size() + kSwarmScalarBytes +
+                 swarm.piece_freq_.checkpoint_bytes());
     sink.put_u64(swarm.reputation_.size());
-    for (const double r : swarm.reputation_) sink.put_double(r);
+    sink.put_span(swarm.reputation_.data(), swarm.reputation_.size());
     sink.put_u64(swarm.compliant_unfinished_);
     const FaultStats& fs = swarm.fault_stats_;
     sink.put_u64(fs.transfer_failures);
@@ -294,7 +318,7 @@ void SwarmCheckpoint::restore(Swarm& swarm,
     }
     {
       util::ByteSource src(sec_queue.payload, "queue section");
-      const std::size_t n = src.get_count(28);
+      const std::size_t n = src.get_count(kQueueEntryBytes);
       entries.reserve(n);
       std::uint64_t max_seq = 0;
       for (std::size_t i = 0; i < n; ++i) {
@@ -360,7 +384,7 @@ void SwarmCheckpoint::restore(Swarm& swarm,
             " -- snapshot taken under a different configuration");
       }
       reputation.resize(n_rep);
-      for (double& r : reputation) r = src.get_double();
+      src.get_span(reputation.data(), n_rep);
       compliant_unfinished = src.get_u64();
       stats.transfer_failures = src.get_u64();
       stats.transfer_stalls = src.get_u64();
@@ -404,11 +428,7 @@ void SwarmCheckpoint::restore(Swarm& swarm,
     {
       util::ByteSource src(sec_swarm.payload, "swarm section");
       // Skip past the pass-1 scalars to the piece-frequency payload.
-      src.get_count(8);
-      for (std::size_t i = 0; i < reputation.size(); ++i) src.get_double();
-      for (int i = 0; i < 12; ++i) src.get_u64();
-      src.get_i64();
-      src.get_i64();
+      src.view(8 + 8 * reputation.size() + kSwarmScalarBytes);
       swarm.piece_freq_.checkpoint_load(src);
       src.expect_exhausted();
     }

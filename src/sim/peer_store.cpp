@@ -13,30 +13,21 @@ using util::ByteSource;
 using util::SerializeError;
 
 void save_piece_set(ByteSink& sink, const PieceSet& set) {
-  for (std::size_t w = 0; w < set.word_count(); ++w) {
-    sink.put_u64(set.word(w));
+  sink.put_span(set.words(), set.word_count());
+}
+
+/// Loads whole words; a bit at or above the set's size is rejected, as
+/// PieceSet::add would reject it.
+void load_piece_set(ByteSource& src, PieceSet& set) {
+  if (!set.assign_words(src.view(set.word_count(), sizeof(std::uint64_t)))) {
+    throw SerializeError("peer piece set: a bit at or above piece " +
+                         std::to_string(set.size()) + " is set");
   }
 }
 
-/// Rebuilds through the public API (clear + add), which keeps count()
-/// consistent and re-validates every bit against the set's size.
-void load_piece_set(ByteSource& src, PieceSet& set) {
-  set.clear();
-  const std::size_t words = set.word_count();
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = src.get_u64();
-    while (bits) {
-      const int bit = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const auto p =
-          static_cast<PieceId>(w * 64 + static_cast<std::size_t>(bit));
-      if (p >= set.size() || !set.add(p)) {
-        throw SerializeError("peer piece set: bit " + std::to_string(p) +
-                             " out of range or duplicated");
-      }
-    }
-  }
-}
+/// Bytes of one exchange-ledger record: the other peer's u32 id, then the
+/// deficit and the three receipt counters.
+constexpr std::size_t kLedgerRecordBytes = 4 + 4 * 8;
 
 }  // namespace
 
@@ -211,6 +202,19 @@ void PeerStore::forget(PeerId id, PeerId other) {
 
 void PeerStore::checkpoint_save(util::ByteSink& sink) const {
   const std::size_t n = size();
+  // Per peer: kind, state, capacity, four int fields, epoch; five piece
+  // sets; three version counters; three times; four byte counters; the
+  // ledger row's length.
+  const std::size_t words = (std::size_t{piece_space_} + 63) / 64;
+  std::size_t bytes = 8 + 4 + n * (1 + 1 + 8 + 4 * 8 + 4 + 5 * 8 * words +
+                                   3 * 4 + 3 * 8 + 4 * 8 + 8);
+  for (const std::vector<EdgeCounters>& row : ledger_) {
+    bytes += row.size() * kLedgerRecordBytes;
+  }
+  bytes += 4 * 8 + 8 + 4 * active_ids_.size() + 8 + 4 * free_ids_.size();
+  sink.reserve(bytes);
+  [[maybe_unused]] const std::size_t start = sink.size();
+
   sink.put_u64(n);
   sink.put_u32(piece_space_);
 
@@ -259,9 +263,11 @@ void PeerStore::checkpoint_save(util::ByteSink& sink) const {
   sink.put_i64(total_downloaded_raw_);
 
   sink.put_u64(active_ids_.size());
-  for (const PeerId id : active_ids_) sink.put_u32(id);
+  sink.put_span(active_ids_.data(), active_ids_.size());
   sink.put_u64(free_ids_.size());
-  for (const PeerId id : free_ids_) sink.put_u32(id);
+  sink.put_span(free_ids_.data(), free_ids_.size());
+  assert(sink.size() - start == bytes &&
+         "PeerStore::checkpoint_save: size formula out of date");
 }
 
 void PeerStore::checkpoint_load(util::ByteSource& src) {
@@ -316,7 +322,7 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
     usable_from_leechers_bytes_[i] = src.get_i64();
 
     std::vector<EdgeCounters>& row = ledger_[i];
-    row.resize(src.get_count(36));
+    row.resize(src.get_count(kLedgerRecordBytes));
     std::uint64_t next_min = 0;
     for (EdgeCounters& e : row) {
       e.peer = src.get_ascending_id(next_min, n);

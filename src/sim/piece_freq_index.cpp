@@ -69,7 +69,7 @@ PieceId PieceFreqIndex::pick_rarest(const PieceSet& offer,
 void PieceFreqIndex::checkpoint_save(util::ByteSink& sink) const {
   sink.put_u32(n_pieces_);
   sink.put_u32(levels_);
-  for (const std::uint32_t f : freq_) sink.put_u32(f);
+  sink.put_span(freq_.data(), freq_.size());
 }
 
 void PieceFreqIndex::checkpoint_load(util::ByteSource& src) {
@@ -87,8 +87,8 @@ void PieceFreqIndex::checkpoint_load(util::ByteSource& src) {
   const PieceId pieces = n_pieces_;
   const std::uint32_t max = levels_;
   std::vector<std::uint32_t> counts(pieces);
+  src.get_span(counts.data(), counts.size());
   for (PieceId p = 0; p < pieces; ++p) {
-    counts[p] = src.get_u32();
     if (counts[p] >= max) {
       throw util::SerializeError(
           "PieceFreqIndex restore: piece " + std::to_string(p) +

@@ -89,6 +89,8 @@ class PieceFreqIndex {
   /// shape; throws util::SerializeError on a shape or range mismatch.
   void checkpoint_save(util::ByteSink& sink) const;
   void checkpoint_load(util::ByteSource& src);
+  /// What checkpoint_save writes, in bytes.
+  std::size_t checkpoint_bytes() const { return 4 + 4 + 4 * freq_.size(); }
 
  private:
   std::uint64_t& level_word(std::uint32_t f, PieceId piece) {

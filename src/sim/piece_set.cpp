@@ -1,5 +1,7 @@
 #include "sim/piece_set.h"
 
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace coopnet::sim {
@@ -48,6 +50,20 @@ void PieceSet::fill() {
 void PieceSet::clear() {
   for (auto& w : words_) w = 0;
   count_ = 0;
+}
+
+bool PieceSet::assign_words(const void* raw) {
+  if (words_.empty()) return true;
+  std::memcpy(words_.data(), raw, words_.size() * sizeof(std::uint64_t));
+  const PieceId tail = size_ % 64;
+  if (tail != 0 && (words_.back() >> tail) != 0) {
+    clear();
+    return false;
+  }
+  std::size_t count = 0;
+  for (const std::uint64_t w : words_) count += std::popcount(w);
+  count_ = static_cast<PieceId>(count);
+  return true;
 }
 
 bool PieceSet::can_offer(const PieceSet& excluded) const {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -92,6 +93,12 @@ class PieceSet {
   /// are always clear. Used by the rarity index's masked walks.
   std::uint64_t word(std::size_t i) const { return words_[i]; }
   std::size_t word_count() const { return words_.size(); }
+  const std::uint64_t* words() const { return words_.data(); }
+
+  /// Replaces the set with word_count() raw words copied from `raw`
+  /// (host byte order, any alignment) and recounts. Returns false, and
+  /// leaves the set empty, when a bit at or above size() is set.
+  bool assign_words(const void* raw);
 
  private:
   void check(PieceId p) const;

@@ -1,4 +1,4 @@
-// CRC-32 (IEEE 802.3 / zlib polynomial), table-driven.
+// CRC-32 (IEEE 802.3 / zlib polynomial), table-driven (slicing-by-8).
 //
 // Shared integrity framing for the run journal's per-record checksums and
 // the checkpoint file's per-section checksums: one implementation, one

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace coopnet::util {
 namespace {
@@ -48,6 +51,61 @@ TEST(Crc32, DetectsEverySingleBitFlip) {
 TEST(Crc32, DistinguishesPermutationsAndLengths) {
   EXPECT_NE(crc32(std::string("ab")), crc32(std::string("ba")));
   EXPECT_NE(crc32(std::string("ab")), crc32(std::string("ab\0", 3)));
+}
+
+/// The definition, one bit at a time: reflected polynomial 0xEDB88320,
+/// register preset and final value inverted, `seed` taken as a previous
+/// result.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t size,
+                            std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t size,
+                                        std::mt19937_64& rng) {
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng());
+  return bytes;
+}
+
+TEST(Crc32, MatchesTheBitwiseDefinitionAtEveryLengthAndAlignment) {
+  // Lengths 0-4100 cover every tail after the eight-byte steps, and
+  // offsets 0-7 every start alignment of those steps.
+  std::mt19937_64 rng(2016);
+  const std::vector<unsigned char> bytes = random_bytes(4100 + 7, rng);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 4100; ++size) {
+      const auto seed = static_cast<std::uint32_t>(rng());
+      const unsigned char* p = bytes.data() + offset;
+      ASSERT_EQ(crc32(p, size, seed), bitwise_crc32(p, size, seed))
+          << "offset " << offset << ", length " << size << ", seed "
+          << seed;
+    }
+  }
+}
+
+TEST(Crc32, ChainsAtEverySplitPoint) {
+  std::mt19937_64 rng(415);
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{7}, std::size_t{8},
+                                 std::size_t{9}, std::size_t{63},
+                                 std::size_t{1000}, std::size_t{4100}}) {
+    const std::vector<unsigned char> bytes = random_bytes(size, rng);
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const std::uint32_t whole = bitwise_crc32(bytes.data(), size, seed);
+    for (std::size_t split = 0; split <= size; ++split) {
+      const std::uint32_t head = crc32(bytes.data(), split, seed);
+      ASSERT_EQ(crc32(bytes.data() + split, size - split, head), whole)
+          << "length " << size << ", split " << split;
+    }
+  }
 }
 
 }  // namespace
