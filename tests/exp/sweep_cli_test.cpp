@@ -163,7 +163,8 @@ TEST(CoopnetRunCli, FluidBackendRejectsFieldsItDoesNotModel) {
        {std::vector<std::string>{"--max-incoming", "1"},
         {"--tchain-backlog", "3"},
         {"--stall", "0.1"},
-        {"--retry-interval", "2"}}) {
+        {"--retry-interval", "2"},
+        {"--attack", "targeted"}}) {
     std::vector<std::string> args = fluid;
     args.insert(args.end(), flag.begin(), flag.end());
     const Outcome run = run_binary(args, dir);

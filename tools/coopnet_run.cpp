@@ -198,7 +198,11 @@ int run_fluid(const util::Cli& cli, const sim::SwarmConfig& config) {
           " needs the event backend (--backend event)");
     }
   }
-  for (const std::string& flag : exp::fluid_unmodelled_flags()) {
+  // --attack is a preset over the attack fields, not a schema flag of its
+  // own, so the derived list cannot name it.
+  std::vector<std::string> unmodelled = exp::fluid_unmodelled_flags();
+  unmodelled.emplace_back("attack");
+  for (const std::string& flag : unmodelled) {
     if (cli.has(flag)) {
       throw std::invalid_argument(
           "--" + flag +
