@@ -16,14 +16,6 @@ namespace coopnet::exp {
 
 namespace {
 
-/// %.17g: enough digits that strtod round-trips every finite double
-/// exactly, which is what makes resumed aggregates bit-identical.
-std::string g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 /// Appends the schema-2 integrity field: `{...}` becomes
 /// `{...,"crc":N}` where N = crc32 of every byte before the `,"crc"`
 /// suffix. The embedded "report" value is escaped, so a literal `"crc":`
@@ -68,20 +60,21 @@ std::string render_cell_line(const CellOutcome& o) {
   os << "{\"kind\":\"cell\",\"index\":" << o.index << ",\"seed\":" << o.seed
      << ",\"algorithm\":\"" << metrics::json_escape(o.algorithm)
      << "\",\"status\":\"" << to_string(o.status) << "\",\"error\":\""
-     << metrics::json_escape(o.error) << "\",\"wall_s\":" << g17(o.wall_seconds)
+     << metrics::json_escape(o.error)
+     << "\",\"wall_s\":" << util::g17(o.wall_seconds)
      << ",\"events\":" << o.events;
   if (o.ok() && o.has_report) {
     const metrics::RunReport& r = o.report;
     os << ",\"compliant_population\":" << r.compliant_population
        << ",\"completions\":" << r.completion_times.size()
        << ",\"bootstraps\":" << r.bootstrap_times.size()
-       << ",\"mean_completion\":" << g17(r.completion_summary.mean)
-       << ",\"median_completion\":" << g17(r.completion_summary.median)
-       << ",\"completed_fraction\":" << g17(r.completed_fraction)
-       << ",\"median_bootstrap\":" << g17(r.bootstrap_summary.median)
-       << ",\"settled_fairness\":" << g17(r.settled_fairness)
-       << ",\"fairness_F\":" << g17(r.final_fairness_F)
-       << ",\"susceptibility\":" << g17(r.susceptibility)
+       << ",\"mean_completion\":" << util::g17(r.completion_summary.mean)
+       << ",\"median_completion\":" << util::g17(r.completion_summary.median)
+       << ",\"completed_fraction\":" << util::g17(r.completed_fraction)
+       << ",\"median_bootstrap\":" << util::g17(r.bootstrap_summary.median)
+       << ",\"settled_fairness\":" << util::g17(r.settled_fairness)
+       << ",\"fairness_F\":" << util::g17(r.final_fairness_F)
+       << ",\"susceptibility\":" << util::g17(r.susceptibility)
        // Last on purpose: the value is escaped, so no `"key":` pattern
        // can occur inside it and the field scans above stay unambiguous.
        << ",\"report\":\"" << metrics::json_escape(o.report_json) << "\"";

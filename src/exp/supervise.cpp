@@ -1,9 +1,11 @@
 #include "exp/supervise.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -203,124 +205,97 @@ std::string CellGuard::reason() const {
   return "";
 }
 
+CellRun::CellRun(const sim::SwarmConfig& config,
+                 const Supervision& supervision)
+    : swarm_(config, strategy::make_strategy(config.algorithm)),
+      guard_(swarm_.engine(), supervision) {
+  metrics_.install(swarm_);
+  swarm_.start();
+}
+
+CellRun::CellRun(const sim::SwarmConfig& config,
+                 const Supervision& supervision,
+                 const std::vector<sim::SnapshotSection>& sections)
+    : swarm_(config, strategy::make_strategy(config.algorithm)),
+      guard_(swarm_.engine(), supervision) {
+  // Exactly one metrics section: without it the restored run would
+  // report only what happened after the snapshot, and two leave it
+  // ambiguous which accumulators are the run's.
+  const auto is_metrics = [](const sim::SnapshotSection& s) {
+    return s.id == sim::kSectionMetrics;
+  };
+  const auto count = std::count_if(sections.begin(), sections.end(),
+                                   is_metrics);
+  if (count != 1) {
+    throw sim::CheckpointError(
+        "checkpoint restore: the snapshot has " + std::to_string(count) +
+        " metrics sections, not one -- restart the cell from scratch");
+  }
+  swarm_.start_restored();
+  metrics_.install_restored(swarm_);
+  sim::SwarmCheckpoint::restore(swarm_, sections);
+  try {
+    util::ByteSource src(
+        std::find_if(sections.begin(), sections.end(), is_metrics)->payload,
+        "metrics section");
+    metrics_.checkpoint_load(src);
+    src.expect_exhausted();
+  } catch (const std::exception& e) {
+    // util::SerializeError for a short or long payload, and
+    // std::invalid_argument for a sample series that goes back in time.
+    throw sim::CheckpointError(
+        std::string("checkpoint restore: the metrics section is malformed "
+                    "(") +
+        e.what() + ") -- restart the cell from scratch");
+  }
+}
+
+std::vector<sim::SnapshotSection> CellRun::save() const {
+  std::vector<sim::SnapshotSection> sections =
+      sim::SwarmCheckpoint::save(swarm_);
+  util::ByteSink sink;
+  metrics_.checkpoint_save(sink);
+  sections.push_back({sim::kSectionMetrics, sink.take()});
+  return sections;
+}
+
+void CellRun::run(double every, const std::function<void()>& on_boundary) {
+  const double max_time = swarm_.config().max_time;
+  if (every > 0.0) {
+    // The first boundary is the first multiple of `every` past the clock:
+    // `every` itself for a fresh cell. A restored cell's snapshot chunk
+    // may have stopped short of its deadline (run_until parks the clock
+    // on the last executed event), and re-running that empty remainder
+    // is a no-op.
+    double next = (std::floor(swarm_.engine().now() / every) + 1.0) * every;
+    while (!swarm_.finished() && next < max_time) {
+      swarm_.advance_until(next);
+      if (swarm_.finished()) break;  // stopped or drained: no snapshot
+      on_boundary();
+      next += every;
+    }
+  }
+  if (!swarm_.finished()) swarm_.advance_until(max_time);
+  if (every > 0.0 && guard_.status() == CellOutcome::Status::kSkipped) {
+    // Graceful preemption: the cancel flag stopped the engine between
+    // events, so this final snapshot resumes with nothing to replay.
+    on_boundary();
+  }
+}
+
 namespace {
 
-/// Slurps a snapshot file; "" when it does not exist or cannot be read
-/// (both mean "start the cell fresh").
-std::string read_snapshot_file(const std::string& path) {
+/// The encoded snapshot `checkpoint` resumes cell `index` from; "" (start
+/// fresh) when there is none or its file does not exist or cannot be read.
+std::string resume_bytes(const CheckpointPolicy& checkpoint,
+                         std::size_t index, const std::string& path) {
+  if (!checkpoint.active()) return "";
+  if (checkpoint.snapshot_source) return checkpoint.snapshot_source(index);
+  if (!checkpoint.resume_from_disk) return "";
   std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
-}
-
-/// The chunked, snapshotting run path of run_supervised_cell. Chunked
-/// advance_until is byte-identical to one run() (the clock only moves on
-/// event execution), so the snapshots are pure observation. Fills the
-/// run-dependent fields of `out`; the caller owns timing and the catch.
-void run_checkpointed_cell(CellOutcome& out, std::size_t index,
-                           const sim::SwarmConfig& config,
-                           const Supervision& supervision,
-                           const CheckpointPolicy& checkpoint) {
-  checkpoint.validate();
-  const std::string path =
-      checkpoint.file_prefix.empty()
-          ? std::string()
-          : cell_snapshot_path(checkpoint.file_prefix, index);
-
-  auto swarm = std::make_unique<sim::Swarm>(
-      config, strategy::make_strategy(config.algorithm));
-  auto collector = std::make_unique<metrics::RunMetrics>();
-
-  std::string resume_bytes;
-  if (checkpoint.snapshot_source) {
-    resume_bytes = checkpoint.snapshot_source(index);
-  } else if (checkpoint.resume_from_disk && !path.empty()) {
-    resume_bytes = read_snapshot_file(path);
-  }
-
-  bool restored = false;
-  if (!resume_bytes.empty()) {
-    try {
-      const std::vector<sim::SnapshotSection> sections =
-          sim::decode_snapshot(config, resume_bytes);
-      swarm->start_restored();
-      collector->install_restored(*swarm);
-      sim::SwarmCheckpoint::restore(*swarm, sections);
-      for (const sim::SnapshotSection& s : sections) {
-        if (s.id != sim::kSectionMetrics) continue;
-        util::ByteSource src(s.payload, "metrics section");
-        collector->checkpoint_load(src);
-        src.expect_exhausted();
-      }
-      restored = true;
-    } catch (const sim::CheckpointError& e) {
-      std::fprintf(stderr,
-                   "cell %zu: snapshot rejected -- %s\ncell %zu: "
-                   "restarting from scratch\n",
-                   index, e.what(), index);
-      // A restore can fail mid-apply; rebuild both from nothing.
-      swarm = std::make_unique<sim::Swarm>(
-          config, strategy::make_strategy(config.algorithm));
-      collector = std::make_unique<metrics::RunMetrics>();
-    }
-  }
-
-  CellGuard guard(swarm->engine(), supervision);
-  if (restored) {
-    out.resumed_from_checkpoint = true;
-    out.restored_events = swarm->engine().events_processed();
-  } else {
-    // Same install-then-start order as the plain path: the sampler's
-    // event sequence numbers must match run()'s exactly.
-    collector->install(*swarm);
-    swarm->start();
-  }
-
-  auto take_snapshot = [&] {
-    std::vector<sim::SnapshotSection> sections =
-        sim::SwarmCheckpoint::save(*swarm);
-    util::ByteSink msink;
-    collector->checkpoint_save(msink);
-    sections.push_back({sim::kSectionMetrics, msink.take()});
-    const std::string bytes = sim::encode_snapshot(config, sections);
-    if (!path.empty()) util::write_file_atomic(path, bytes);
-    if (checkpoint.on_snapshot) checkpoint.on_snapshot(index, bytes);
-  };
-
-  // A restored cell's next boundary is the first multiple of `every`
-  // past the snapshot time: the chunk it was snapshotted after may have
-  // stopped short of its deadline (run_until parks the clock on the last
-  // executed event), and re-running that empty remainder is a no-op.
-  double next = restored ? (std::floor(swarm->engine().now() /
-                                       checkpoint.every) +
-                            1.0) *
-                               checkpoint.every
-                         : checkpoint.every;
-  while (!swarm->finished() && next < config.max_time) {
-    swarm->advance_until(next);
-    if (swarm->finished()) break;  // stopped or drained: no snapshot
-    take_snapshot();
-    next += checkpoint.every;
-  }
-  if (!swarm->finished()) swarm->advance_until(config.max_time);
-
-  if (guard.status() == CellOutcome::Status::kSkipped) {
-    // Graceful preemption: the cancel flag stopped the engine between
-    // events, so this final snapshot resumes with nothing to replay.
-    take_snapshot();
-  }
-
-  out.events = swarm->engine().events_processed();
-  out.status = guard.status();
-  if (out.ok()) {
-    out.report = metrics::build_report(*swarm, *collector);
-    out.report_json = metrics::to_json(out.report);
-    out.has_report = true;
-  } else {
-    out.error = guard.reason();
-  }
 }
 
 }  // namespace
@@ -335,23 +310,44 @@ CellOutcome run_supervised_cell(std::size_t index,
   out.algorithm = core::to_string(config.algorithm);
   const auto start = std::chrono::steady_clock::now();
   try {
-    if (checkpoint.active()) {
-      run_checkpointed_cell(out, index, config, supervision, checkpoint);
-    } else {
-      sim::Swarm swarm(config, strategy::make_strategy(config.algorithm));
-      metrics::RunMetrics collector;
-      collector.install(swarm);
-      CellGuard guard(swarm.engine(), supervision);
-      swarm.run();
-      out.events = swarm.engine().events_processed();
-      out.status = guard.status();
-      if (out.ok()) {
-        out.report = metrics::build_report(swarm, collector);
-        out.report_json = metrics::to_json(out.report);
-        out.has_report = true;
-      } else {
-        out.error = guard.reason();
+    checkpoint.validate();
+    const std::string path =
+        checkpoint.file_prefix.empty()
+            ? std::string()
+            : cell_snapshot_path(checkpoint.file_prefix, index);
+
+    std::optional<CellRun> cell;
+    const std::string bytes = resume_bytes(checkpoint, index, path);
+    if (!bytes.empty()) {
+      try {
+        cell.emplace(config, supervision, sim::decode_snapshot(config, bytes));
+        out.resumed_from_checkpoint = true;
+        out.restored_events = cell->swarm().engine().events_processed();
+      } catch (const sim::CheckpointError& e) {
+        // "Never wrong, only slower": a rejected snapshot costs the cell
+        // its head start, not its result.
+        std::fprintf(stderr,
+                     "cell %zu: snapshot rejected -- %s\ncell %zu: "
+                     "restarting from scratch\n",
+                     index, e.what(), index);
       }
+    }
+    if (!cell) cell.emplace(config, supervision);
+
+    cell->run(checkpoint.every, [&] {
+      const std::string snapshot = sim::encode_snapshot(config, cell->save());
+      if (!path.empty()) util::write_file_atomic(path, snapshot);
+      if (checkpoint.on_snapshot) checkpoint.on_snapshot(index, snapshot);
+    });
+
+    out.events = cell->swarm().engine().events_processed();
+    out.status = cell->guard().status();
+    if (out.ok()) {
+      out.report = metrics::build_report(cell->swarm(), cell->metrics());
+      out.report_json = metrics::to_json(out.report);
+      out.has_report = true;
+    } else {
+      out.error = cell->guard().reason();
     }
   } catch (const std::exception& e) {
     out.status = CellOutcome::Status::kFailed;

@@ -30,8 +30,11 @@
 
 #include "exp/schedule.h"
 #include "metrics/report.h"
+#include "metrics/run_metrics.h"
+#include "sim/checkpoint.h"
 #include "sim/config.h"
 #include "sim/engine.h"
+#include "sim/swarm.h"
 #include "util/cli.h"
 
 namespace coopnet::exp {
@@ -67,7 +70,7 @@ struct Supervision {
 /// tail of one chunk instead of the whole cell.
 struct CheckpointPolicy {
   /// Snapshot cadence in SIMULATED seconds; 0 disables mid-cell
-  /// checkpointing (cells run the plain, zero-overhead path).
+  /// checkpointing (cells then advance to max_time in one call).
   double every = 0.0;
   /// Snapshot files live at "<file_prefix>.ckpt.<cell-index>" (one per
   /// cell, atomically replaced each cadence, removed on any terminal
@@ -193,6 +196,46 @@ class CellGuard {
   std::chrono::steady_clock::time_point start_;
   bool timed_out_ = false;
   bool interrupted_ = false;
+};
+
+/// One cell's Swarm, RunMetrics and CellGuard, and the driver half of
+/// the snapshot protocol (DESIGN §13): the only code that starts or
+/// restores a cell, reads or writes the metrics section (id 7), and
+/// advances a cell in snapshot-sized chunks. Sweep cells
+/// (run_supervised_cell) and coopnet_run's single run both use it. The
+/// guard closes over the engine, so a CellRun stays put.
+class CellRun {
+ public:
+  /// A fresh cell: installs the metrics, then schedules the initial
+  /// events (Swarm::run's order, so the event sequence numbers match).
+  CellRun(const sim::SwarmConfig& config, const Supervision& supervision);
+  /// A cell resumed from decoded snapshot sections: start_restored,
+  /// install_restored, SwarmCheckpoint::restore, then the metrics load.
+  /// Throws sim::CheckpointError when the swarm rejects the sections or
+  /// the metrics section is missing, duplicated or malformed.
+  CellRun(const sim::SwarmConfig& config, const Supervision& supervision,
+          const std::vector<sim::SnapshotSection>& sections);
+
+  /// The swarm sections plus the metrics section; call between chunks.
+  std::vector<sim::SnapshotSection> save() const;
+
+  /// Advances to config.max_time. With `every` > 0 it calls
+  /// `on_boundary` (take a snapshot) at each multiple of `every`
+  /// simulated seconds below max_time, and once more when the cancel
+  /// flag stopped the run, so that last snapshot resumes with nothing to
+  /// replay. `every` == 0 is one advance_until(max_time). Chunks execute
+  /// the same events as one run, so the results are byte-identical.
+  void run(double every, const std::function<void()>& on_boundary);
+
+  sim::Swarm& swarm() { return swarm_; }
+  /// The metrics collector, for observers that chain on to it.
+  metrics::RunMetrics& metrics() { return metrics_; }
+  const CellGuard& guard() const { return guard_; }
+
+ private:
+  sim::Swarm swarm_;
+  metrics::RunMetrics metrics_;
+  CellGuard guard_;
 };
 
 /// Runs one cell under supervision. Cell errors never escape: every

@@ -8,14 +8,6 @@ namespace coopnet::fleet {
 
 namespace {
 
-/// %.17g so WELCOME/WAIT durations round-trip exactly (same rationale as
-/// the journal's scalar fields).
-std::string g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 /// Splits `line` into the keyword and the remainder after one space.
 void split_keyword(const std::string& line, std::string* keyword,
                    std::string* rest) {
@@ -85,7 +77,7 @@ std::string render_hello(const std::string& name, std::size_t cells,
 }
 
 std::string render_welcome(double heartbeat_s, double lease_s) {
-  return "WELCOME " + g17(heartbeat_s) + " " + g17(lease_s);
+  return "WELCOME " + util::g17(heartbeat_s) + " " + util::g17(lease_s);
 }
 
 std::string render_error(const std::string& message) {
@@ -100,7 +92,7 @@ std::string render_lease(std::size_t first, std::size_t count) {
   return os.str();
 }
 
-std::string render_wait(double seconds) { return "WAIT " + g17(seconds); }
+std::string render_wait(double seconds) { return "WAIT " + util::g17(seconds); }
 
 std::string render_done() { return "DONE"; }
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/parse.h"
+
 namespace coopnet::metrics {
 
 namespace {
@@ -144,13 +146,10 @@ void fault_object(Writer& w, const std::string& name,
   w.end_object();
 }
 
-/// %.17g: enough digits that a finite double round-trips bit-exactly
-/// (fluid golden files are byte-compared; non-finite still maps to null).
+/// util::g17, so a finite double round-trips bit-exactly (fluid golden
+/// files are byte-compared); non-finite maps to null.
 std::string num17(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  return std::isfinite(v) ? util::g17(v) : "null";
 }
 
 void curve_object(Writer& w, const std::string& name,

@@ -1,22 +1,10 @@
 #include "metrics/trace_log.h"
 
-#include <cstdio>
 #include <sstream>
 
+#include "util/parse.h"
+
 namespace coopnet::metrics {
-
-namespace {
-
-// %.17g (max_digits10) guarantees the printed value parses back to the
-// exact double, so sub-second deltas survive even past t ~ 1e5 s where
-// the default 6-significant-digit formatting collapses them.
-std::string format_time(double t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", t);
-  return buf;
-}
-
-}  // namespace
 
 void TraceLog::on_transfer(const sim::Swarm& swarm, const sim::Transfer& t) {
   ++transfer_count_;
@@ -55,7 +43,10 @@ std::string TraceLog::to_csv() const {
                        : e.kind == TraceEvent::Kind::kBootstrap
                            ? "bootstrap"
                            : "finish";
-    os << kind << ',' << format_time(e.time) << ',' << e.peer << ',';
+    // util::g17 parses back to the exact double, so sub-second deltas
+    // survive even past t ~ 1e5 s where the default 6-significant-digit
+    // formatting collapses them.
+    os << kind << ',' << util::g17(e.time) << ',' << e.peer << ',';
     if (e.from == sim::kNoPeer) {
       os << '-';
     } else {

@@ -299,6 +299,17 @@ void SwarmCheckpoint::restore(Swarm& swarm,
   const SnapshotSection& sec_swarm =
       require_section(sections, kSectionSwarm, "swarm");
   const SnapshotSection* sec_audit = find_section(sections, kSectionAudit);
+#if COOPNET_AUDIT
+  if (swarm.auditor_ && sec_audit == nullptr) {
+    // audit_every is part of the config fingerprint, so the same config
+    // cannot restore it with auditing off.
+    throw CheckpointError(
+        "checkpoint restore: this build audits (COOPNET_AUDIT + "
+        "audit_every > 0) but the snapshot has no audit section -- it was "
+        "taken by a non-audit build; restore it with a build configured "
+        "without COOPNET_AUDIT, or restart the cell from scratch");
+  }
+#endif
 
   double now = 0.0;
   std::uint64_t next_seq = 0, processed = 0;
@@ -440,13 +451,6 @@ void SwarmCheckpoint::restore(Swarm& swarm,
 
 #if COOPNET_AUDIT
     if (swarm.auditor_) {
-      if (sec_audit == nullptr) {
-        throw CheckpointError(
-            "checkpoint restore: this build audits (COOPNET_AUDIT + "
-            "audit_every > 0) but the snapshot has no audit section -- it "
-            "was taken by a non-audit build; restore with auditing off or "
-            "restart the cell from scratch");
-      }
       util::ByteSource src(sec_audit->payload, "audit section");
       swarm.auditor_->checkpoint_load(src);
       src.expect_exhausted();

@@ -73,14 +73,17 @@ class SwarmCheckpoint {
   /// swarm-owned sections (1-6, plus 8 when this build audits).
   static std::vector<SnapshotSection> save(const Swarm& swarm);
 
-  /// Applies a snapshot to a freshly built swarm. Call sequence:
+  /// Applies a snapshot to a freshly built swarm. Call sequence (the
+  /// restoring exp::CellRun constructor is the one driver that runs it):
   ///   Swarm swarm(config, strategy);   // same config as the snapshot
   ///   swarm.start_restored();
-  ///   metrics.install_restored(swarm); // when the run samples metrics
+  ///   metrics.install_restored(swarm); // registers the sampler timer
   ///   SwarmCheckpoint::restore(swarm, sections);
+  ///   metrics.checkpoint_load(...);    // the one metrics section (id 7)
   ///   while (!swarm.finished()) swarm.advance_until(...);
-  /// Section presence, the engine/RNG/queue sections, and every queue
-  /// tag are parsed and validated BEFORE anything mutates, so the common
+  /// Section presence (including, in an audit build that audits, the
+  /// audit section), the engine/RNG/queue sections, and every queue tag
+  /// are parsed and validated BEFORE anything mutates, so the common
   /// defects (missing/truncated/foreign sections, unknown event kinds, a
   /// external timer sub-id nobody registered, a strategy timer sub-id the
   /// mechanism does not own) throw CheckpointError with the swarm

@@ -143,4 +143,10 @@ std::string shortest(double v) {
   return buf;
 }
 
+std::string g17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 }  // namespace coopnet::util

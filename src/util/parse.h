@@ -73,5 +73,11 @@ std::optional<double> parse_number(const std::string& text,
                                    const Range& range);
 /// The shortest decimal that parses back to exactly `v`.
 std::string shortest(double v);
+/// printf's "%.17g" (max_digits10 significant digits): always enough for
+/// strtod to return exactly `v`, at a fixed precision, so the text of a
+/// value never depends on its neighbours. Non-finite values print as
+/// printf spells them ("inf", "-nan"). Journal scalars, fleet frames,
+/// trace CSV times and the fluid JSON all render doubles through it.
+std::string g17(double v);
 
 }  // namespace coopnet::util

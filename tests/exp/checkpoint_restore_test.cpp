@@ -1,23 +1,34 @@
 // Restore equivalence, the checkpoint system's headline property: for
 // every incentive mechanism, under a clean transport AND under churn +
 // loss, a cell resumed from ANY cadence-boundary snapshot produces a
-// report byte-identical to the uninterrupted run.
+// report byte-identical to the uninterrupted run. The uninterrupted
+// reference is exp::run_scenario (one Swarm::run), not the driver under
+// test.
 //
 // The CLI leg drives the real coopnet_run binary (COOPNET_RUN_BIN, from
 // CMake) through interrupt + --restore and extends the byte-identity
 // claim to the streamed JSONL trace file.
+#include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "exp/runner.h"
 #include "exp/supervise.h"
+#include "metrics/json.h"
+#include "sim/checkpoint.h"
 #include "sim/faults.h"
 #include "sim/swarm.h"
 #include "strategy/factory.h"
@@ -92,6 +103,11 @@ double cell_sim_duration(const sim::SwarmConfig& config) {
   return probe.engine().now();
 }
 
+/// The uninterrupted report bytes, from Swarm::run.
+std::string reference_json(const sim::SwarmConfig& config) {
+  return metrics::to_json(run_scenario(config));
+}
+
 CheckpointPolicy collecting_policy(double every,
                                    std::vector<std::string>* snapshots) {
   CheckpointPolicy policy;
@@ -111,24 +127,50 @@ CheckpointPolicy resuming_policy(double every, std::string snapshot) {
   return policy;
 }
 
+/// `sections` with its metrics section (id 7) removed, doubled, or cut
+/// to 2 bytes.
+struct BadMetrics {
+  const char* name;
+  std::vector<sim::SnapshotSection> sections;
+};
+
+std::vector<BadMetrics> bad_metrics(
+    const std::vector<sim::SnapshotSection>& sections) {
+  std::vector<BadMetrics> out = {{"missing", {}},
+                                 {"duplicated", {}},
+                                 {"truncated", {}}};
+  for (const sim::SnapshotSection& s : sections) {
+    if (s.id != sim::kSectionMetrics) {
+      for (BadMetrics& bad : out) bad.sections.push_back(s);
+      continue;
+    }
+    out[1].sections.push_back(s);
+    out[1].sections.push_back(s);
+    out[2].sections.push_back({s.id, s.payload.substr(0, 2)});
+  }
+  return out;
+}
+
 TEST(CheckpointRestore, EveryBoundaryOfEveryMechanismRestoresIdentically) {
   const Supervision supervision;
   for (const RestoreCell& cell : restore_cells()) {
     SCOPED_TRACE(cell.name);
     const sim::SwarmConfig& config = cell.config;
 
-    // Uninterrupted reference: the plain, checkpoint-free path.
-    const CellOutcome ref = run_supervised_cell(0, config, supervision);
-    ASSERT_TRUE(ref.ok()) << ref.error;
+    const std::string ref = reference_json(config);
     const double every = cell_sim_duration(config) / 5.0;
     ASSERT_GT(every, 0.0);
 
-    // Chunked runs observe, never perturb: same report bytes.
+    // The cell without snapshots, and chunked runs, which observe and
+    // never perturb: same report bytes.
+    const CellOutcome plain = run_supervised_cell(0, config, supervision);
+    ASSERT_TRUE(plain.ok()) << plain.error;
+    EXPECT_EQ(plain.report_json, ref);
     std::vector<std::string> snaps;
     const CellOutcome chunked = run_supervised_cell(
         0, config, supervision, collecting_policy(every, &snaps));
     ASSERT_TRUE(chunked.ok()) << chunked.error;
-    EXPECT_EQ(chunked.report_json, ref.report_json)
+    EXPECT_EQ(chunked.report_json, ref)
         << "chunked advance_until diverged from one run()";
     ASSERT_GE(snaps.size(), 2u)
         << "cadence produced too few mid-run snapshots to test";
@@ -141,9 +183,9 @@ TEST(CheckpointRestore, EveryBoundaryOfEveryMechanismRestoresIdentically) {
       ASSERT_TRUE(resumed.ok()) << resumed.error;
       EXPECT_TRUE(resumed.resumed_from_checkpoint);
       EXPECT_GT(resumed.restored_events, 0u);
-      EXPECT_LT(resumed.events - resumed.restored_events, ref.events)
+      EXPECT_LT(resumed.events - resumed.restored_events, chunked.events)
           << "a resumed cell must replay only a tail, not everything";
-      EXPECT_EQ(resumed.report_json, ref.report_json)
+      EXPECT_EQ(resumed.report_json, ref)
           << "restore from boundary " << i << " diverged";
     }
   }
@@ -153,8 +195,7 @@ TEST(CheckpointRestore, ACorruptSnapshotRestartsTheCellFromScratch) {
   const Supervision supervision;
   const sim::SwarmConfig config =
       cell_config(core::Algorithm::kBitTorrent, sim::FaultConfig{});
-  const CellOutcome ref = run_supervised_cell(0, config, supervision);
-  ASSERT_TRUE(ref.ok()) << ref.error;
+  const std::string ref = reference_json(config);
   const double every = cell_sim_duration(config) / 5.0;
 
   std::vector<std::string> snaps;
@@ -172,16 +213,75 @@ TEST(CheckpointRestore, ACorruptSnapshotRestartsTheCellFromScratch) {
   version1[8] = 1;
   std::string version2 = snaps.front();
   version2[8] = 2;
+  std::vector<std::string> rejected = {corrupt, version1, version2};
+  // Well-framed snapshots whose metrics section is missing, doubled, or
+  // cut to 2 bytes: without the metrics the restored run would report
+  // only its tail.
+  for (const BadMetrics& bad :
+       bad_metrics(sim::decode_snapshot(config, snaps.front()))) {
+    rejected.push_back(sim::encode_snapshot(config, bad.sections));
+  }
 
   // "Never wrong, only slower": the rejected snapshot is dropped, the
   // cell restarts fresh, and the result is still byte-identical.
-  for (const std::string& bad : {corrupt, version1, version2}) {
+  for (const std::string& bad : rejected) {
     const CellOutcome outcome = run_supervised_cell(
         0, config, supervision, resuming_policy(every, bad));
     ASSERT_TRUE(outcome.ok()) << outcome.error;
     EXPECT_FALSE(outcome.resumed_from_checkpoint);
-    EXPECT_EQ(outcome.report_json, ref.report_json);
+    EXPECT_EQ(outcome.report_json, ref);
   }
+}
+
+TEST(CheckpointRestore, RestoringACellRejectsABadMetricsSection) {
+  const sim::SwarmConfig config =
+      cell_config(core::Algorithm::kBitTorrent, sim::FaultConfig{});
+  std::vector<std::string> snaps;
+  run_supervised_cell(
+      0, config, Supervision{},
+      collecting_policy(cell_sim_duration(config) / 5.0, &snaps));
+  ASSERT_FALSE(snaps.empty());
+  const std::vector<sim::SnapshotSection> sections =
+      sim::decode_snapshot(config, snaps.front());
+  EXPECT_NO_THROW(CellRun(config, Supervision{}, sections));
+  for (const BadMetrics& bad : bad_metrics(sections)) {
+    SCOPED_TRACE(bad.name);
+    try {
+      CellRun cell(config, Supervision{}, bad.sections);
+      FAIL() << "restored a snapshot with a bad metrics section";
+    } catch (const sim::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("metrics section"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CheckpointRestore, ACancelledCellLeavesAFinalSnapshotThatResumes) {
+  const sim::SwarmConfig config =
+      cell_config(core::Algorithm::kFairTorrent, scenarios()[1].faults);
+  const std::string ref = reference_json(config);
+  const double every = cell_sim_duration(config) / 2.0;
+
+  // The flag is up before the cell starts, so the guard stops it at its
+  // first tick, well before the first cadence boundary.
+  const std::atomic<bool> cancel{true};
+  Supervision cancelled;
+  cancelled.cancel = &cancel;
+  cancelled.guard_every = 64;
+  std::vector<std::string> snaps;
+  const CellOutcome stopped = run_supervised_cell(
+      0, config, cancelled, collecting_policy(every, &snaps));
+  EXPECT_EQ(stopped.status, CellOutcome::Status::kSkipped) << stopped.error;
+  EXPECT_EQ(stopped.events, cancelled.guard_every);
+  ASSERT_EQ(snaps.size(), 1u) << "expected exactly the final snapshot";
+
+  const CellOutcome resumed = run_supervised_cell(
+      0, config, Supervision{}, resuming_policy(every, snaps.front()));
+  ASSERT_TRUE(resumed.ok()) << resumed.error;
+  EXPECT_TRUE(resumed.resumed_from_checkpoint);
+  EXPECT_EQ(resumed.restored_events, cancelled.guard_every);
+  EXPECT_EQ(resumed.report_json, ref);
 }
 
 // ---------------------------------------------------------------------
@@ -194,7 +294,8 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-int run_binary(const std::vector<std::string>& args) {
+/// fork/exec with stdout/stderr discarded; returns the pid.
+pid_t spawn(const std::vector<std::string>& args) {
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
@@ -207,15 +308,24 @@ int run_binary(const std::vector<std::string>& args) {
     ::execv(argv[0], argv.data());
     _exit(127);
   }
+  return pid;
+}
+
+int wait_exit_code(pid_t pid) {
   int status = 0;
   ::waitpid(pid, &status, 0);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
 }
 
+int run_binary(const std::vector<std::string>& args) {
+  return wait_exit_code(spawn(args));
+}
+
 std::vector<std::string> single_run_args(const std::string& json_out,
-                                         const std::string& trace_out) {
+                                         const std::string& trace_out,
+                                         const char* n = "60") {
   return {COOPNET_RUN_BIN, "--algo",      "T-Chain",  "--n",
-          "60",            "--file-mb",   "8",        "--seed",
+          n,               "--file-mb",   "8",        "--seed",
           "3",             "--max-time",  "2000",     "--churn",
           "moderate",      "--loss",      "0.05",     "--json-out",
           json_out,        "--trace-out", trace_out};
@@ -256,6 +366,67 @@ TEST(CheckpointRestore, CliInterruptAndRestoreReproduceReportAndTrace) {
   EXPECT_EQ(read_file(dir + "/run.json"), ref_json)
       << "restored report diverged from the uninterrupted run";
   EXPECT_EQ(read_file(dir + "/run.trace"), ref_trace)
+      << "restored trace bytes diverged from the uninterrupted run";
+
+  for (const char* f : {"/ref.json", "/ref.trace", "/run.json",
+                        "/run.trace", "/cell.ckpt"}) {
+    std::remove((dir + f).c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+
+TEST(CheckpointRestore, CliSigtermLeavesASnapshotThatRestoresReportAndTrace) {
+  char tmpl[] = "/tmp/coopnet_ckpt_sigterm_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string ckpt = dir + "/cell.ckpt";
+
+  ASSERT_EQ(run_binary(single_run_args(dir + "/ref.json",
+                                       dir + "/ref.trace", "200")),
+            0);
+
+  auto args = single_run_args(dir + "/run.json", dir + "/run.trace", "200");
+  for (const char* extra : {"--checkpoint-every", "5", "--checkpoint"}) {
+    args.push_back(extra);
+  }
+  args.push_back(ckpt);
+  const pid_t victim = spawn(args);
+  ASSERT_GT(victim, 0);
+  // Wait for the first cadence snapshot, then freeze the run so the
+  // SIGTERM lands mid-cell rather than after a fast finish.
+  struct stat st{};
+  for (int i = 0; i < 5000 && ::stat(ckpt.c_str(), &st) != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::kill(victim, SIGSTOP);
+  ::kill(victim, SIGTERM);
+  ::kill(victim, SIGCONT);
+  const int code = wait_exit_code(victim);
+  // Graceful preemption exits 128+15 after a final snapshot; a run that
+  // finished before the signal landed exits 0 and prunes its snapshot.
+  ASSERT_TRUE(code == 143 || code == 0) << "exit code " << code;
+  if (code == 143) {
+    // The final snapshot is taken where the run stopped: its trace
+    // section, the container's last 8 bytes (a little-endian u64),
+    // records exactly the bytes the interrupted run streamed.
+    const std::string snapshot = read_file(ckpt);
+    ASSERT_GE(snapshot.size(), 8u) << "no final snapshot";
+    const std::size_t tail = snapshot.size() - 8;
+    std::uint64_t trace_offset = 0;
+    for (int i = 7; i >= 0; --i) {
+      trace_offset = trace_offset << 8 |
+                     static_cast<unsigned char>(snapshot[tail + i]);
+    }
+    EXPECT_EQ(trace_offset, read_file(dir + "/run.trace").size())
+        << "the last snapshot is not the one taken at the interrupt";
+    args.push_back("--restore");
+    args.push_back(ckpt);
+    ASSERT_EQ(run_binary(args), 0);
+  }
+
+  EXPECT_EQ(read_file(dir + "/run.json"), read_file(dir + "/ref.json"))
+      << "restored report diverged from the uninterrupted run";
+  EXPECT_EQ(read_file(dir + "/run.trace"), read_file(dir + "/ref.trace"))
       << "restored trace bytes diverged from the uninterrupted run";
 
   for (const char* f : {"/ref.json", "/ref.trace", "/run.json",

@@ -22,6 +22,7 @@
 #include "metrics/json.h"
 #include "metrics/report.h"
 #include "metrics/run_metrics.h"
+#include "sim/auditor.h"
 #include "sim/checkpoint.h"
 #include "sim/swarm.h"
 #include "strategy/factory.h"
@@ -153,6 +154,27 @@ TEST(ConfigFingerprint, CommittedV3SnapshotStillRestores) {
   metrics::RunMetrics collector;
   swarm.start_restored();
   collector.install_restored(swarm);
+  if (kAuditCompiledIn) {
+    // audit_every is part of the fingerprint, so an audit build audits
+    // this config, and the default build's snapshot has no auditor
+    // section: rejected before anything changes.
+    try {
+      SwarmCheckpoint::restore(swarm, sections);
+      FAIL() << "an audit build restored a snapshot without an audit "
+                "section";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("no audit section"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(swarm.engine().pending(), 0u);
+    for (PeerId id = 0; id < swarm.peer_count(); ++id) {
+      EXPECT_TRUE(swarm.peer_store().ledger(id).empty()) << id;
+      EXPECT_EQ(swarm.peer_store().state(id), PeerState::kPending) << id;
+      EXPECT_EQ(swarm.peer_store().uploaded_bytes(id), 0) << id;
+    }
+    return;
+  }
   SwarmCheckpoint::restore(swarm, sections);
   for (const SnapshotSection& s : sections) {
     if (s.id != kSectionMetrics) continue;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,6 @@
 #include "sim/auditor.h"
 #include "sim/checkpoint.h"
 #include "sim/swarm.h"
-#include "strategy/factory.h"
 #include "util/atomic_file.h"
 #include "util/byteio.h"
 #include "util/cli.h"
@@ -279,9 +279,10 @@ int run(const util::Cli& cli) {
                               control);
   }
 
-  // Single run; optionally with the in-memory trace and/or a streaming
-  // JSONL sink attached (sink -> log -> collector, each chaining on), and
-  // optionally checkpointed (--checkpoint) or restored (--restore).
+  // Single run: one exp::CellRun, optionally with the in-memory trace
+  // and/or a streaming JSONL sink attached (sink -> log -> collector, each
+  // chaining on), and optionally checkpointed (--checkpoint) or restored
+  // (--restore).
   const std::string ckpt_file = cli.get_string("checkpoint", "");
   if (cli.has("checkpoint") && ckpt_file.empty()) {
     throw std::invalid_argument(
@@ -303,144 +304,98 @@ int run(const util::Cli& cli) {
         "restore; use --trace-out FILE (it is truncated to the snapshot "
         "offset and continued byte-identically)");
   }
-  const bool checkpointing = !ckpt_file.empty() || !restore_file.empty();
+  if (control.supervision.any() || !ckpt_file.empty() ||
+      !restore_file.empty()) {
+    // A checkpointed run always polls the cancel flag: SIGINT/SIGTERM
+    // then stop it at a guard tick and it leaves a final snapshot.
+    control.supervision.cancel = &g_cancel;
+    install_signal_handlers();
+  }
 
-  std::vector<sim::SnapshotSection> sections;
-  std::uint64_t trace_offset = 0;
-  bool have_trace_section = false;
-  const bool restored = !restore_file.empty();
-  if (restored) {
+  std::unique_ptr<exp::CellRun> cell;
+  std::optional<std::uint64_t> trace_offset;
+  if (restore_file.empty()) {
+    cell = std::make_unique<exp::CellRun>(config, control.supervision);
+  } else {
     std::ifstream in(restore_file, std::ios::binary);
     if (!in) {
       throw std::invalid_argument("--restore: cannot read " + restore_file);
     }
     std::ostringstream os;
     os << in.rdbuf();
-    // Throws sim::CheckpointError (with the failing section/offset) on a
-    // truncated, bit-rotted, or config-mismatched snapshot.
-    sections = sim::decode_snapshot(config, os.str());
+    // decode_snapshot and the restoring CellRun throw
+    // sim::CheckpointError (naming the failing section or offset) on a
+    // truncated, bit-rotted, or config-mismatched snapshot; a single run
+    // reports it instead of starting over.
+    const std::vector<sim::SnapshotSection> sections =
+        sim::decode_snapshot(config, os.str());
     for (const sim::SnapshotSection& s : sections) {
       if (s.id != sim::kSectionTrace) continue;
       util::ByteSource src(s.payload, "trace section");
       trace_offset = src.get_u64();
       src.expect_exhausted();
-      have_trace_section = true;
     }
+    cell = std::make_unique<exp::CellRun>(config, control.supervision,
+                                          sections);
   }
 
-  sim::Swarm swarm(config, strategy::make_strategy(config.algorithm));
-  std::unique_ptr<exp::CellGuard> guard;
-  if (control.supervision.any() || checkpointing) {
-    // A checkpointed run always polls the cancel flag: SIGINT/SIGTERM
-    // then stop it at a guard tick and it leaves a final snapshot.
-    control.supervision.cancel = &g_cancel;
-    install_signal_handlers();
-    guard = std::make_unique<exp::CellGuard>(swarm.engine(),
-                                             control.supervision);
-  }
-  metrics::RunMetrics collector;
-  if (restored) {
-    swarm.start_restored();
-    collector.install_restored(swarm);
-  } else {
-    collector.install(swarm);
-  }
   metrics::TraceLog trace(cli.has("trace"));
   std::unique_ptr<metrics::TraceSink> sink;
   sim::SwarmObserver* head = nullptr;
   if (cli.has("trace")) {
-    trace.chain(&collector);
+    trace.chain(&cell->metrics());
     head = &trace;
   }
   if (cli.has("trace-out")) {
     const std::string trace_path = cli.get_string("trace-out", "");
-    if (restored) {
-      if (!have_trace_section) {
-        throw std::invalid_argument(
-            "--restore: the snapshot has no trace section (the original "
-            "run did not stream --trace-out); drop --trace-out or restart "
-            "from scratch");
-      }
-      sink = std::make_unique<metrics::TraceSink>(trace_path, true,
-                                                  trace_offset);
-    } else {
+    if (restore_file.empty()) {
       sink = std::make_unique<metrics::TraceSink>(trace_path);
+    } else if (trace_offset) {
+      sink = std::make_unique<metrics::TraceSink>(trace_path, true,
+                                                  *trace_offset);
+    } else {
+      throw std::invalid_argument(
+          "--restore: the snapshot has no trace section (the original "
+          "run did not stream --trace-out); drop --trace-out or restart "
+          "from scratch");
     }
-    sink->chain(head != nullptr ? head : &collector);
+    sink->chain(head != nullptr ? head : &cell->metrics());
     head = sink.get();
-  } else if (restored && have_trace_section) {
+  } else if (trace_offset) {
     std::fprintf(stderr,
                  "coopnet_run: warning: the snapshot recorded a streamed "
                  "trace but --trace-out is absent; the trace file will "
                  "not be continued\n");
   }
-  if (head != nullptr) swarm.set_observer(head);
+  if (head != nullptr) cell->swarm().set_observer(head);
 
-  auto take_snapshot = [&] {
-    std::vector<sim::SnapshotSection> snap =
-        sim::SwarmCheckpoint::save(swarm);
-    util::ByteSink msink;
-    collector.checkpoint_save(msink);
-    snap.push_back({sim::kSectionMetrics, msink.take()});
+  cell->run(ckpt_file.empty() ? 0.0 : control.checkpoint.every, [&] {
+    std::vector<sim::SnapshotSection> snap = cell->save();
     if (sink != nullptr) {
       util::ByteSink tsink;
       tsink.put_u64(sink->bytes_written());
       snap.push_back({sim::kSectionTrace, tsink.take()});
     }
     util::write_file_atomic(ckpt_file, sim::encode_snapshot(config, snap));
-  };
-
-  if (!checkpointing) {
-    swarm.run();
-  } else {
-    if (restored) {
-      sim::SwarmCheckpoint::restore(swarm, sections);
-      for (const sim::SnapshotSection& s : sections) {
-        if (s.id != sim::kSectionMetrics) continue;
-        util::ByteSource src(s.payload, "metrics section");
-        collector.checkpoint_load(src);
-        src.expect_exhausted();
-      }
-    } else {
-      swarm.start();
-    }
-    const double every = control.checkpoint.every;
-    if (!ckpt_file.empty()) {
-      double next =
-          restored
-              ? (std::floor(swarm.engine().now() / every) + 1.0) * every
-              : every;
-      while (!swarm.finished() && next < config.max_time) {
-        swarm.advance_until(next);
-        if (swarm.finished()) break;
-        take_snapshot();
-        next += every;
-      }
-    }
-    if (!swarm.finished()) swarm.advance_until(config.max_time);
-    if (!ckpt_file.empty() && guard != nullptr &&
-        guard->status() == exp::CellOutcome::Status::kSkipped) {
-      // Graceful preemption: the interrupt landed between events, so the
-      // final snapshot resumes with nothing to replay.
-      take_snapshot();
-      std::fprintf(stderr,
-                   "coopnet_run: snapshot written to %s; rerun with "
-                   "--restore %s to continue\n",
-                   ckpt_file.c_str(), ckpt_file.c_str());
-    }
+  });
+  const exp::CellOutcome::Status status = cell->guard().status();
+  if (!ckpt_file.empty() && status == exp::CellOutcome::Status::kSkipped) {
+    std::fprintf(stderr,
+                 "coopnet_run: snapshot written to %s; rerun with "
+                 "--restore %s to continue\n",
+                 ckpt_file.c_str(), ckpt_file.c_str());
   }
-  const auto report = metrics::build_report(swarm, collector);
-  const bool cancelled =
-      guard != nullptr && guard->status() != exp::CellOutcome::Status::kOk;
+  const auto report = metrics::build_report(cell->swarm(), cell->metrics());
+  const bool cancelled = status != exp::CellOutcome::Status::kOk;
   if (!ckpt_file.empty() && !cancelled) {
     std::remove(ckpt_file.c_str());  // clean completion: prune the snapshot
   }
   if (cancelled) {
     std::printf("run cancelled: %s (metrics below cover the partial run)\n",
-                guard->reason().c_str());
+                cell->guard().reason().c_str());
   }
   std::printf("%s\n", metrics::summarize_report(report).c_str());
-  if (const auto* auditor = swarm.auditor()) {
+  if (const auto* auditor = cell->swarm().auditor()) {
     std::printf("audit: %llu events recorded, %llu invariant checks, "
                 "0 violations\n",
                 static_cast<unsigned long long>(auditor->events_recorded()),
