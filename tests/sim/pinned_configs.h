@@ -1,7 +1,8 @@
 // The swarm configurations the test suite pins: the swarm-equivalence
 // golden cells (6 mechanisms x {clean, churn} x N in {50, 200}, plus the
-// T-Chain admission cells) and a set of named configurations whose
-// checkpoint fingerprints are committed under tests/golden/.
+// T-Chain admission cells and the seeder-path cells) and a set of named
+// configurations whose checkpoint fingerprints are committed under
+// tests/golden/.
 #pragma once
 
 #include <cstdint>
@@ -16,31 +17,44 @@
 
 namespace coopnet::sim {
 
-/// T-Chain admission scenarios, each on the no-fault config.
-enum class Admission : std::uint8_t {
+/// Scenarios beyond the clean/churn matrix, each on the no-fault config
+/// unless noted: T-Chain admission (backlog, colluders, max_incoming) and
+/// the branches of the seeders' upload path (several seeders with
+/// outages, max_incoming on a mechanism that admits everyone, lingering
+/// finished peers, staggered arrivals).
+enum class Variant : std::uint8_t {
   kDefault,
-  kBacklog2,     // tchain_backlog = 2
-  kColluders,    // free_rider_fraction = 0.2 with attack.collusion
-  kMaxIncoming2  // max_incoming = 2
+  kBacklog2,      // tchain_backlog = 2
+  kColluders,     // free_rider_fraction = 0.2 with attack.collusion
+  kMaxIncoming2,  // max_incoming = 2
+  kSeeders3,      // seeder_count = 3, every seeder down 10 s of each 40 s
+  kLinger,        // finished peers seed for 20 s before leaving
+  kStaggered      // one arrival per second, so arrivals tie with ticks
 };
 
 struct Cell {
   core::Algorithm algo;
   bool churn;
-  Admission admission;
+  Variant variant;
   std::size_t n;
 };
 
 inline const char* scenario_name(const Cell& cell) {
-  switch (cell.admission) {
-    case Admission::kDefault:
+  switch (cell.variant) {
+    case Variant::kDefault:
       return cell.churn ? "_churn" : "_clean";
-    case Admission::kBacklog2:
+    case Variant::kBacklog2:
       return "_backlog2";
-    case Admission::kColluders:
+    case Variant::kColluders:
       return "_colluders";
-    case Admission::kMaxIncoming2:
+    case Variant::kMaxIncoming2:
       return "_maxincoming2";
+    case Variant::kSeeders3:
+      return "_seeders3";
+    case Variant::kLinger:
+      return "_linger";
+    case Variant::kStaggered:
+      return "_staggered";
   }
   return "_unknown";
 }
@@ -65,18 +79,30 @@ inline SwarmConfig cell_config(const Cell& cell) {
     config.faults = moderate_churn();
     config.faults.transfer_loss_rate = 0.05;
   }
-  switch (cell.admission) {
-    case Admission::kDefault:
+  switch (cell.variant) {
+    case Variant::kDefault:
       break;
-    case Admission::kBacklog2:
+    case Variant::kBacklog2:
       config.tchain_backlog = 2;
       break;
-    case Admission::kColluders:
+    case Variant::kColluders:
       config.free_rider_fraction = 0.2;
       config.attack.collusion = true;
       break;
-    case Admission::kMaxIncoming2:
+    case Variant::kMaxIncoming2:
       config.max_incoming = 2;
+      break;
+    case Variant::kSeeders3:
+      config.seeder_count = 3;
+      config.faults.seeder_uptime = 30.0;
+      config.faults.seeder_downtime = 10.0;
+      break;
+    case Variant::kLinger:
+      config.linger_time = 20.0;
+      break;
+    case Variant::kStaggered:
+      config.arrivals = ArrivalProcess::kStaggered;
+      config.arrival_rate = 1.0;
       break;
   }
   return config;
@@ -87,14 +113,30 @@ inline std::vector<Cell> all_cells() {
   for (core::Algorithm algo : core::kAllAlgorithms) {
     for (bool churn : {false, true}) {
       for (std::size_t n : {std::size_t{50}, std::size_t{200}}) {
-        cells.push_back({algo, churn, Admission::kDefault, n});
+        cells.push_back({algo, churn, Variant::kDefault, n});
       }
     }
   }
-  for (Admission admission : {Admission::kBacklog2, Admission::kColluders,
-                              Admission::kMaxIncoming2}) {
+  for (Variant variant : {Variant::kBacklog2, Variant::kColluders,
+                          Variant::kMaxIncoming2}) {
     for (std::size_t n : {std::size_t{50}, std::size_t{200}}) {
-      cells.push_back({core::Algorithm::kTChain, false, admission, n});
+      cells.push_back({core::Algorithm::kTChain, false, variant, n});
+    }
+  }
+  // The seeders' upload path: both of its branches (every candidate
+  // admitted, or each one filtered), several seeders going dark, and the
+  // finished peers that seed through the neighbor scan.
+  const std::pair<core::Algorithm, Variant> seeder_path[] = {
+      {core::Algorithm::kReciprocity, Variant::kSeeders3},
+      {core::Algorithm::kTChain, Variant::kSeeders3},
+      {core::Algorithm::kBitTorrent, Variant::kMaxIncoming2},
+      {core::Algorithm::kFairTorrent, Variant::kLinger},
+      {core::Algorithm::kReciprocity, Variant::kStaggered},
+      {core::Algorithm::kBitTorrent, Variant::kStaggered},
+  };
+  for (const auto& [algo, variant] : seeder_path) {
+    for (std::size_t n : {std::size_t{50}, std::size_t{200}}) {
+      cells.push_back({algo, false, variant, n});
     }
   }
   return cells;

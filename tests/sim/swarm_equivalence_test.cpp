@@ -6,7 +6,10 @@
 // trace_committed; line count + FNV-1a content hash for every cell).
 // T-Chain adds three admission cells per N that the matrix never reaches:
 // a backlog cap of 2 (most deliveries are refused), 20% colluding
-// free-riders, and max_incoming = 2.
+// free-riders, and max_incoming = 2. Six more cells per N pin the seeders'
+// upload path: three seeders with outages (Reciprocity, T-Chain),
+// max_incoming = 2 on BitTorrent, lingering finished peers (FairTorrent)
+// and staggered arrivals (Reciprocity, BitTorrent).
 //
 // The goldens under tests/golden/ were generated from the pre-optimization
 // seed engine (std::priority_queue<std::function> scheduler, linear
@@ -53,7 +56,7 @@ namespace {
 // its trace through the line count + FNV-1a hash in the meta file, which
 // is the same byte-identity check without megabytes of golden text.
 bool trace_committed(const Cell& cell) {
-  return cell.n == 50 && cell.admission == Admission::kDefault &&
+  return cell.n == 50 && cell.variant == Variant::kDefault &&
          (cell.algo == core::Algorithm::kBitTorrent ||
           cell.algo == core::Algorithm::kTChain);
 }
