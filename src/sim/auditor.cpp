@@ -183,9 +183,28 @@ void InvariantAuditor::fail(const std::string& invariant,
 
 void InvariantAuditor::check_now() const {
   check_peer_invariants();
+  check_hungry_index();
   check_piece_frequencies();
   check_census();
   check_byte_identity();
+}
+
+void InvariantAuditor::check_hungry_index() const {
+  // 9: the derived index the seeders pick targets from.
+  const PeerStore& store = swarm_.peer_store();
+  for (ConstPeer p : swarm_.peers()) {
+    const bool hungry = p.active() && !p.unavailable().complete();
+    if (store.hungry(p.id()) != hungry) {
+      fail("hungry-index",
+           std::string("hungry bit is ") +
+               (hungry ? "clear" : "set") + " but the peer is " +
+               (p.active() ? "active" : "inactive") + " with " +
+               std::to_string(p.unavailable().count()) + " of " +
+               std::to_string(p.unavailable().size()) +
+               " pieces unavailable",
+           p.id(), p.epoch());
+    }
+  }
 }
 
 void InvariantAuditor::check_peer_invariants() const {

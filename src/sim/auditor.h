@@ -35,6 +35,9 @@
 //   7. offered_bytes == goodput_bytes + lost bytes + in-flight bytes, and
 //      the swarm's goodput counter matches the per-transfer ledger.
 //   8. reputation[p] >= 0.
+//   9. the store's hungry index holds exactly the active peers whose
+//      `unavailable` set is not complete (also checked after every
+//      checkpoint restore, which rebuilds the index).
 #pragma once
 
 #include <cstdint>
@@ -147,6 +150,11 @@ class InvariantAuditor {
   /// Unconditional full check; throws InvariantViolation on the first
   /// mismatch.
   void check_now() const;
+
+  /// Identity 9 alone: recounts every peer's hungry bit from its state
+  /// and unavailable set. SwarmCheckpoint::restore runs it once the
+  /// restored store is in place.
+  void check_hungry_index() const;
 
   std::uint64_t events_recorded() const { return events_recorded_; }
   std::uint64_t checks_run() const { return checks_run_; }

@@ -454,6 +454,7 @@ void SwarmCheckpoint::restore(Swarm& swarm,
       util::ByteSource src(sec_audit->payload, "audit section");
       swarm.auditor_->checkpoint_load(src);
       src.expect_exhausted();
+      swarm.auditor_->check_hungry_index();
     }
 #else
     // A non-audit build restoring an audit-build snapshot: the audit

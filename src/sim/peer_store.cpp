@@ -53,6 +53,7 @@ void PeerStore::init(std::size_t count, PieceId pieces) {
   pieces_ver_.assign(count, 1);
   transferable_ver_.assign(count, 1);
   unavail_ver_.assign(count, 1);
+  hungry_.assign((count + 63) / 64, 0);  // nobody is active yet
 
   arrival_time_.assign(count, 0.0);
   bootstrap_time_.assign(count, -1.0);
@@ -101,6 +102,7 @@ void PeerStore::set_state(PeerId id, PeerState next) {
   const PeerState prev = slot;
   if (prev == next) return;
   slot = next;
+  refresh_hungry(id);
   if (next == PeerState::kActive) {
     active_pos_[id] = static_cast<std::uint32_t>(active_ids_.size());
     active_ids_.push_back(id);
@@ -376,9 +378,10 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
 
   // Interest memos are pure caches whose warm set is not part of the
   // snapshot; drop them and let the version stamps trigger exact,
-  // effect-free recomputation.
+  // effect-free recomputation. The hungry index is derived state too.
   memo_[0].clear();
   memo_[1].clear();
+  for (PeerId id = 0; id < n; ++id) refresh_hungry(id);
 }
 
 void PeerStore::adopt(PeerStore&& staged) {

@@ -6,7 +6,7 @@ namespace coopnet::strategy {
 
 std::optional<sim::UploadAction> AltruismStrategy::next_upload(
     sim::Swarm& swarm, sim::PeerId uploader) {
-  auto needy = swarm.needy_neighbors(uploader);
+  const auto& needy = swarm.needy_neighbors(uploader);
   if (needy.empty()) return std::nullopt;
   const sim::PeerId to = needy[swarm.rng().uniform_u64(needy.size())];
   const sim::PieceId piece = swarm.pick_piece(uploader, to);

@@ -10,6 +10,7 @@ class AltruismStrategy final : public sim::ExchangeStrategy {
  public:
   std::optional<sim::UploadAction> next_upload(sim::Swarm& swarm,
                                                sim::PeerId uploader) override;
+  bool admits_everyone() const override { return true; }
 
   // Genuinely stateless: target choice is a fresh uniform draw per slot
   // (the RNG stream is serialized by the swarm checkpoint) and it

@@ -148,7 +148,7 @@ std::optional<sim::UploadAction> BitTorrentStrategy::next_upload(
     // optimistic-unchoke slot toward one random neighbor and keep serving
     // that same neighbor until the first rechoke (per-slot target churn
     // would amount to altruism).
-    auto needy = swarm.needy_neighbors(uploader);
+    const auto& needy = swarm.needy_neighbors(uploader);
     if (needy.empty()) return std::nullopt;
     const sim::PeerId picked = needy[swarm.rng().uniform_u64(needy.size())];
     st.started = true;

@@ -20,6 +20,7 @@ class BitTorrentStrategy final : public sim::ExchangeStrategy {
   void attach(sim::Swarm& swarm) override;
   std::optional<sim::UploadAction> next_upload(sim::Swarm& swarm,
                                                sim::PeerId uploader) override;
+  bool admits_everyone() const override { return true; }
   void on_upload_started(sim::Swarm& swarm,
                          const sim::Transfer& transfer) override;
   void on_delivered(sim::Swarm& swarm,

@@ -10,7 +10,7 @@ namespace coopnet::strategy {
 std::optional<sim::UploadAction> FairTorrentStrategy::next_upload(
     sim::Swarm& swarm, sim::PeerId uploader) {
   const sim::Peer up = swarm.peer(uploader);
-  auto needy = swarm.needy_neighbors(uploader);
+  const auto& needy = swarm.needy_neighbors(uploader);
   if (needy.empty()) return std::nullopt;
 
   // Smallest deficit wins; random tie-break. A missing entry is a zero

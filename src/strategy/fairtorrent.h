@@ -15,6 +15,7 @@ class FairTorrentStrategy final : public sim::ExchangeStrategy {
  public:
   std::optional<sim::UploadAction> next_upload(sim::Swarm& swarm,
                                                sim::PeerId uploader) override;
+  bool admits_everyone() const override { return true; }
 
   // Genuinely stateless: the deficit counters FairTorrent ranks by live in
   // the PeerStore (serialized by the swarm checkpoint) and it schedules no

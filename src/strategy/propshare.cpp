@@ -32,7 +32,7 @@ void PropShareStrategy::reshare_all(sim::Swarm& swarm) {
     // Rotate the optimistic target every round (PropShare spends its
     // exploration budget more aggressively than BitTorrent's 3-round
     // rotation; it needs discovery to learn new bid levels).
-    auto needy = swarm.needy_neighbors(id);
+    const auto& needy = swarm.needy_neighbors(id);
     st.optimistic = needy.empty()
                         ? sim::kNoPeer
                         : needy[swarm.rng().uniform_u64(needy.size())];
@@ -48,7 +48,7 @@ std::optional<sim::UploadAction> PropShareStrategy::next_upload(
   PeerShareState& st = state_[uploader];
   if (!st.started) {
     // Pre-first-round: open a pinned optimistic slot, as in BitTorrent.
-    auto needy = swarm.needy_neighbors(uploader);
+    const auto& needy = swarm.needy_neighbors(uploader);
     if (needy.empty()) return std::nullopt;
     st.started = true;
     st.optimistic = needy[swarm.rng().uniform_u64(needy.size())];

@@ -13,6 +13,7 @@ class ReciprocityStrategy final : public sim::ExchangeStrategy {
  public:
   std::optional<sim::UploadAction> next_upload(sim::Swarm& swarm,
                                                sim::PeerId uploader) override;
+  bool admits_everyone() const override { return true; }
 
   // Genuinely stateless: the received-bytes history it ranks by lives in
   // the PeerStore (serialized by the swarm checkpoint) and it schedules no

@@ -74,7 +74,7 @@ void ReputationStrategy::rotate_altruism_targets(sim::Swarm& swarm) {
     const auto id = static_cast<sim::PeerId>(i);
     const sim::Peer p = swarm.peer(id);
     if (!p.active() || p.is_free_rider()) continue;
-    auto needy = swarm.needy_neighbors(id);
+    const auto& needy = swarm.needy_neighbors(id);
     pinned_[id] = needy.empty()
                       ? sim::kNoPeer
                       : needy[swarm.rng().uniform_u64(needy.size())];
@@ -85,7 +85,7 @@ void ReputationStrategy::rotate_altruism_targets(sim::Swarm& swarm) {
 
 std::optional<sim::UploadAction> ReputationStrategy::next_upload(
     sim::Swarm& swarm, sim::PeerId uploader) {
-  auto needy = swarm.needy_neighbors(uploader);
+  const auto& needy = swarm.needy_neighbors(uploader);
   if (needy.empty()) return std::nullopt;
 
   sim::PeerId to = sim::kNoPeer;

@@ -24,6 +24,7 @@ class ReputationStrategy final : public sim::ExchangeStrategy {
   void attach(sim::Swarm& swarm) override;
   std::optional<sim::UploadAction> next_upload(sim::Swarm& swarm,
                                                sim::PeerId uploader) override;
+  bool admits_everyone() const override { return true; }
 
   /// The score the proportional allocation uses for `id`: the global
   /// ledger, or the latest EigenTrust vector (SwarmConfig::reputation_mode).

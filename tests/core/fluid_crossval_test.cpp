@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -235,8 +236,17 @@ TEST(FluidCrossval, MillionPeerExtrapolationGate) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   // The CI smoke (tools/check.sh) gates the full CLI round trip at 1 s;
-  // the in-process integration must clear the same bar with room.
+  // the in-process integration must clear the same bar with room. The bar
+  // is for optimised code: a build without NDEBUG (Debug, audit) runs the
+  // integrator several times slower, so only the timing is waived there.
+#ifdef NDEBUG
   EXPECT_LT(wall, 1.0);
+#else
+  std::printf(
+      "[   NOTE   ] wall-clock bound (1.0 s) not checked in a build "
+      "without NDEBUG; this run took %.3f s\n",
+      wall);
+#endif
   EXPECT_NEAR(report.population, 1e6, 1e-6);
   EXPECT_LE(report.conservation_residual, 1e-9 * report.population);
   // At N = 10^6 the fixed seeder is fully diluted: completion rides on

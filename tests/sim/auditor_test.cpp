@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "sim/faults.h"
 #include "sim/swarm.h"
@@ -182,6 +183,58 @@ TEST(Auditor, DetectsPhantomReservation) {
   } catch (const InvariantViolation& v) {
     EXPECT_EQ(v.invariant(), "pending-reservation");
   }
+}
+
+// The hungry index is derived state the seeders pick targets from. A
+// stand-alone auditor recounts it in any build: corrupting a leecher's
+// sets without bump_unavail_ver leaves its bit stale, and the recount
+// names the peer.
+TEST(Auditor, DetectsAStaleHungryBit) {
+  auto config = audit_config(Algorithm::kAltruism);
+  config.audit_every = 0;  // the stand-alone auditor below does the check
+  Swarm swarm(config, strategy::make_strategy(config.algorithm));
+  swarm.start();
+  // Find a mid-download leecher with nothing in flight or locked.
+  PeerId victim = kNoPeer;
+  for (Seconds t = 0.5;
+       victim == kNoPeer && !swarm.finished() && t <= config.max_time;
+       t += 0.5) {
+    swarm.advance_until(t);
+    for (PeerId id = 0; id < swarm.leechers(); ++id) {
+      ConstPeer p = std::as_const(swarm).peer(id);
+      if (p.active() && !p.pieces().empty() && !p.pieces().complete() &&
+          p.pending().empty() && p.locked().empty()) {
+        victim = id;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(victim, kNoPeer);
+  const InvariantAuditor auditor(swarm);
+  EXPECT_NO_THROW(auditor.check_hungry_index());
+  ASSERT_TRUE(swarm.peer_store().hungry(victim));
+
+  // Hand the victim every missing piece behind the store's back: the set
+  // algebra stays consistent, but its unavailable set is now complete.
+  Peer p = swarm.peer(victim);
+  for (PieceId piece = 0; piece < p.pieces().size(); ++piece) {
+    if (!p.pieces().has(piece)) {
+      p.pieces().add(piece);
+      p.unavailable().add(piece);
+      p.transferable().add(piece);
+    }
+  }
+  try {
+    auditor.check_hungry_index();
+    FAIL() << "a stale hungry bit was not detected";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.invariant(), "hungry-index");
+    EXPECT_EQ(v.peer(), victim);
+  }
+  // Bumping the version is what refreshes the bit.
+  p.bump_unavail_ver();
+  EXPECT_FALSE(swarm.peer_store().hungry(victim));
+  EXPECT_NO_THROW(auditor.check_hungry_index());
 }
 
 // Audited runs are pure observation: enabling/disabling the auditor (or

@@ -1,13 +1,17 @@
 // Contract tests for the struct-of-arrays peer store: slot recycling must
 // keep epoch-guarded identity (no stale-index aliasing), the active
-// registry must list exactly the live peers in a deterministic order, and
-// out-of-range ids must trip the debug range assert.
+// registry must list exactly the live peers in a deterministic order, the
+// hungry index must track state and unavailable sets through every
+// transition and a checkpoint round trip, and out-of-range ids must trip
+// the debug range assert.
 #include "sim/peer_store.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
+
+#include "util/byteio.h"
 
 namespace coopnet::sim {
 namespace {
@@ -227,6 +231,83 @@ TEST(PeerStoreActiveSet, OrderIsAFunctionOfTransitionHistory) {
   EXPECT_EQ(a.active_ids(), b.active_ids());
   // Spot-check the swap-remove mechanics documented above.
   EXPECT_EQ(a.active_ids(), (std::vector<PeerId>{3, 4, 2, 1}));
+}
+
+// --- hungry index -------------------------------------------------------------
+
+/// The hungry bits as a list of ids, read through hungry().
+std::vector<PeerId> hungry_ids(const PeerStore& store) {
+  std::vector<PeerId> ids;
+  for (PeerId id = 0; id < store.size(); ++id) {
+    if (store.hungry(id)) ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(PeerStoreHungry, TracksStateAndUnavailableThroughEveryTransition) {
+  PeerStore store;
+  store.init(70, kPieces);  // two words, the second one partial
+  EXPECT_TRUE(hungry_ids(store).empty());
+
+  store.set_state(3, PeerState::kActive);
+  store.set_state(66, PeerState::kActive);
+  EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3, 66}));
+
+  // Filling the unavailable set takes the peer out once the version
+  // moves; a freed reservation brings it back.
+  for (PieceId piece = 0; piece < kPieces; ++piece) {
+    store.unavailable(66).add(piece);
+  }
+  store.bump_unavail_ver(66);
+  EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3}));
+  store.unavailable(66).remove(5);
+  store.bump_unavail_ver(66);
+  EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3, 66}));
+
+  // Only active peers are hungry: churn, departure and rejoin move the bit.
+  store.set_state(3, PeerState::kChurned);
+  EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{66}));
+  store.set_state(3, PeerState::kActive);
+  store.set_state(66, PeerState::kLeft);
+  EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3}));
+
+  // A recycled slot starts pending, so not hungry, until it arrives.
+  store.release_slot(66);
+  EXPECT_EQ(store.acquire_slot(), 66u);
+  EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3}));
+  store.set_state(66, PeerState::kActive);
+  EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3, 66}));
+
+  // The words the seeders count expose the same bits.
+  EXPECT_EQ(store.hungry_words()[0], std::uint64_t{1} << 3);
+  EXPECT_EQ(store.hungry_words()[1], std::uint64_t{1} << 2);
+}
+
+TEST(PeerStoreHungry, CheckpointLoadRebuildsTheIndex) {
+  PeerStore store;
+  store.init(5, kPieces);
+  for (PeerId id = 0; id < 5; ++id) store.set_state(id, PeerState::kActive);
+  for (PieceId piece = 0; piece < kPieces; ++piece) {
+    store.unavailable(1).add(piece);
+  }
+  store.bump_unavail_ver(1);
+  store.set_state(4, PeerState::kChurned);
+  ASSERT_EQ(hungry_ids(store), (std::vector<PeerId>{0, 2, 3}));
+
+  util::ByteSink sink;
+  store.checkpoint_save(sink);
+  const std::string bytes = sink.take();
+  PeerStore restored;
+  restored.init(5, kPieces);
+  util::ByteSource src(bytes);
+  restored.checkpoint_load(src);
+  EXPECT_EQ(hungry_ids(restored), hungry_ids(store));
+
+  // The index is derived, not saved: the restored store saves the same
+  // bytes.
+  util::ByteSink again;
+  restored.checkpoint_save(again);
+  EXPECT_EQ(again.take(), bytes);
 }
 
 // --- debug range guard -------------------------------------------------------

@@ -23,7 +23,7 @@ class ScriptedStrategy : public ExchangeStrategy {
   std::optional<UploadAction> next_upload(Swarm& swarm,
                                           PeerId uploader) override {
     ++decisions;
-    auto needy = swarm.needy_neighbors(uploader);
+    const auto& needy = swarm.needy_neighbors(uploader);
     if (needy.empty()) return std::nullopt;
     const PeerId to = needy[swarm.rng().uniform_u64(needy.size())];
     const PieceId piece = swarm.pick_piece(uploader, to);
