@@ -15,7 +15,7 @@ namespace coopnet::sim {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'O', 'P', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kFormatVersion = 3;
+constexpr std::uint32_t kFormatVersion = 4;
 
 /// Container header: magic, version, flags, fingerprint CRC and length,
 /// section count. Each section adds a 16-byte frame (id, CRC, length).

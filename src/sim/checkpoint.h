@@ -80,7 +80,13 @@ class SwarmCheckpoint {
   ///   metrics.install_restored(swarm); // registers the sampler timer
   ///   SwarmCheckpoint::restore(swarm, sections);
   ///   metrics.checkpoint_load(...);    // the one metrics section (id 7)
-  ///   while (!swarm.finished()) swarm.advance_until(...);
+  ///   Seconds t = swarm.engine().now();
+  ///   while (!swarm.finished() && t < swarm.config().max_time) {
+  ///     t = std::min(t + every, swarm.config().max_time);
+  ///     swarm.advance_until(t);
+  ///   }
+  /// The max_time bound is what ends the loop when a peer is still active
+  /// at the horizon (see Swarm::finished).
   /// Section presence (including, in an audit build that audits, the
   /// audit section), the engine/RNG/queue sections, and every queue tag
   /// are parsed and validated BEFORE anything mutates, so the common

@@ -87,14 +87,8 @@ class PeerHandle {
   decltype(auto) unavailable() const { return store_->unavailable(id_); }
   decltype(auto) transferable() const { return store_->transferable(id_); }
 
-  std::uint32_t pieces_ver() const { return store_->pieces_ver(id_); }
-  std::uint32_t transferable_ver() const {
-    return store_->transferable_ver(id_);
-  }
-  std::uint32_t unavail_ver() const { return store_->unavail_ver(id_); }
-  void bump_pieces_ver() const { store_->bump_pieces_ver(id_); }
-  void bump_transferable_ver() const { store_->bump_transferable_ver(id_); }
-  void bump_unavail_ver() const { store_->bump_unavail_ver(id_); }
+  /// Call after every change to unavailable() (see PeerStore::hungry).
+  void refresh_hungry() const { store_->refresh_hungry(id_); }
 
   NeighborRange neighbors() const {
     return {store_->neighbors_begin(id_), store_->neighbors_end(id_)};

@@ -49,10 +49,6 @@ void PeerStore::init(std::size_t count, PieceId pieces) {
   unavailable_.assign(count, PieceSet(pieces));
   transferable_.assign(count, PieceSet(pieces));
 
-  // Version counters start at 1 so a zero-initialized memo never matches.
-  pieces_ver_.assign(count, 1);
-  transferable_ver_.assign(count, 1);
-  unavail_ver_.assign(count, 1);
   hungry_.assign((count + 63) / 64, 0);  // nobody is active yet
 
   arrival_time_.assign(count, 0.0);
@@ -72,12 +68,9 @@ void PeerStore::init(std::size_t count, PieceId pieces) {
 
   nbr_offset_.assign(count + 1, 0);
   nbr_data_.clear();
-  memo_[0].clear();
-  memo_[1].clear();
 
   active_ids_.clear();
   active_pos_.assign(count, kNoPos);
-  free_ids_.clear();
 }
 
 void PeerStore::build_neighbors(
@@ -121,61 +114,6 @@ void PeerStore::set_state(PeerId id, PeerState next) {
   }
 }
 
-void PeerStore::release_slot(PeerId id) {
-  check(id);
-  assert(state(id) == PeerState::kLeft &&
-         "PeerStore::release_slot: only departed peers may be recycled");
-  // Bump now, not at acquire time: any event or cached id captured before
-  // the release must already observe a stale incarnation.
-  bump_epoch(id);
-  free_ids_.push_back(id);
-}
-
-PeerId PeerStore::acquire_slot() {
-  if (free_ids_.empty()) return kNoPeer;
-  const PeerId id = free_ids_.back();  // LIFO: deterministic reuse order
-  free_ids_.pop_back();
-
-  // Subtract the previous incarnation's residual byte counters so the
-  // population aggregates keep equaling the sum of per-peer counters.
-  total_uploaded_ -= uploaded_bytes_[id];
-  if (kind_[id] != PeerKind::kSeeder) leecher_uploaded_ -= uploaded_bytes_[id];
-  if (kind_[id] == PeerKind::kFreeRider) {
-    freerider_usable_ -= usable_from_leechers_bytes_[id];
-  }
-  total_downloaded_raw_ -= downloaded_raw_bytes_[id];
-
-  kind_[id] = PeerKind::kCompliant;
-  assert(state_[id] == PeerState::kLeft && active_pos_[id] == kNoPos);
-  state_[id] = PeerState::kPending;
-  capacity_[id] = 0.0;
-  upload_slots_[id] = 0;
-  busy_slots_[id] = 0;
-  incoming_count_[id] = 0;
-  collusion_group_[id] = -1;
-  // epoch_ intentionally NOT reset: it keeps counting up across lives so
-  // references captured in any previous life stay detectably stale. The
-  // version counters are kept monotonic for the same reason -- a memo
-  // entry stamped by the previous incarnation must never validate.
-  pieces_[id] = PieceSet(piece_space_);
-  locked_[id] = PieceSet(piece_space_);
-  pending_[id] = PieceSet(piece_space_);
-  unavailable_[id] = PieceSet(piece_space_);
-  transferable_[id] = PieceSet(piece_space_);
-  bump_pieces_ver(id);
-  bump_transferable_ver(id);
-  bump_unavail_ver(id);
-  arrival_time_[id] = 0.0;
-  bootstrap_time_[id] = -1.0;
-  finish_time_[id] = -1.0;
-  uploaded_bytes_[id] = 0;
-  downloaded_usable_bytes_[id] = 0;
-  downloaded_raw_bytes_[id] = 0;
-  usable_from_leechers_bytes_[id] = 0;
-  ledger_[id].clear();
-  return id;
-}
-
 EdgeCounters& PeerStore::edge(PeerId id, PeerId other) {
   std::vector<EdgeCounters>& row = at(ledger_, id);
   auto it = std::ranges::lower_bound(row, other, {}, &EdgeCounters::peer);
@@ -205,15 +143,14 @@ void PeerStore::forget(PeerId id, PeerId other) {
 void PeerStore::checkpoint_save(util::ByteSink& sink) const {
   const std::size_t n = size();
   // Per peer: kind, state, capacity, four int fields, epoch; five piece
-  // sets; three version counters; three times; four byte counters; the
-  // ledger row's length.
+  // sets; three times; four byte counters; the ledger row's length.
   const std::size_t words = (std::size_t{piece_space_} + 63) / 64;
   std::size_t bytes = 8 + 4 + n * (1 + 1 + 8 + 4 * 8 + 4 + 5 * 8 * words +
-                                   3 * 4 + 3 * 8 + 4 * 8 + 8);
+                                   3 * 8 + 4 * 8 + 8);
   for (const std::vector<EdgeCounters>& row : ledger_) {
     bytes += row.size() * kLedgerRecordBytes;
   }
-  bytes += 4 * 8 + 8 + 4 * active_ids_.size() + 8 + 4 * free_ids_.size();
+  bytes += 4 * 8 + 8 + 4 * active_ids_.size();
   sink.reserve(bytes);
   [[maybe_unused]] const std::size_t start = sink.size();
 
@@ -235,10 +172,6 @@ void PeerStore::checkpoint_save(util::ByteSink& sink) const {
     save_piece_set(sink, pending_[i]);
     save_piece_set(sink, unavailable_[i]);
     save_piece_set(sink, transferable_[i]);
-
-    sink.put_u32(pieces_ver_[i]);
-    sink.put_u32(transferable_ver_[i]);
-    sink.put_u32(unavail_ver_[i]);
 
     sink.put_double(arrival_time_[i]);
     sink.put_double(bootstrap_time_[i]);
@@ -266,8 +199,6 @@ void PeerStore::checkpoint_save(util::ByteSink& sink) const {
 
   sink.put_u64(active_ids_.size());
   sink.put_span(active_ids_.data(), active_ids_.size());
-  sink.put_u64(free_ids_.size());
-  sink.put_span(free_ids_.data(), free_ids_.size());
   assert(sink.size() - start == bytes &&
          "PeerStore::checkpoint_save: size formula out of date");
 }
@@ -309,10 +240,6 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
     load_piece_set(src, pending_[i]);
     load_piece_set(src, unavailable_[i]);
     load_piece_set(src, transferable_[i]);
-
-    pieces_ver_[i] = src.get_u32();
-    transferable_ver_[i] = src.get_u32();
-    unavail_ver_[i] = src.get_u32();
 
     arrival_time_[i] = src.get_double();
     bootstrap_time_[i] = src.get_double();
@@ -365,22 +292,8 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
                            " missing from the active registry");
     }
   }
-  const std::size_t frees = src.get_count(4);
-  free_ids_.clear();
-  free_ids_.reserve(frees);
-  for (std::size_t i = 0; i < frees; ++i) {
-    const PeerId id = src.get_u32();
-    if (id >= n) {
-      throw SerializeError("PeerStore restore: free-list id out of range");
-    }
-    free_ids_.push_back(id);
-  }
 
-  // Interest memos are pure caches whose warm set is not part of the
-  // snapshot; drop them and let the version stamps trigger exact,
-  // effect-free recomputation. The hungry index is derived state too.
-  memo_[0].clear();
-  memo_[1].clear();
+  // The hungry index is derived state: rebuild it from what just loaded.
   for (PeerId id = 0; id < n; ++id) refresh_hungry(id);
 }
 

@@ -12,9 +12,6 @@
 //   * the active registry (`active_ids`) lists exactly the peers whose
 //     state is kActive, in deterministic (transition-history) order --
 //     all state changes must go through set_state;
-//   * released slots are epoch-bumped before reuse, so any stale index
-//     captured before release (scheduled events, cached PeerIds) can be
-//     detected by comparing epochs (no stale-index aliasing);
 //   * the byte aggregates (total/leecher uploaded, free-rider usable)
 //     stay in sync with the per-peer counters -- byte counters must be
 //     credited through the credit_* methods;
@@ -22,8 +19,7 @@
 //     every walk over it runs in ascending id order;
 //   * the hungry index (`hungry`) holds exactly the peers that are active
 //     and whose `unavailable` set is not complete -- every change to an
-//     `unavailable` set must be followed by bump_unavail_ver (the
-//     interest memo relies on that too).
+//     `unavailable` set must be followed by refresh_hungry.
 #pragma once
 
 #include <cassert>
@@ -58,17 +54,6 @@ enum class PeerState : std::uint8_t {
   kActive,   // exchanging pieces
   kChurned,  // abruptly departed mid-download; may rejoin (fault injection)
   kLeft,     // departed for good (finished, or churned without rejoining)
-};
-
-/// One cached can_offer(neighbor.unavailable) verdict (see
-/// Swarm::needy_neighbors). A (offer_ver, avail_ver) pair stamped into the
-/// entry proves the cached result is still current. Entries start
-/// zeroed; peer version counters start at 1, so a fresh memo never
-/// matches.
-struct InterestMemo {
-  std::uint32_t offer_ver = 0;
-  std::uint32_t avail_ver = 0;
-  bool can_offer = false;
 };
 
 /// One record of a peer's exchange ledger: what it has exchanged with
@@ -143,29 +128,26 @@ class PeerStore {
     return at(transferable_, id);
   }
 
-  // --- interest-memo version counters -------------------------------------
-  std::uint32_t pieces_ver(PeerId id) const { return at(pieces_ver_, id); }
-  std::uint32_t transferable_ver(PeerId id) const {
-    return at(transferable_ver_, id);
-  }
-  std::uint32_t unavail_ver(PeerId id) const { return at(unavail_ver_, id); }
-  void bump_pieces_ver(PeerId id) { ++at(pieces_ver_, id); }
-  void bump_transferable_ver(PeerId id) { ++at(transferable_ver_, id); }
-  /// Call after every change to unavailable(id): besides invalidating the
-  /// interest memos, it refreshes the peer's hungry bit.
-  void bump_unavail_ver(PeerId id) {
-    ++at(unavail_ver_, id);
-    refresh_hungry(id);
-  }
-
   // --- hungry index ---------------------------------------------------------
   /// True when `id` is active and `unavailable(id)` is not complete: a peer
   /// that offers every piece (a seeder) can offer it something. Derived
-  /// state, kept by set_state and bump_unavail_ver and rebuilt by init()
+  /// state, kept by set_state and refresh_hungry and rebuilt by init()
   /// and checkpoint_load; never serialized.
   bool hungry(PeerId id) const {
     check(id);
     return (hungry_[id / 64] >> (id % 64)) & 1u;
+  }
+  /// Recomputes `id`'s hungry bit from its state and unavailable set; call
+  /// after every change to unavailable(id).
+  void refresh_hungry(PeerId id) {
+    check(id);
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    std::uint64_t& word = hungry_[id / 64];
+    if (state_[id] == PeerState::kActive && !unavailable_[id].complete()) {
+      word |= bit;
+    } else {
+      word &= ~bit;
+    }
   }
   /// The hungry bits, 64 peers per word in ascending id order (bits past
   /// size() are clear); for util/bit_range.h's range counts.
@@ -242,17 +224,6 @@ class PeerStore {
     return nbr_data_.data() + nbr_offset_[id + 1];
   }
 
-  /// Interest-memo lane (0: pieces offers, 1: transferable offers),
-  /// CSR-aligned with the neighbor array. Lanes are allocated on first
-  /// touch: mechanisms that never offer locked pieces never pay for lane 1
-  /// (at scale each lane is sizeof(InterestMemo) per edge).
-  InterestMemo* memo_lane(int lane, PeerId id) {
-    check(id);
-    auto& lane_data = memo_[lane];
-    if (lane_data.empty()) lane_data.resize(nbr_data_.size());
-    return lane_data.data() + nbr_offset_[id];
-  }
-
   // --- membership ----------------------------------------------------------
   /// The only way to change a peer's lifecycle state: keeps the active
   /// registry exact. Transition order is deterministic (driven solely by
@@ -267,32 +238,14 @@ class PeerStore {
   const std::vector<PeerId>& active_ids() const { return active_ids_; }
   std::size_t active_count() const { return active_ids_.size(); }
 
-  // --- slot reuse (free-list) ----------------------------------------------
-  /// Releases a slot for reuse by a future acquire(): the peer must have
-  /// left, its epoch is bumped immediately so events/handles captured
-  /// before the release observe a stale incarnation, and the id goes on
-  /// the free-list. The fixed-population Swarm never releases slots (ids
-  /// double as stable report indices); dynamic-membership workloads
-  /// (trace-driven arrivals) recycle slots through this pair.
-  void release_slot(PeerId id);
-  /// Pops the most recently released slot (LIFO -- deterministic), resets
-  /// every per-peer field to its init() value, and returns the id. The
-  /// slot's epoch keeps counting up from its previous life, which is what
-  /// keeps old captures detectably stale. Returns kNoPeer when the
-  /// free-list is empty.
-  PeerId acquire_slot();
-  std::size_t free_slot_count() const { return free_ids_.size(); }
-
   // --- checkpoint (see sim/checkpoint.h) -----------------------------------
   /// Serializes every result-bearing field: scalars, piece sets, byte
   /// counters and their aggregates, the exchange ledgers (rows in
   /// ascending id order), and the active registry in its exact
-  /// transition-history order. NOT saved:
-  /// the CSR neighbor arrays (rebuilt deterministically by the Swarm
-  /// constructor from config + seed) and the interest-memo lanes (pure
-  /// caches; load() leaves them cold and the version stamps make
-  /// recomputation automatic and exact), and the hungry index, which
-  /// load() rebuilds from the states and unavailable sets.
+  /// transition-history order. NOT saved: the CSR neighbor arrays
+  /// (rebuilt deterministically by the Swarm constructor from config +
+  /// seed) and the hungry index, which load() rebuilds from the states and
+  /// unavailable sets.
   void checkpoint_save(util::ByteSink& sink) const;
   /// Restores into a store freshly init()'d with the same shape; throws
   /// util::SerializeError when the serialized shape does not match or a
@@ -301,8 +254,7 @@ class PeerStore {
   /// adopt()s it once the strategy section has loaded too.
   void checkpoint_load(util::ByteSource& src);
   /// Takes every field of `staged`, a store filled by checkpoint_load,
-  /// except the CSR neighbor arrays, which stay this store's own. The
-  /// interest memos start cold.
+  /// except the CSR neighbor arrays, which stay this store's own.
   void adopt(PeerStore&& staged);
 
  private:
@@ -323,16 +275,6 @@ class PeerStore {
   /// Only adopt() moves a store, and it keeps the moved-into object (and
   /// so every handle to it) in place.
   PeerStore& operator=(PeerStore&&) = default;
-  /// Recomputes `id`'s hungry bit from its state and unavailable set.
-  void refresh_hungry(PeerId id) {
-    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
-    std::uint64_t& word = hungry_[id / 64];
-    if (state_[id] == PeerState::kActive && !unavailable_[id].complete()) {
-      word |= bit;
-    } else {
-      word &= ~bit;
-    }
-  }
 
   PieceId piece_space_ = 0;
 
@@ -351,9 +293,6 @@ class PeerStore {
   std::vector<PieceSet> unavailable_;
   std::vector<PieceSet> transferable_;
 
-  std::vector<std::uint32_t> pieces_ver_;
-  std::vector<std::uint32_t> transferable_ver_;
-  std::vector<std::uint32_t> unavail_ver_;
   std::vector<std::uint64_t> hungry_;  // one bit per peer, see hungry()
 
   std::vector<Seconds> arrival_time_;
@@ -373,11 +312,9 @@ class PeerStore {
 
   std::vector<std::uint32_t> nbr_offset_;  // size() + 1 entries
   std::vector<PeerId> nbr_data_;
-  std::vector<InterestMemo> memo_[2];  // lazily sized to nbr_data_.size()
 
   std::vector<PeerId> active_ids_;
   std::vector<std::uint32_t> active_pos_;  // kNoPos when not active
-  std::vector<PeerId> free_ids_;
 
   static constexpr std::uint32_t kNoPos =
       std::numeric_limits<std::uint32_t>::max();

@@ -33,27 +33,6 @@
 
 namespace coopnet::sim {
 
-namespace {
-
-/// The memoized verdict of offer.can_offer(unavailable(n)) for one
-/// (uploader, neighbor) edge. The word scan is the per-neighbor hot cost
-/// of interest checks; its verdict only moves when one of the two sets
-/// does, so it reruns only when either version counter moved since `m`
-/// was filled.
-inline bool memo_can_offer(InterestMemo& m, const PieceSet& offer,
-                           std::uint32_t offer_ver, const PeerStore& store,
-                           PeerId n) {
-  const std::uint32_t avail_ver = store.unavail_ver(n);
-  if (m.offer_ver != offer_ver || m.avail_ver != avail_ver) {
-    m.offer_ver = offer_ver;
-    m.avail_ver = avail_ver;
-    m.can_offer = offer.can_offer(store.unavailable(n));
-  }
-  return m.can_offer;
-}
-
-}  // namespace
-
 #if COOPNET_AUDIT
 namespace {
 
@@ -371,15 +350,10 @@ const std::vector<PeerId>& Swarm::needy_neighbors(PeerId uploader,
   Peer up = peer(uploader);
   const PieceSet& offer =
       include_locked_offer ? up.transferable() : up.pieces();
-  const std::uint32_t offer_ver =
-      include_locked_offer ? up.transferable_ver() : up.pieces_ver();
-  InterestMemo* memo =
-      store_.memo_lane(include_locked_offer ? 1 : 0, uploader);
   const bool admit_all = strategy_->admits_everyone();
   const NeighborRange nbrs = up.neighbors();
   needy_scratch_.clear();
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    const PeerId n = nbrs[i];
+  for (const PeerId n : nbrs) {
     if (store_.state(n) != PeerState::kActive ||
         store_.kind(n) == PeerKind::kSeeder) {
       continue;
@@ -387,7 +361,7 @@ const std::vector<PeerId>& Swarm::needy_neighbors(PeerId uploader,
     if (!accepts_incoming(n)) continue;
     // Filter order: active -> accepts_incoming -> can_offer ->
     // accepts_delivery.
-    if (!memo_can_offer(memo[i], offer, offer_ver, store_, n)) continue;
+    if (!offer.can_offer(store_.unavailable(n))) continue;
     if (!admit_all && !strategy_->accepts_delivery(*this, n)) continue;
     needy_scratch_.push_back(n);
   }
@@ -402,25 +376,6 @@ bool Swarm::needs_from(PeerId target, PeerId uploader,
   const PieceSet& offer =
       include_locked_offer ? up.transferable() : up.pieces();
   return offer.can_offer(q.unavailable());
-}
-
-bool Swarm::neighbor_needs_from(PeerId uploader, std::size_t index,
-                                bool include_locked_offer) {
-  assert(index < store_.neighbor_count(uploader) &&
-         "neighbor_needs_from: index out of range");
-  const PeerId n = store_.neighbors_begin(uploader)[index];
-  if (store_.state(n) != PeerState::kActive ||
-      store_.kind(n) == PeerKind::kSeeder) {
-    return false;
-  }
-  Peer up = peer(uploader);
-  const PieceSet& offer =
-      include_locked_offer ? up.transferable() : up.pieces();
-  const std::uint32_t offer_ver =
-      include_locked_offer ? up.transferable_ver() : up.pieces_ver();
-  return memo_can_offer(
-      store_.memo_lane(include_locked_offer ? 1 : 0, uploader)[index],
-      offer, offer_ver, store_, n);
 }
 
 PieceId Swarm::pick_piece(PeerId uploader, PeerId target,
@@ -480,7 +435,7 @@ bool Swarm::start_transfer_attempt(PeerId from, PeerId to, PieceId piece,
   ++down.incoming_count();
   down.pending().add(piece);
   down.unavailable().add(piece);
-  down.bump_unavail_ver();
+  down.refresh_hungry();
 
   Transfer t;
   t.from = from;
@@ -582,8 +537,7 @@ void Swarm::complete_transfer(Transfer t) {
       down.locked().add(t.piece);
       down.unavailable().add(t.piece);
       down.transferable().add(t.piece);
-      down.bump_unavail_ver();
-      down.bump_transferable_ver();
+      down.refresh_hungry();
     } else {
       make_usable(t.to, t.piece, t.from);
     }
@@ -608,9 +562,7 @@ void Swarm::make_usable(PeerId id, PieceId piece, PeerId source) {
   p.pieces().add(piece);
   p.unavailable().add(piece);
   p.transferable().add(piece);
-  p.bump_pieces_ver();
-  p.bump_unavail_ver();
-  p.bump_transferable_ver();
+  p.refresh_hungry();
   // piece_freq_ counts usable copies among *active* peers; a churned peer's
   // copies were subtracted on departure and are re-added on rejoin.
   if (p.active()) piece_freq_.increment(piece);
@@ -856,7 +808,7 @@ void Swarm::update_unavailable_bit(Peer p, PieceId piece) {
   if (!p.pieces().has(piece) && !p.locked().has(piece) &&
       !p.pending().has(piece)) {
     p.unavailable().remove(piece);
-    p.bump_unavail_ver();
+    p.refresh_hungry();
   }
 }
 

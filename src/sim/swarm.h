@@ -92,6 +92,10 @@ class Swarm {
   void advance_until(Seconds deadline);
   /// True once the run is over: stop() was raised (every compliant
   /// leecher finished or was permanently lost) or the queue drained.
+  /// Reaching config().max_time does not make it true: an active peer's
+  /// tick chain keeps events queued past the horizon, so a chunked driver
+  /// must also stop once it has advanced to max_time, as run() and
+  /// exp::CellRun::run do.
   bool finished() const {
     return engine_.stopped() || engine_.pending() == 0;
   }
@@ -169,16 +173,10 @@ class Swarm {
   /// hungry_leecher_count().
   PeerId hungry_leecher(std::size_t k) const;
 
-  /// True when `target` needs >= 1 piece that `uploader` can offer.
+  /// True when `target` is an active leecher that needs >= 1 piece that
+  /// `uploader` can offer.
   bool needs_from(PeerId target, PeerId uploader,
                   bool include_locked_offer = false) const;
-
-  /// needs_from for the `index`-th neighbor of `uploader` -- identical
-  /// verdict, but routed through the per-edge interest memo so repeated
-  /// checks hit the cache instead of re-scanning piece words. `index`
-  /// must address the uploader's neighbor list.
-  bool neighbor_needs_from(PeerId uploader, std::size_t index,
-                           bool include_locked_offer = false);
 
   /// The piece `uploader` should offer `target` next under the configured
   /// PieceSelection policy (rarest-first with random tie-break by

@@ -51,24 +51,19 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   PeerChokeState& st = state_[id];
   st.started = true;
 
-  // Interested candidates: active neighbors we could serve. The check
-  // goes through the per-edge memo; the verdicts -- and so the candidate
-  // list, the shuffle's draw count, and everything downstream -- are
-  // identical to the plain needs_from scan. Each candidate's receipt count
-  // this round is read once, here, not once per sort comparison: the sort
-  // key, and so the order, are the same.
+  // Interested candidates: active neighbors we could serve, in neighbor
+  // order. Each candidate's receipt count this round is read once, here,
+  // not once per sort comparison: the sort key, and so the order, are the
+  // same.
   struct Ranked {
-    Pick pick;
+    sim::PeerId id;
     sim::Bytes received;
   };
   const sim::NeighborRange nbrs = p.neighbors();
   std::vector<Ranked> ranked;
   ranked.reserve(nbrs.size());
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    if (swarm.neighbor_needs_from(id, i)) {
-      ranked.push_back({Pick{static_cast<std::uint32_t>(i), nbrs[i]},
-                        round_received(p, nbrs[i])});
-    }
+  for (const sim::PeerId n : nbrs) {
+    if (swarm.needs_from(n, id)) ranked.push_back({n, round_received(p, n)});
   }
   // Random shuffle first so the stable sort breaks byte-count ties fairly.
   swarm.rng().shuffle(ranked);
@@ -83,26 +78,23 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   // is what gives BitTorrent its slow Table II bootstrap probability.
   const auto n_bt = static_cast<std::size_t>(swarm.config().n_bt);
   const auto in_unchoked = [&st](sim::PeerId n) {
-    return std::find_if(st.unchoked.begin(), st.unchoked.end(),
-                        [n](const Pick& u) { return u.id == n; }) !=
-           st.unchoked.end();
+    return std::ranges::find(st.unchoked, n) != st.unchoked.end();
   };
   st.unchoked.clear();
   for (const Ranked& n : ranked) {
     if (st.unchoked.size() >= n_bt) break;
     if (n.received <= 0) break;
-    st.unchoked.push_back(n.pick);
+    st.unchoked.push_back(n.id);
   }
 
-  const bool optimistic_stale =
-      st.optimistic.id == sim::kNoPeer ||
-      !swarm.neighbor_needs_from(id, st.optimistic.index) ||
-      in_unchoked(st.optimistic.id);
+  const bool optimistic_stale = st.optimistic == sim::kNoPeer ||
+                                !swarm.needs_from(st.optimistic, id) ||
+                                in_unchoked(st.optimistic);
   if (rotate_optimistic || optimistic_stale) {
-    st.optimistic = Pick{};
-    std::vector<Pick> pool;
+    st.optimistic = sim::kNoPeer;
+    std::vector<sim::PeerId> pool;
     for (const Ranked& n : ranked) {
-      if (!in_unchoked(n.pick.id)) pool.push_back(n.pick);
+      if (!in_unchoked(n.id)) pool.push_back(n.id);
     }
     if (!pool.empty()) {
       st.optimistic = pool[swarm.rng().uniform_u64(pool.size())];
@@ -150,18 +142,8 @@ std::optional<sim::UploadAction> BitTorrentStrategy::next_upload(
     // would amount to altruism).
     const auto& needy = swarm.needy_neighbors(uploader);
     if (needy.empty()) return std::nullopt;
-    const sim::PeerId picked = needy[swarm.rng().uniform_u64(needy.size())];
+    st.optimistic = needy[swarm.rng().uniform_u64(needy.size())];
     st.started = true;
-    // Recover the picked neighbor's index so follow-up checks can use the
-    // per-edge memo (needy_neighbors returns ids only; the scan is cold
-    // -- once per peer).
-    const sim::NeighborRange nbrs = swarm.peer(uploader).neighbors();
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (nbrs[i] == picked) {
-        st.optimistic = Pick{static_cast<std::uint32_t>(i), picked};
-        break;
-      }
-    }
   }
 
   // Enforce the n_bt : 1 slot split between tit-for-tat and the optimistic
@@ -171,13 +153,13 @@ std::optional<sim::UploadAction> BitTorrentStrategy::next_upload(
   // tit-for-tat bandwidth idles rather than spilling into altruism, which
   // is what bounds Table III's exploitable resources at alpha_BT * sum U.
   sim::PeerId to = sim::kNoPeer;
-  if (st.uploads.optimistic() == 0 && st.optimistic.id != sim::kNoPeer &&
-      swarm.neighbor_needs_from(uploader, st.optimistic.index)) {
-    to = st.optimistic.id;
+  if (st.uploads.optimistic() == 0 && st.optimistic != sim::kNoPeer &&
+      swarm.needs_from(st.optimistic, uploader)) {
+    to = st.optimistic;
   } else if (st.uploads.reciprocal() < swarm.config().n_bt) {
     std::vector<sim::PeerId> live;
-    for (const Pick& n : st.unchoked) {
-      if (swarm.neighbor_needs_from(uploader, n.index)) live.push_back(n.id);
+    for (const sim::PeerId n : st.unchoked) {
+      if (swarm.needs_from(n, uploader)) live.push_back(n);
     }
     if (!live.empty()) to = live[swarm.rng().uniform_u64(live.size())];
   }
@@ -191,7 +173,7 @@ void BitTorrentStrategy::on_upload_started(sim::Swarm& swarm,
                                            const sim::Transfer& t) {
   if (swarm.is_seeder(t.from)) return;
   PeerChokeState& st = state_[t.from];
-  if (st.started) st.uploads.start(t, t.to == st.optimistic.id);
+  if (st.started) st.uploads.start(t, t.to == st.optimistic);
 }
 
 void BitTorrentStrategy::on_transfer_failed(sim::Swarm& swarm,
@@ -216,12 +198,8 @@ void BitTorrentStrategy::checkpoint_save(util::ByteSink& sink) const {
       sink, state_, [](const PeerChokeState& st) { return st.started; },
       [](util::ByteSink& s, const PeerChokeState& st) {
         s.put_u64(st.unchoked.size());
-        for (const Pick& pick : st.unchoked) {
-          s.put_u32(pick.index);
-          s.put_u32(pick.id);
-        }
-        s.put_u32(st.optimistic.index);
-        s.put_u32(st.optimistic.id);
+        s.put_span(st.unchoked.data(), st.unchoked.size());
+        s.put_u32(st.optimistic);
         st.uploads.save(s);
       });
   sink.put_u32(static_cast<std::uint32_t>(round_));
@@ -229,19 +207,17 @@ void BitTorrentStrategy::checkpoint_save(util::ByteSink& sink) const {
 
 void BitTorrentStrategy::checkpoint_load(util::ByteSource& src,
                                          const sim::Swarm& swarm) {
-  std::vector<PeerChokeState> state(swarm.peer_count());
-  util::load_by_id(src, state, 32,
-                   [](util::ByteSource& s, PeerChokeState& st) {
-                     st.started = true;
-                     st.unchoked.resize(s.get_count(8));
-                     for (Pick& pick : st.unchoked) {
-                       pick.index = s.get_u32();
-                       pick.id = s.get_u32();
-                     }
-                     st.optimistic.index = s.get_u32();
-                     st.optimistic.id = s.get_u32();
-                     st.uploads.load(s);
-                   });
+  const std::size_t peers = swarm.peer_count();
+  const std::size_t pieces = swarm.config().piece_count();
+  std::vector<PeerChokeState> state(peers);
+  util::load_by_id(src, state, 28, [&](util::ByteSource& s,
+                                       PeerChokeState& st) {
+    st.started = true;
+    st.unchoked.resize(s.get_count(4));
+    for (sim::PeerId& id : st.unchoked) id = s.get_id(peers);
+    st.optimistic = s.get_id_or_none(peers);
+    st.uploads.load(s, peers, pieces);
+  });
   const int round = static_cast<int>(src.get_u32());
   state_ = std::move(state);
   round_ = round;

@@ -38,21 +38,12 @@ class BitTorrentStrategy final : public sim::ExchangeStrategy {
                                   std::uint32_t sub) override;
 
  private:
-  /// A chosen neighbor remembered together with its index in the
-  /// uploader's neighbor list, so later interest checks can go through
-  /// the per-edge memo (Swarm::neighbor_needs_from) instead of re-scanning
-  /// piece words.
-  struct Pick {
-    std::uint32_t index = 0;
-    sim::PeerId id = sim::kNoPeer;
-  };
-
   struct PeerChokeState {
     /// Set by the peer's first rechoke round or first upload decision;
     /// until then next_upload takes the pre-first-rechoke path.
     bool started = false;
-    std::vector<Pick> unchoked;  // tit-for-tat targets
-    Pick optimistic;             // altruism slot (id == kNoPeer when empty)
+    std::vector<sim::PeerId> unchoked;  // tit-for-tat targets
+    sim::PeerId optimistic = sim::kNoPeer;  // altruism slot, if any
     /// In-flight uploads per category; at most 1 optimistic and n_bt
     /// tit-for-tat transfers run concurrently, enforcing the
     /// alpha_BT = 1/(n_bt + 1) bandwidth split of Table I/III.

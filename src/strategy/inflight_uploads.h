@@ -49,13 +49,15 @@ class InFlightUploads {
     }
   }
 
-  void load(util::ByteSource& src) {
+  /// Throws util::SerializeError on a target id not below `peers` or a
+  /// piece id not below `pieces`.
+  void load(util::ByteSource& src, std::size_t peers, std::size_t pieces) {
     busy_optimistic_ = static_cast<int>(src.get_u32());
     busy_reciprocal_ = static_cast<int>(src.get_u32());
     entries_.resize(src.get_count(9));
     for (Entry& e : entries_) {
-      e.to = src.get_u32();
-      e.piece = src.get_u32();
+      e.to = src.get_id(peers);
+      e.piece = src.get_id(pieces);
       e.optimistic = src.get_bool();
     }
   }

@@ -118,18 +118,20 @@ void PropShareStrategy::checkpoint_save(util::ByteSink& sink) const {
 
 void PropShareStrategy::checkpoint_load(util::ByteSource& src,
                                         const sim::Swarm& swarm) {
-  std::vector<PeerShareState> state(swarm.peer_count());
-  util::load_by_id(src, state, 28,
-                   [](util::ByteSource& s, PeerShareState& st) {
-                     st.started = true;
-                     st.shares.resize(s.get_count(12));
-                     for (auto& [from, bytes] : st.shares) {
-                       from = s.get_u32();
-                       bytes = s.get_double();
-                     }
-                     st.optimistic = s.get_u32();
-                     st.uploads.load(s);
-                   });
+  const std::size_t peers = swarm.peer_count();
+  const std::size_t pieces = swarm.config().piece_count();
+  std::vector<PeerShareState> state(peers);
+  util::load_by_id(src, state, 28, [&](util::ByteSource& s,
+                                       PeerShareState& st) {
+    st.started = true;
+    st.shares.resize(s.get_count(12));
+    for (auto& [from, bytes] : st.shares) {
+      from = s.get_id(peers);
+      bytes = s.get_double();
+    }
+    st.optimistic = s.get_id_or_none(peers);
+    st.uploads.load(s, peers, pieces);
+  });
   state_ = std::move(state);
 }
 

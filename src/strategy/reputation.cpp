@@ -142,9 +142,10 @@ void ReputationStrategy::checkpoint_load(util::ByteSource& src,
   }
   std::vector<double> trust(n);
   for (double& t : trust) t = src.get_double();
-  std::vector<std::optional<sim::PeerId>> pinned(swarm.peer_count());
-  util::load_by_id(src, pinned, 4, [](util::ByteSource& s, auto& pin) {
-    pin = s.get_u32();
+  const std::size_t peers = swarm.peer_count();
+  std::vector<std::optional<sim::PeerId>> pinned(peers);
+  util::load_by_id(src, pinned, 4, [peers](util::ByteSource& s, auto& pin) {
+    pin = s.get_id_or_none(peers);
   });
   trust_ = std::move(trust);
   pinned_ = std::move(pinned);

@@ -67,10 +67,9 @@ std::optional<sim::UploadAction> TChainStrategy::plan_obligation(
   // (can_deliver's obligation-independent tests), those still missing it.
   std::vector<sim::PeerId>& candidates = scan_.candidates;
   candidates.clear();
-  for (const AdmittedNeighbor& n : scan_.admitted) {
-    if (n.id != ob.designator &&
-        !swarm.peer(n.id).unavailable().test(ob.piece)) {
-      candidates.push_back(n.id);
+  for (const sim::PeerId n : scan_.admitted) {
+    if (n != ob.designator && !swarm.peer(n).unavailable().test(ob.piece)) {
+      candidates.push_back(n);
     }
   }
   if (!candidates.empty()) {
@@ -98,11 +97,10 @@ void TChainStrategy::scan_neighbors(const sim::Swarm& swarm,
                                     sim::PeerId uploader) {
   scan_.admitted.clear();
   scan_.needy_built[0] = scan_.needy_built[1] = false;
-  const sim::NeighborRange nbrs = swarm.peer(uploader).neighbors();
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    const sim::ConstPeer q = swarm.peer(nbrs[i]);
-    if (q.active() && !q.is_seeder() && accepts_delivery(swarm, nbrs[i])) {
-      scan_.admitted.push_back({nbrs[i], static_cast<std::uint32_t>(i)});
+  for (const sim::PeerId n : swarm.peer(uploader).neighbors()) {
+    const sim::ConstPeer q = swarm.peer(n);
+    if (q.active() && !q.is_seeder() && accepts_delivery(swarm, n)) {
+      scan_.admitted.push_back(n);
     }
   }
 }
@@ -113,14 +111,14 @@ const std::vector<sim::PeerId>& TChainStrategy::needy_neighbors(
   std::vector<sim::PeerId>& out = scan_.needy[lane];
   if (scan_.needy_built[lane]) return out;
   scan_.needy_built[lane] = true;
-  // Swarm::needy_neighbors' filters (active, accepts_incoming, can_offer
-  // through the per-edge memo, accepts_delivery) are pure predicates here,
-  // so filtering the admitted pass gives its list, in its neighbor order.
+  // Swarm::needy_neighbors' filters (active, accepts_incoming, can_offer,
+  // accepts_delivery) are pure predicates here, so filtering the admitted
+  // pass gives its list, in its neighbor order.
   out.clear();
-  for (const AdmittedNeighbor& n : scan_.admitted) {
-    if (swarm.accepts_incoming(n.id) &&
-        swarm.neighbor_needs_from(uploader, n.index, include_locked_offer)) {
-      out.push_back(n.id);
+  for (const sim::PeerId n : scan_.admitted) {
+    if (swarm.accepts_incoming(n) &&
+        swarm.needs_from(n, uploader, include_locked_offer)) {
+      out.push_back(n);
     }
   }
   return out;
@@ -405,40 +403,42 @@ void TChainStrategy::checkpoint_load(util::ByteSource& src,
                                      const sim::Swarm& swarm) {
   const auto max_backlog = static_cast<std::size_t>(src.get_u64());
   const sim::Seconds grace = src.get_double();
-  std::vector<PeerState> state(swarm.peer_count());
-  util::load_by_id(src, state, 32, [](util::ByteSource& s, PeerState& st) {
+  const std::size_t peers = swarm.peer_count();
+  const std::size_t pieces = swarm.config().piece_count();
+  std::vector<PeerState> state(peers);
+  util::load_by_id(src, state, 32, [&](util::ByteSource& s, PeerState& st) {
     st.obligations.resize(s.get_count(20));
     for (Obligation& ob : st.obligations) {
-      ob.piece = s.get_u32();
-      ob.designator = s.get_u32();
-      ob.suggested_target = s.get_u32();
+      ob.piece = s.get_id(pieces);
+      ob.designator = s.get_id_or_none(peers);
+      ob.suggested_target = s.get_id_or_none(peers);
       ob.created = s.get_double();
     }
     st.in_flight.resize(s.get_count(20));
     for (InFlightDuty& d : st.in_flight) {
-      d.to = s.get_u32();
-      d.piece = s.get_u32();
-      d.unlocks = s.get_u32();
-      d.designator = s.get_u32();
-      d.suggested_target = s.get_u32();
+      d.to = s.get_id(peers);
+      d.piece = s.get_id(pieces);
+      d.unlocks = s.get_id(pieces);
+      d.designator = s.get_id_or_none(peers);
+      d.suggested_target = s.get_id_or_none(peers);
     }
     st.links.resize(s.get_count(9));
     for (ChainLink& l : st.links) {
-      l.piece = s.get_u32();
-      l.sender = s.get_u32();
+      l.piece = s.get_id(pieces);
+      l.sender = s.get_id(peers);
       l.fulfilled = s.get_bool();
     }
     st.downstream.resize(s.get_count(8));
     for (auto& [receiver, piece] : st.downstream) {
-      receiver = s.get_u32();
-      piece = s.get_u32();
+      receiver = s.get_id(peers);
+      piece = s.get_id(pieces);
     }
   });
   PendingPlan plan;
-  plan.from = src.get_u32();
-  plan.to = src.get_u32();
-  plan.piece = src.get_u32();
-  plan.unlocks = src.get_u32();
+  plan.from = src.get_id_or_none(peers);
+  plan.to = src.get_id_or_none(peers);
+  plan.piece = src.get_id_or_none(pieces);
+  plan.unlocks = src.get_id_or_none(pieces);
   plan.valid = src.get_bool();
   max_backlog_ = max_backlog;
   grace_ = grace;

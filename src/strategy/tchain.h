@@ -150,17 +150,14 @@ class TChainStrategy final : public sim::ExchangeStrategy {
   };
   PendingPlan pending_plan_;
 
-  /// An active, non-seeder neighbor that accepts_delivery admits.
-  struct AdmittedNeighbor {
-    sim::PeerId id = sim::kNoPeer;
-    std::uint32_t index = 0;  // position in the uploader's neighbor list
-  };
   /// next_upload's scratch, reused across calls. Within one call no peer
   /// or strategy state changes (the planner only draws RNG), so every
   /// neighbor's admission verdict is computed once per call instead of
   /// once per obligation. Neither strategy state nor checkpointed.
   struct NeighborScan {
-    std::vector<AdmittedNeighbor> admitted;  // in neighbor order
+    /// The active, non-seeder neighbors that accepts_delivery admits, in
+    /// neighbor order.
+    std::vector<sim::PeerId> admitted;
     std::vector<sim::PeerId> candidates;  // one obligation's forward targets
     /// needy_neighbors lists by offer lane (0: pieces, 1: transferable).
     std::vector<sim::PeerId> needy[2];

@@ -191,6 +191,21 @@ class ByteSource {
     return id;
   }
 
+  /// A u32 id that must be below `bound` (a peer id against the
+  /// population, a piece id against the piece count).
+  std::uint32_t get_id(std::uint64_t bound) {
+    const std::uint32_t id = get_u32();
+    if (id >= bound) throw_id_out_of_range(id, bound);
+    return id;
+  }
+  /// get_id for a field that may also hold the all-ones "none" value
+  /// (sim::kNoPeer, sim::kNoPiece).
+  std::uint32_t get_id_or_none(std::uint64_t bound) {
+    const std::uint32_t id = get_u32();
+    if (id >= bound && id != kNoId) throw_id_out_of_range(id, bound);
+    return id;
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }
 
@@ -223,6 +238,14 @@ class ByteSource {
 
   std::string where() const {
     return context_.empty() ? std::string("serialized data") : context_;
+  }
+
+  static constexpr std::uint32_t kNoId = ~std::uint32_t{0};
+
+  [[noreturn]] void throw_id_out_of_range(std::uint32_t id,
+                                          std::uint64_t bound) const {
+    throw SerializeError(where() + ": id " + std::to_string(id) +
+                         " is not below " + std::to_string(bound));
   }
 
   const char* p_;

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -207,13 +208,14 @@ TEST(CheckpointRestore, ACorruptSnapshotRestartsTheCellFromScratch) {
       static_cast<char>(corrupt[corrupt.size() / 2] ^ 0xFF);
   // Snapshots from older builds: the header's format version (the
   // little-endian u32 after the 8-byte magic, not covered by any CRC)
-  // rewritten to 1 and to 2.
-  ASSERT_EQ(snaps.front()[8], 3) << "current format version moved";
-  std::string version1 = snaps.front();
-  version1[8] = 1;
-  std::string version2 = snaps.front();
-  version2[8] = 2;
-  std::vector<std::string> rejected = {corrupt, version1, version2};
+  // rewritten to 1, 2 and 3.
+  ASSERT_EQ(snaps.front()[8], 4) << "current format version moved";
+  std::vector<std::string> rejected = {corrupt};
+  for (const char version : {1, 2, 3}) {
+    std::string old = snaps.front();
+    old[8] = version;
+    rejected.push_back(old);
+  }
   // Well-framed snapshots whose metrics section is missing, doubled, or
   // cut to 2 bytes: without the metrics the restored run would report
   // only its tail.
@@ -287,6 +289,29 @@ TEST(CheckpointRestore, ACancelledCellLeavesAFinalSnapshotThatResumes) {
 // ---------------------------------------------------------------------
 // CLI leg: interrupt + restore through the real binary, trace included.
 
+/// A fresh directory under /tmp, removed with everything in it when the
+/// test ends, also when an ASSERT returns early.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const char* prefix) {
+    std::string tmpl = std::string("/tmp/") + prefix + "_XXXXXX";
+    if (::mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ~ScopedTempDir() {
+    if (path_.empty()) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  /// Empty when mkdtemp failed.
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream os;
@@ -332,9 +357,9 @@ std::vector<std::string> single_run_args(const std::string& json_out,
 }
 
 TEST(CheckpointRestore, CliInterruptAndRestoreReproduceReportAndTrace) {
-  char tmpl[] = "/tmp/coopnet_ckpt_cli_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
+  const ScopedTempDir tmp("coopnet_ckpt_cli");
+  ASSERT_FALSE(tmp.path().empty());
+  const std::string& dir = tmp.path();
 
   // Uninterrupted reference run.
   ASSERT_EQ(run_binary(single_run_args(dir + "/ref.json",
@@ -367,18 +392,12 @@ TEST(CheckpointRestore, CliInterruptAndRestoreReproduceReportAndTrace) {
       << "restored report diverged from the uninterrupted run";
   EXPECT_EQ(read_file(dir + "/run.trace"), ref_trace)
       << "restored trace bytes diverged from the uninterrupted run";
-
-  for (const char* f : {"/ref.json", "/ref.trace", "/run.json",
-                        "/run.trace", "/cell.ckpt"}) {
-    std::remove((dir + f).c_str());
-  }
-  ::rmdir(dir.c_str());
 }
 
 TEST(CheckpointRestore, CliSigtermLeavesASnapshotThatRestoresReportAndTrace) {
-  char tmpl[] = "/tmp/coopnet_ckpt_sigterm_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
+  const ScopedTempDir tmp("coopnet_ckpt_sigterm");
+  ASSERT_FALSE(tmp.path().empty());
+  const std::string& dir = tmp.path();
   const std::string ckpt = dir + "/cell.ckpt";
 
   ASSERT_EQ(run_binary(single_run_args(dir + "/ref.json",
@@ -428,12 +447,6 @@ TEST(CheckpointRestore, CliSigtermLeavesASnapshotThatRestoresReportAndTrace) {
       << "restored report diverged from the uninterrupted run";
   EXPECT_EQ(read_file(dir + "/run.trace"), read_file(dir + "/ref.trace"))
       << "restored trace bytes diverged from the uninterrupted run";
-
-  for (const char* f : {"/ref.json", "/ref.trace", "/run.json",
-                        "/run.trace", "/cell.ckpt"}) {
-    std::remove((dir + f).c_str());
-  }
-  ::rmdir(dir.c_str());
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST(Auditor, DetectsPhantomReservation) {
 
 // The hungry index is derived state the seeders pick targets from. A
 // stand-alone auditor recounts it in any build: corrupting a leecher's
-// sets without bump_unavail_ver leaves its bit stale, and the recount
+// sets without refresh_hungry leaves its bit stale, and the recount
 // names the peer.
 TEST(Auditor, DetectsAStaleHungryBit) {
   auto config = audit_config(Algorithm::kAltruism);
@@ -231,8 +231,8 @@ TEST(Auditor, DetectsAStaleHungryBit) {
     EXPECT_EQ(v.invariant(), "hungry-index");
     EXPECT_EQ(v.peer(), victim);
   }
-  // Bumping the version is what refreshes the bit.
-  p.bump_unavail_ver();
+  // refresh_hungry is what brings the bit back in line.
+  p.refresh_hungry();
   EXPECT_FALSE(swarm.peer_store().hungry(victim));
   EXPECT_NO_THROW(auditor.check_hungry_index());
 }

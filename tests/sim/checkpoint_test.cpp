@@ -23,11 +23,12 @@
 namespace coopnet::sim {
 namespace {
 
-SwarmConfig tiny_config(std::uint64_t seed = 7) {
+SwarmConfig tiny_config(
+    std::uint64_t seed = 7,
+    core::Algorithm algorithm = core::Algorithm::kBitTorrent) {
   // Small on purpose: the corruption sweep decodes the container once
   // per byte offset, so the snapshot should be a few KB, not MB.
-  SwarmConfig config = SwarmConfig::small(core::Algorithm::kBitTorrent,
-                                          seed);
+  SwarmConfig config = SwarmConfig::small(algorithm, seed);
   config.n_peers = 8;
   config.file_bytes = 512LL * 1024;
   return config;
@@ -171,7 +172,7 @@ TEST(CheckpointContainer, RejectsASnapshotFromADifferentConfiguration) {
 void expect_version_rejected(std::uint8_t version) {
   const SwarmConfig config = tiny_config();
   std::string bytes = mid_cell_snapshot(config);
-  ASSERT_EQ(bytes[8], 3) << "current format version moved; update this test";
+  ASSERT_EQ(bytes[8], 4) << "current format version moved; update this test";
   bytes[8] = static_cast<char>(version);
 
   try {
@@ -180,7 +181,7 @@ void expect_version_rejected(std::uint8_t version) {
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find(
                   "format version " + std::to_string(version) +
-                  " != supported 3"),
+                  " != supported 4"),
               std::string::npos)
         << e.what();
   }
@@ -195,6 +196,13 @@ TEST(CheckpointContainer, RejectsASnapshotFromFormatVersion2) {
   // Version 2 stored the per-edge counters as four hash maps per peer,
   // with their bucket counts, in hash-iteration order.
   expect_version_rejected(2);
+}
+
+TEST(CheckpointContainer, RejectsASnapshotFromFormatVersion3) {
+  // Version 3 stored three interest-memo version counters per peer and a
+  // free-slot registry in the peers section, and a neighbor index beside
+  // each BitTorrent pick.
+  expect_version_rejected(3);
 }
 
 TEST(CheckpointContainer, RestoreRequiresEverySwarmSection) {
@@ -330,13 +338,13 @@ void set_u32_at(std::string& bytes, std::size_t offset, std::uint32_t v) {
 /// Offset, within a peers section, of the first exchange-ledger row that
 /// holds at least two records. Walks PeerStore::checkpoint_save's per-peer
 /// layout: kind and state bytes, capacity, four int counters and the
-/// epoch; five piece sets; three version counters; three times; four byte
-/// counters; then the ledger row, a u64 count of {u32 peer, four i64}.
+/// epoch; five piece sets; three times; four byte counters; then the
+/// ledger row, a u64 count of {u32 peer, four i64}.
 std::size_t two_record_ledger_row(const std::string& peers) {
   const std::uint64_t n = u64_at(peers, 0);
   const std::size_t words = (u32_at(peers, 8) + 63) / 64;
   const std::size_t before_ledger =
-      (1 + 1 + 8 + 4 * 8 + 4) + 5 * words * 8 + 3 * 4 + 3 * 8 + 4 * 8;
+      (1 + 1 + 8 + 4 * 8 + 4) + 5 * words * 8 + 3 * 8 + 4 * 8;
   std::size_t offset = 12;
   for (std::uint64_t i = 0; i < n; ++i) {
     offset += before_ledger;
@@ -397,6 +405,205 @@ TEST(CheckpointContainer, RestoreRejectsALedgerRowThatIsNotStrictlyAscending) {
       EXPECT_EQ(swarm.peer_store().uploaded_bytes(id), 0) << id;
     }
   }
+}
+
+// --- strategy ids -------------------------------------------------------------
+
+/// Index of the section with id `id`.
+std::size_t section_index(const std::vector<SnapshotSection>& sections,
+                          std::uint32_t id) {
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    if (sections[i].id == id) return i;
+  }
+  ADD_FAILURE() << "no section " << id;
+  return 0;
+}
+
+/// Rewrites the u32 at `offset` of the strategy section to `bad` and
+/// requires restore to reject it before anything changes: the strategy
+/// keeps no id it would later index the store with, and the swarm stays
+/// as its constructor left it.
+void expect_strategy_id_rejected(const SwarmConfig& config,
+                                 const std::vector<SnapshotSection>& sections,
+                                 std::size_t offset, std::uint32_t bad) {
+  std::vector<SnapshotSection> corrupt = sections;
+  std::string& payload =
+      corrupt[section_index(corrupt, kSectionStrategy)].payload;
+  ASSERT_LE(offset + 4, payload.size());
+  set_u32_at(payload, offset, bad);
+
+  Swarm swarm(config, strategy::make_strategy(config.algorithm));
+  swarm.start_restored();
+  try {
+    SwarmCheckpoint::restore(swarm, corrupt);
+    FAIL() << "restored a strategy id " << bad << " at offset " << offset;
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("id " + std::to_string(bad) +
+                                         " is not below"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(swarm.engine().pending(), 0u);
+  for (PeerId id = 0; id < swarm.peer_count(); ++id) {
+    EXPECT_TRUE(swarm.peer_store().ledger(id).empty()) << id;
+    EXPECT_EQ(swarm.peer_store().state(id), PeerState::kPending) << id;
+    EXPECT_EQ(swarm.peer_store().uploaded_bytes(id), 0) << id;
+  }
+
+  // The pristine sections restore: the rewritten id alone was at fault.
+  Swarm target(config, strategy::make_strategy(config.algorithm));
+  target.start_restored();
+  EXPECT_NO_THROW(SwarmCheckpoint::restore(target, sections));
+}
+
+/// A small cell of `algorithm` (20 leechers, so that peers upload to one
+/// another), saved at the first tenth of its run at which `ready` holds
+/// for the strategy section.
+struct StrategyCell {
+  SwarmConfig config;
+  std::vector<SnapshotSection> sections;
+  std::string payload;  // the strategy section
+  std::uint32_t peers = 0;
+  std::uint32_t pieces = 0;
+};
+
+template <typename Ready>
+StrategyCell strategy_cell(core::Algorithm algorithm, Ready&& ready) {
+  StrategyCell cell;
+  cell.config = tiny_config(7, algorithm);
+  cell.config.n_peers = 20;
+  cell.config.file_bytes = 4LL * 1024 * 1024;
+  cell.peers = static_cast<std::uint32_t>(cell.config.n_peers +
+                                          cell.config.seeder_count);
+  cell.pieces = cell.config.piece_count();
+  const double end = sim_duration(cell.config);
+  Swarm swarm(cell.config, strategy::make_strategy(algorithm));
+  swarm.start();
+  for (int tenth = 1; tenth < 10; ++tenth) {
+    swarm.advance_until(end * tenth / 10.0);
+    cell.sections = SwarmCheckpoint::save(swarm);
+    cell.payload =
+        cell.sections[section_index(cell.sections, kSectionStrategy)].payload;
+    if (ready(cell.payload)) return cell;
+  }
+  ADD_FAILURE() << "the strategy never held the state the test rewrites";
+  return cell;
+}
+
+TEST(CheckpointContainer, RestoreRejectsABitTorrentPickOutsideThePopulation) {
+  // Layout: a u64 count of started peers; per peer its u32 id, a u64
+  // count of unchoked u32 ids, the u32 optimistic id, then its uploads.
+  const StrategyCell cell = strategy_cell(
+      core::Algorithm::kBitTorrent,
+      [](const std::string& p) { return u64_at(p, 0) > 0; });
+  ASSERT_GT(u64_at(cell.payload, 0), 0u) << "no started peer";
+  const std::size_t unchoked = 8 + 4;
+  const std::uint64_t picks = u64_at(cell.payload, unchoked);
+  const std::size_t optimistic = unchoked + 8 + 4 * picks;
+  const std::uint32_t saved = u32_at(cell.payload, optimistic);
+  ASSERT_TRUE(saved < cell.peers || saved == kNoPeer) << saved;
+  // kNoPeer is legal in the optimistic slot; the population size is not.
+  expect_strategy_id_rejected(cell.config, cell.sections, optimistic,
+                              cell.peers);
+}
+
+/// Offset of the share count of the first PropShare peer holding a share,
+/// or 0 when none does. Layout: a u64 count of started peers; per peer its
+/// u32 id, a u64 count of {u32 source, f64 bytes} shares, the u32
+/// optimistic id, then its uploads: two u32 busy counts and a u64 count of
+/// {u32 to, u32 piece, bool} entries.
+std::size_t first_share_list(const std::string& p) {
+  const std::uint64_t count = u64_at(p, 0);
+  std::size_t offset = 8;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    offset += 4;
+    const std::uint64_t shares = u64_at(p, offset);
+    if (shares > 0) return offset;
+    offset += 8 + 12 * shares + 4 + 4 + 4;
+    offset += 8 + 9 * u64_at(p, offset);
+  }
+  return 0;
+}
+
+TEST(CheckpointContainer, RestoreRejectsAPropShareSourceOutsideThePopulation) {
+  const StrategyCell cell =
+      strategy_cell(core::Algorithm::kPropShare, [](const std::string& p) {
+        return first_share_list(p) > 0;
+      });
+  const std::size_t shares = first_share_list(cell.payload);
+  ASSERT_GT(shares, 0u) << "no peer holds a share";
+  {
+    SCOPED_TRACE("share source");
+    ASSERT_LT(u32_at(cell.payload, shares + 8), cell.peers);
+    expect_strategy_id_rejected(cell.config, cell.sections, shares + 8,
+                                kNoPeer);
+  }
+  SCOPED_TRACE("optimistic id");
+  const std::size_t optimistic = shares + 8 + 12 * u64_at(cell.payload, shares);
+  const std::uint32_t saved = u32_at(cell.payload, optimistic);
+  ASSERT_TRUE(saved < cell.peers || saved == kNoPeer) << saved;
+  expect_strategy_id_rejected(cell.config, cell.sections, optimistic,
+                              cell.peers + 1);
+}
+
+TEST(CheckpointContainer, RestoreRejectsAReputationPinOutsideThePopulation) {
+  // Layout: a u64 count of f64 trust values, then a u64 count of pinned
+  // peers, each a u32 id and the u32 pinned target.
+  const auto pins_at = [](const std::string& p) {
+    return 8 + 8 * u64_at(p, 0);
+  };
+  const StrategyCell cell = strategy_cell(
+      core::Algorithm::kReputation,
+      [&](const std::string& p) { return u64_at(p, pins_at(p)) > 0; });
+  const std::size_t pins = pins_at(cell.payload);
+  ASSERT_GT(u64_at(cell.payload, pins), 0u) << "no pinned peer";
+  const std::size_t target = pins + 8 + 4;
+  const std::uint32_t saved = u32_at(cell.payload, target);
+  ASSERT_TRUE(saved < cell.peers || saved == kNoPeer) << saved;
+  expect_strategy_id_rejected(cell.config, cell.sections, target, cell.peers);
+}
+
+/// Offset of the first chain link in a T-Chain strategy section, or 0
+/// when no peer holds one. Layout: the u64 backlog cap and f64 grace; a
+/// u64 count of peers with state, each its u32 id and four u64-counted
+/// lists -- obligations {piece, designator, suggested, f64 created},
+/// in-flight duties {to, piece, unlocks, designator, suggested}, chain
+/// links {piece, sender, bool}, downstream waiters {receiver, piece}; then
+/// the staged plan.
+std::size_t first_chain_link(const std::string& p) {
+  std::size_t offset = 8 + 8;
+  const std::uint64_t count = u64_at(p, offset);
+  offset += 8;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    offset += 4;
+    offset += 8 + 20 * u64_at(p, offset);  // obligations
+    offset += 8 + 20 * u64_at(p, offset);  // in-flight duties
+    const std::uint64_t links = u64_at(p, offset);
+    if (links > 0) return offset + 8;
+    offset += 8 + 9 * links;
+    offset += 8 + 8 * u64_at(p, offset);  // downstream waiters
+  }
+  return 0;
+}
+
+TEST(CheckpointContainer, RestoreRejectsATChainIdOutsideItsRange) {
+  const StrategyCell cell =
+      strategy_cell(core::Algorithm::kTChain, [](const std::string& p) {
+        return first_chain_link(p) > 0;
+      });
+  const std::string& p = cell.payload;
+  const std::size_t link = first_chain_link(p);
+  ASSERT_GT(link, 0u) << "no chain link at the snapshot point";
+  ASSERT_LT(u32_at(p, link), cell.pieces);
+  ASSERT_LT(u32_at(p, link + 4), cell.peers);
+  {
+    SCOPED_TRACE("link piece");
+    expect_strategy_id_rejected(cell.config, cell.sections, link,
+                                cell.pieces);
+  }
+  SCOPED_TRACE("link sender");
+  expect_strategy_id_rejected(cell.config, cell.sections, link + 4,
+                              cell.peers);
 }
 
 }  // namespace

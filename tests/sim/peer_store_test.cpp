@@ -1,9 +1,8 @@
-// Contract tests for the struct-of-arrays peer store: slot recycling must
-// keep epoch-guarded identity (no stale-index aliasing), the active
-// registry must list exactly the live peers in a deterministic order, the
-// hungry index must track state and unavailable sets through every
-// transition and a checkpoint round trip, and out-of-range ids must trip
-// the debug range assert.
+// Contract tests for the struct-of-arrays peer store: the exchange ledger
+// must stay ascending, the active registry must list exactly the live
+// peers in a deterministic order, the hungry index must track state and
+// unavailable sets through every transition and a checkpoint round trip,
+// and out-of-range ids must trip the debug range assert.
 #include "sim/peer_store.h"
 
 #include <gtest/gtest.h>
@@ -17,118 +16,6 @@ namespace coopnet::sim {
 namespace {
 
 constexpr PieceId kPieces = 8;
-
-// --- slot reuse ------------------------------------------------------------
-
-TEST(PeerStoreSlotReuse, AcquireReturnsReleasedSlotWithFreshState) {
-  PeerStore store;
-  store.init(4, kPieces);
-
-  // Live a small life on peer 2: activate, accumulate state, depart.
-  store.set_state(2, PeerState::kActive);
-  store.kind(2) = PeerKind::kFreeRider;
-  store.pieces(2).add(3);
-  store.pending(2).add(5);
-  store.credit_uploaded(2, 100);
-  store.credit_downloaded_raw(2, 200);
-  store.credit_usable_from_leechers(2, 50);
-  store.edge(2, 1).received = 200;
-  store.set_state(2, PeerState::kLeft);
-
-  const std::uint32_t old_epoch = store.epoch(2);
-  store.release_slot(2);
-  // The epoch moves at release time: a scheduled event or cached PeerId
-  // captured before the release already observes a stale incarnation,
-  // whether or not the slot is ever re-acquired.
-  EXPECT_GT(store.epoch(2), old_epoch);
-  EXPECT_EQ(store.free_slot_count(), 1u);
-
-  const PeerId id = store.acquire_slot();
-  EXPECT_EQ(id, 2u);
-  EXPECT_EQ(store.free_slot_count(), 0u);
-
-  // The new incarnation starts from init() values...
-  EXPECT_EQ(store.state(id), PeerState::kPending);
-  EXPECT_EQ(store.kind(id), PeerKind::kCompliant);
-  EXPECT_TRUE(store.pieces(id).empty());
-  EXPECT_TRUE(store.pending(id).empty());
-  EXPECT_EQ(store.uploaded_bytes(id), 0);
-  EXPECT_EQ(store.downloaded_raw_bytes(id), 0);
-  EXPECT_EQ(store.usable_from_leechers_bytes(id), 0);
-  EXPECT_TRUE(store.ledger(id).empty());
-  // ...except the epoch, which keeps counting up across lives.
-  EXPECT_GT(store.epoch(id), old_epoch);
-}
-
-TEST(PeerStoreSlotReuse, AggregatesMatchPerPeerSumsAcrossRecycling) {
-  PeerStore store;
-  store.init(3, kPieces);
-  store.kind(1) = PeerKind::kFreeRider;
-
-  store.set_state(0, PeerState::kActive);
-  store.set_state(1, PeerState::kActive);
-  store.credit_uploaded(0, 1000);
-  store.credit_downloaded_raw(1, 600);
-  store.credit_usable_from_leechers(1, 600);
-
-  store.set_state(1, PeerState::kLeft);
-  store.release_slot(1);
-  ASSERT_EQ(store.acquire_slot(), 1u);
-
-  // The recycled peer's counters were folded out of the aggregates, so the
-  // O(1) totals still equal a fresh scan of the per-peer arrays.
-  Bytes uploaded = 0, raw = 0, fr_usable = 0;
-  for (PeerId id = 0; id < 3; ++id) {
-    uploaded += store.uploaded_bytes(id);
-    raw += store.downloaded_raw_bytes(id);
-    if (store.kind(id) == PeerKind::kFreeRider) {
-      fr_usable += store.usable_from_leechers_bytes(id);
-    }
-  }
-  EXPECT_EQ(store.total_uploaded_bytes(), uploaded);
-  EXPECT_EQ(store.total_downloaded_raw_bytes(), raw);
-  EXPECT_EQ(store.freerider_usable_bytes(), fr_usable);
-}
-
-TEST(PeerStoreSlotReuse, VersionCountersStayMonotonicAcrossLives) {
-  PeerStore store;
-  store.init(2, kPieces);
-
-  // A memo stamped against the first life's versions...
-  InterestMemo memo;
-  memo.offer_ver = store.pieces_ver(0);
-  memo.avail_ver = store.unavail_ver(0);
-  memo.can_offer = true;
-
-  store.set_state(0, PeerState::kActive);
-  store.set_state(0, PeerState::kLeft);
-  store.release_slot(0);
-  ASSERT_EQ(store.acquire_slot(), 0u);
-
-  // ...must never validate against the next life: both counters moved.
-  EXPECT_NE(store.pieces_ver(0), memo.offer_ver);
-  EXPECT_NE(store.unavail_ver(0), memo.avail_ver);
-}
-
-TEST(PeerStoreSlotReuse, AcquireFromEmptyFreeListReturnsNoPeer) {
-  PeerStore store;
-  store.init(2, kPieces);
-  EXPECT_EQ(store.acquire_slot(), kNoPeer);
-}
-
-TEST(PeerStoreSlotReuse, LifoReuseOrderIsDeterministic) {
-  PeerStore store;
-  store.init(4, kPieces);
-  for (PeerId id : {PeerId{0}, PeerId{1}, PeerId{2}}) {
-    store.set_state(id, PeerState::kActive);
-    store.set_state(id, PeerState::kLeft);
-    store.release_slot(id);
-  }
-  EXPECT_EQ(store.acquire_slot(), 2u);
-  EXPECT_EQ(store.acquire_slot(), 1u);
-  EXPECT_EQ(store.acquire_slot(), 0u);
-  EXPECT_EQ(store.acquire_slot(), kNoPeer);
-}
 
 // --- exchange ledger -------------------------------------------------------
 
@@ -173,13 +60,6 @@ TEST(PeerStoreLedger, RowStaysAscendingAndRotatesAndForgets) {
   store.forget(0, 2);
   EXPECT_EQ(ledger_peers(store, 0), (std::vector<PeerId>{1, 4, 5}));
   EXPECT_EQ(store.find_edge(0, 3), nullptr);
-
-  // A recycled slot starts with an empty ledger.
-  store.set_state(0, PeerState::kActive);
-  store.set_state(0, PeerState::kLeft);
-  store.release_slot(0);
-  ASSERT_EQ(store.acquire_slot(), 0u);
-  EXPECT_TRUE(store.ledger(0).empty());
 }
 
 // --- active registry --------------------------------------------------------
@@ -253,15 +133,15 @@ TEST(PeerStoreHungry, TracksStateAndUnavailableThroughEveryTransition) {
   store.set_state(66, PeerState::kActive);
   EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3, 66}));
 
-  // Filling the unavailable set takes the peer out once the version
-  // moves; a freed reservation brings it back.
+  // Filling the unavailable set takes the peer out once its bit is
+  // refreshed; a freed reservation brings it back.
   for (PieceId piece = 0; piece < kPieces; ++piece) {
     store.unavailable(66).add(piece);
   }
-  store.bump_unavail_ver(66);
+  store.refresh_hungry(66);
   EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3}));
   store.unavailable(66).remove(5);
-  store.bump_unavail_ver(66);
+  store.refresh_hungry(66);
   EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3, 66}));
 
   // Only active peers are hungry: churn, departure and rejoin move the bit.
@@ -269,11 +149,6 @@ TEST(PeerStoreHungry, TracksStateAndUnavailableThroughEveryTransition) {
   EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{66}));
   store.set_state(3, PeerState::kActive);
   store.set_state(66, PeerState::kLeft);
-  EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3}));
-
-  // A recycled slot starts pending, so not hungry, until it arrives.
-  store.release_slot(66);
-  EXPECT_EQ(store.acquire_slot(), 66u);
   EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3}));
   store.set_state(66, PeerState::kActive);
   EXPECT_EQ(hungry_ids(store), (std::vector<PeerId>{3, 66}));
@@ -290,7 +165,7 @@ TEST(PeerStoreHungry, CheckpointLoadRebuildsTheIndex) {
   for (PieceId piece = 0; piece < kPieces; ++piece) {
     store.unavailable(1).add(piece);
   }
-  store.bump_unavail_ver(1);
+  store.refresh_hungry(1);
   store.set_state(4, PeerState::kChurned);
   ASSERT_EQ(hungry_ids(store), (std::vector<PeerId>{0, 2, 3}));
 

@@ -8,7 +8,9 @@
 // otherwise the seeder scans with needy_neighbors, which must give the
 // same list as the reference. The reference filter is kept here as it
 // stood before the index: active non-seeder neighbor, accepts_incoming,
-// can_offer through the interest memo, accepts_delivery.
+// can_offer, accepts_delivery. (The test's name recalls the per-edge
+// interest memo that filter once went through; its verdicts are the
+// plain needs_from ones.)
 #include <gtest/gtest.h>
 
 #include <string>
@@ -49,21 +51,21 @@ SwarmConfig path_config(const PathCell& cell) {
   return config;
 }
 
-/// The seeder's candidates as the memo filter lists them; with `admit`
-/// false, before accepts_incoming and accepts_delivery.
-std::vector<PeerId> memo_filter(Swarm& swarm, const ExchangeStrategy& strategy,
-                                PeerId seeder, bool admit) {
+/// The seeder's candidates as the reference filter lists them; with
+/// `admit` false, before accepts_incoming and accepts_delivery.
+std::vector<PeerId> reference_filter(const Swarm& swarm,
+                                     const ExchangeStrategy& strategy,
+                                     PeerId seeder, bool admit) {
   const PeerStore& store = swarm.peer_store();
-  const PeerId* row = store.neighbors_begin(seeder);
   std::vector<PeerId> out;
-  for (std::size_t i = 0; i < store.neighbor_count(seeder); ++i) {
-    const PeerId n = row[i];
-    // neighbor_needs_from is the active/non-seeder test plus can_offer
-    // through the memo; accepts_incoming commutes with it.
-    if (admit && !swarm.accepts_incoming(n)) continue;
-    if (!swarm.neighbor_needs_from(seeder, i)) continue;
-    if (admit && !strategy.accepts_delivery(swarm, n)) continue;
-    out.push_back(n);
+  for (const PeerId* n = store.neighbors_begin(seeder);
+       n != store.neighbors_end(seeder); ++n) {
+    // needs_from is the active/non-seeder test plus can_offer;
+    // accepts_incoming commutes with it.
+    if (admit && !swarm.accepts_incoming(*n)) continue;
+    if (!swarm.needs_from(*n, seeder)) continue;
+    if (admit && !strategy.accepts_delivery(swarm, *n)) continue;
+    out.push_back(*n);
   }
   return out;
 }
@@ -105,9 +107,9 @@ TEST_P(SeederPath, CandidatesMatchTheMemoFilterAtEveryProbe) {
       SCOPED_TRACE("seeder " + std::to_string(seeder) + " at t = " +
                    std::to_string(t));
       const std::vector<PeerId> want =
-          memo_filter(swarm, strategy, seeder, /*admit=*/true);
+          reference_filter(swarm, strategy, seeder, /*admit=*/true);
       const std::vector<PeerId> hungry = hungry_leechers(swarm);
-      ASSERT_EQ(hungry, memo_filter(swarm, strategy, seeder, false));
+      ASSERT_EQ(hungry, reference_filter(swarm, strategy, seeder, false));
       if (counts_index) {
         ASSERT_EQ(hungry, want);
       }

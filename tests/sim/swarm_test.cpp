@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+
+#include "strategy/factory.h"
 
 namespace coopnet::sim {
 namespace {
@@ -251,6 +254,36 @@ TEST(Swarm, MaxTimeCapsTheRun) {
   s.run();
   EXPECT_LE(s.engine().now(), 0.5 + 1e-9);
   EXPECT_EQ(s.compliant_unfinished(), 8u);
+}
+
+// The chunked loop sim/checkpoint.h documents must end at max_time even
+// when peers are still active there: their tick chains keep events queued
+// past the horizon, so finished() alone never turns true.
+TEST(Swarm, DocumentedChunkedLoopEndsAtMaxTimeWithPeersStillActive) {
+  SwarmConfig config = SwarmConfig::small(core::Algorithm::kReciprocity, 3);
+  config.max_time = 30.0;
+  Swarm straight(config, strategy::make_strategy(config.algorithm));
+  straight.run();
+
+  Swarm swarm(config, strategy::make_strategy(config.algorithm));
+  swarm.start();
+  const Seconds every = 7.0;
+  int chunks = 0;
+  Seconds t = swarm.engine().now();
+  while (!swarm.finished() && t < swarm.config().max_time) {
+    t = std::min(t + every, swarm.config().max_time);
+    swarm.advance_until(t);
+    ASSERT_LT(++chunks, 100) << "the documented loop does not end";
+  }
+  EXPECT_EQ(chunks, 5);
+  for (PeerId id = 0; id < swarm.leechers(); ++id) {
+    EXPECT_FALSE(swarm.peer(id).finished()) << id;
+  }
+  EXPECT_FALSE(swarm.active_ids().empty());
+  EXPECT_FALSE(swarm.finished())
+      << "finished() alone would have ended the loop";
+  EXPECT_EQ(swarm.engine().events_processed(),
+            straight.engine().events_processed());
 }
 
 }  // namespace
