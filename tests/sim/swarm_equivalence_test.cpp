@@ -9,7 +9,9 @@
 // free-riders, and max_incoming = 2. Six more cells per N pin the seeders'
 // upload path: three seeders with outages (Reciprocity, T-Chain),
 // max_incoming = 2 on BitTorrent, lingering finished peers (FairTorrent)
-// and staggered arrivals (Reciprocity, BitTorrent).
+// and staggered arrivals (Reciprocity, BitTorrent). Three more per N pin
+// ledger rows that differ most from neighbor rows: whitewashing large-view
+// free-riders (FairTorrent, BitTorrent) and three seeders (FairTorrent).
 //
 // The goldens under tests/golden/ were generated from the pre-optimization
 // seed engine (std::priority_queue<std::function> scheduler, linear
