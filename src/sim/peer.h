@@ -130,9 +130,6 @@ class PeerHandle {
     return store_->ledger(id_);
   }
   EdgeCounters& edge(PeerId other) const { return store_->edge(id_, other); }
-  const EdgeCounters* find_edge(PeerId other) const {
-    return store_->find_edge(id_, other);
-  }
   void end_round() const { store_->end_round(id_); }
 
   // --- predicates ---------------------------------------------------------

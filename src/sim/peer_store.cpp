@@ -1,6 +1,9 @@
 #include "sim/peer_store.h"
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "util/byteio.h"
 
@@ -80,6 +83,12 @@ void PeerStore::build_neighbors(
   assert(nbr_data_.empty() && "PeerStore::build_neighbors: already built");
   std::size_t total = 0;
   for (std::size_t i = 0; i < adjacency.size(); ++i) {
+    if (std::ranges::adjacent_find(adjacency[i], std::greater_equal<>{}) !=
+        adjacency[i].end()) {
+      throw std::logic_error("PeerStore::build_neighbors: row " +
+                             std::to_string(i) +
+                             " is not strictly ascending");
+    }
     nbr_offset_[i] = static_cast<std::uint32_t>(total);
     total += adjacency[i].size();
   }
@@ -119,12 +128,6 @@ EdgeCounters& PeerStore::edge(PeerId id, PeerId other) {
   auto it = std::ranges::lower_bound(row, other, {}, &EdgeCounters::peer);
   if (it == row.end() || it->peer != other) it = row.insert(it, {other});
   return *it;
-}
-
-const EdgeCounters* PeerStore::find_edge(PeerId id, PeerId other) const {
-  const std::vector<EdgeCounters>& row = at(ledger_, id);
-  auto it = std::ranges::lower_bound(row, other, {}, &EdgeCounters::peer);
-  return it == row.end() || it->peer != other ? nullptr : &*it;
 }
 
 void PeerStore::end_round(PeerId id) {

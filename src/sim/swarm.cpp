@@ -197,13 +197,11 @@ void Swarm::build_population() {
     }
     store_.build_neighbors(adj_all);
     // seeder_action counts candidates over the ids [0, n): that is only
-    // the seeders' neighbor row when the row is every leecher, ascending.
-    const std::vector<PeerId>& row = adjacency[n];
-    bool every_leecher = row.size() == n;
-    for (std::size_t i = 0; every_leecher && i < n; ++i) {
-      every_leecher = row[i] == i;
-    }
-    if (!every_leecher) {
+    // the seeders' neighbor row when the row is every leecher.
+    // build_neighbors has checked that the row is strictly ascending, so
+    // n ids whose last is n - 1 are exactly [0, n).
+    const std::vector<PeerId>& row = adj_all[n];
+    if (row.size() != n || row.back() != n - 1) {
       throw std::logic_error(
           "Swarm: the seeders' neighbor row is not every leecher in "
           "ascending id order");

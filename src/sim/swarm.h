@@ -157,9 +157,12 @@ class Swarm {
   // --- strategy-facing API -------------------------------------------------
   /// Active neighbors of `uploader` that (a) need at least one piece the
   /// uploader can offer and (b) accept deliveries per the strategy, in
-  /// neighbor order. `include_locked_offer` additionally offers the
-  /// uploader's locked pieces (T-Chain forwarding). The list is a scratch
-  /// buffer the swarm reuses: the next call overwrites it.
+  /// neighbor order, which is ascending id order (neighbor rows are
+  /// strictly ascending, checked at build), so a LedgerCursor can walk the
+  /// uploader's ledger row alongside the list. `include_locked_offer`
+  /// additionally offers the uploader's locked pieces (T-Chain
+  /// forwarding). The list is a scratch buffer the swarm reuses: the next
+  /// call overwrites it.
   const std::vector<PeerId>& needy_neighbors(
       PeerId uploader, bool include_locked_offer = false);
 

@@ -11,15 +11,6 @@
 
 namespace coopnet::strategy {
 
-namespace {
-
-sim::Bytes round_received(const sim::Peer& p, sim::PeerId from) {
-  const sim::EdgeCounters* e = p.find_edge(from);
-  return e == nullptr ? 0 : e->round_received;
-}
-
-}  // namespace
-
 void BitTorrentStrategy::attach(sim::Swarm& swarm) {
   state_.assign(swarm.peer_count(), {});
   swarm.engine().schedule(swarm.config().rechoke_interval,
@@ -54,7 +45,8 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   // Interested candidates: active neighbors we could serve, in neighbor
   // order. Each candidate's receipt count this round is read once, here,
   // not once per sort comparison: the sort key, and so the order, are the
-  // same.
+  // same. The neighbor row is ascending, so one cursor walks the ledger
+  // row alongside it.
   struct Ranked {
     sim::PeerId id;
     sim::Bytes received;
@@ -62,8 +54,11 @@ void BitTorrentStrategy::rechoke_one(sim::Swarm& swarm, sim::PeerId id,
   const sim::NeighborRange nbrs = p.neighbors();
   std::vector<Ranked> ranked;
   ranked.reserve(nbrs.size());
+  sim::LedgerCursor ledger(p.ledger());
   for (const sim::PeerId n : nbrs) {
-    if (swarm.needs_from(n, id)) ranked.push_back({n, round_received(p, n)});
+    if (!swarm.needs_from(n, id)) continue;
+    const sim::EdgeCounters* e = ledger.find(n);
+    ranked.push_back({n, e == nullptr ? 0 : e->round_received});
   }
   // Random shuffle first so the stable sort breaks byte-count ties fairly.
   swarm.rng().shuffle(ranked);

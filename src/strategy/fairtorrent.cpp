@@ -17,12 +17,14 @@ std::optional<sim::UploadAction> FairTorrentStrategy::next_upload(
   // deficit (newcomers). When the minimum is positive (everyone has been
   // repaid in full and then some), the least-overpaid neighbor is served,
   // which keeps the upload capacity utilized (Lemma 2) -- real FairTorrent
-  // behaves the same way.
+  // behaves the same way. `needy` is ascending, so one cursor walks the
+  // ledger row alongside it.
   std::int64_t best = 0;
   std::vector<sim::PeerId> ties;
   bool first = true;
+  sim::LedgerCursor ledger(up.ledger());
   for (sim::PeerId n : needy) {
-    const sim::EdgeCounters* e = up.find_edge(n);
+    const sim::EdgeCounters* e = ledger.find(n);
     const std::int64_t d = e == nullptr ? 0 : e->deficit;
     if (first || d < best) {
       best = d;

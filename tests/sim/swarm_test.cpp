@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "strategy/factory.h"
@@ -67,6 +68,36 @@ TEST(Swarm, ConstructionBuildsPopulation) {
     EXPECT_EQ(s.peer(i).capacity(), 64.0 * 1024);
   }
   EXPECT_EQ(s.compliant_unfinished(), 8u);
+}
+
+TEST(Swarm, EveryNeighborRowIsStrictlyAscending) {
+  // Large-view free-riders have the longest rows and three seeders end
+  // every leecher's row: the rows a ledger walk leans on most.
+  SwarmConfig config = SwarmConfig::small(core::Algorithm::kFairTorrent, 5);
+  config.n_peers = 200;
+  config.free_rider_fraction = 0.2;
+  config.attack.large_view = true;
+  config.seeder_count = 3;
+  Swarm s(config, std::make_unique<NullStrategy>());
+  std::size_t longest_free_rider = 0;
+  std::size_t longest_compliant = 0;
+  for (PeerId id = 0; id < s.peer_count(); ++id) {
+    const NeighborRange row = s.peer(id).neighbors();
+    EXPECT_EQ(std::ranges::adjacent_find(row, std::greater_equal<>{}),
+              row.end())
+        << "row " << id;
+    if (id >= s.leechers()) {
+      EXPECT_EQ(row.size(), s.leechers()) << "seeder row " << id;
+      continue;
+    }
+    ASSERT_GE(row.size(), 3u);
+    EXPECT_EQ(row[row.size() - 3], s.seeder_id()) << "row " << id;
+    EXPECT_EQ(row[row.size() - 1], s.seeder_id() + 2) << "row " << id;
+    std::size_t& longest = s.peer(id).is_free_rider() ? longest_free_rider
+                                                      : longest_compliant;
+    longest = std::max(longest, row.size());
+  }
+  EXPECT_GT(longest_free_rider, longest_compliant) << "large views in use";
 }
 
 TEST(Swarm, NullStrategyRunsOnlySeederUploads) {

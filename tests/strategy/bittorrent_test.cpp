@@ -14,6 +14,7 @@ namespace {
 
 using core::Algorithm;
 using sim::EdgeCounters;
+using sim::LedgerCursor;
 using sim::PeerId;
 using sim::Swarm;
 using sim::SwarmConfig;
@@ -49,7 +50,8 @@ TEST(BitTorrent, ReciprocalPairsEmerge) {
   for (PeerId i = 0; i < s.leechers(); ++i) {
     for (const EdgeCounters& e : s.peer(i).ledger()) {
       if (e.peer == s.seeder_id() || e.received <= 0) continue;
-      const EdgeCounters* back = s.peer(e.peer).find_edge(i);
+      const EdgeCounters* back =
+          LedgerCursor(s.peer(e.peer).ledger()).find(i);
       if (back != nullptr && back->received > 0) ++reciprocal;
     }
   }
