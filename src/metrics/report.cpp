@@ -72,7 +72,7 @@ RunReport build_report(const sim::Swarm& swarm, const RunMetrics& metrics) {
 
   r.total_uploaded_bytes = swarm.total_uploaded_bytes();
   r.total_downloaded_raw_bytes =
-      swarm.peer_store().total_downloaded_raw_bytes();
+      swarm.peer_store().byte_totals().downloaded_raw;
 
   r.faults = swarm.fault_stats();
   r.goodput_ratio = r.faults.goodput_ratio();

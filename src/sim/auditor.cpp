@@ -186,6 +186,7 @@ void InvariantAuditor::check_now() const {
   check_hungry_index();
   check_piece_frequencies();
   check_census();
+  check_byte_totals();
   check_byte_identity();
 }
 
@@ -247,6 +248,8 @@ void InvariantAuditor::check_peer_invariants() const {
     }
   }
 
+  PieceSet transferable(store.piece_space());
+  PieceSet unavailable(store.piece_space());
   for (ConstPeer p : swarm_.peers()) {
     // 1+2: slot counters vs the shadow in-flight ledger.
     if (p.busy_slots() != expected_busy[p.id()]) {
@@ -290,8 +293,8 @@ void InvariantAuditor::check_peer_invariants() const {
            p.id(), p.epoch());
     }
 
-    // 4: set algebra. pieces/locked/pending are pairwise disjoint;
-    // unavailable is exactly their union; transferable is pieces|locked.
+    // 4: set algebra. pieces/locked/pending are pairwise disjoint; the
+    // derived sets are their unions.
     if (p.pieces().intersects(p.locked())) {
       fail("pieces-locked-disjoint", "a piece is both usable and locked",
            p.id(), p.epoch());
@@ -302,27 +305,17 @@ void InvariantAuditor::check_peer_invariants() const {
            "a pending (in-flight) piece is already usable or locked", p.id(),
            p.epoch());
     }
-    if (!p.pieces().subset_of(p.unavailable()) ||
-        !p.locked().subset_of(p.unavailable()) ||
-        !p.pending().subset_of(p.unavailable())) {
-      fail("unavailable-superset",
-           "pieces/locked/pending must each be a subset of unavailable",
-           p.id(), p.epoch());
-    }
-    if (p.unavailable().count() !=
-        p.pieces().count() + p.locked().count() + p.pending().count()) {
-      fail("unavailable-union",
-           "unavailable has " + std::to_string(p.unavailable().count()) +
-               " pieces; pieces+locked+pending have " +
-               std::to_string(p.pieces().count() + p.locked().count() +
-                              p.pending().count()),
-           p.id(), p.epoch());
-    }
-    if (!p.pieces().subset_of(p.transferable()) ||
-        !p.locked().subset_of(p.transferable()) ||
-        p.transferable().count() != p.pieces().count() + p.locked().count()) {
+    store.derive_sets(p.id(), transferable, unavailable);
+    if (p.transferable() != transferable) {
       fail("transferable-union", "transferable != pieces | locked", p.id(),
            p.epoch());
+    }
+    if (p.unavailable() != unavailable) {
+      fail("unavailable-union",
+           "unavailable has " + std::to_string(p.unavailable().count()) +
+               " pieces; pieces | locked | pending has " +
+               std::to_string(unavailable.count()),
+           p.id(), p.epoch());
     }
 
     // 8: the reputation ledger never goes negative.
@@ -334,20 +327,10 @@ void InvariantAuditor::check_peer_invariants() const {
 }
 
 void InvariantAuditor::check_piece_frequencies() const {
-  // 5: recompute rarity from scratch. Seeders contribute exactly one
-  // backing count per piece; active leechers contribute their usable sets
-  // (a churned peer's copies are subtracted until it rejoins).
-  const PieceId pieces = swarm_.config().piece_count();
-  std::vector<std::uint32_t> freq(pieces, 1);
-  // Frequency recount is a commutative sum, so it can walk the store's
-  // O(active) registry (arbitrary order) instead of scanning every slot;
-  // seeders are registered too but their backing is the baseline 1.
-  for (const PeerId id : swarm_.active_ids()) {
-    ConstPeer p = swarm_.peer(id);
-    if (p.is_seeder()) continue;
-    p.pieces().for_each([&](PieceId piece) { ++freq[piece]; });
-  }
-  for (PieceId piece = 0; piece < pieces; ++piece) {
+  // 5: rarity recounted from scratch (a churned peer's copies are
+  // subtracted until it rejoins).
+  const std::vector<std::uint32_t> freq = swarm_.recount_piece_frequencies();
+  for (PieceId piece = 0; piece < freq.size(); ++piece) {
     if (swarm_.piece_frequency(piece) != freq[piece]) {
       fail("piece-frequency",
            "piece " + std::to_string(piece) + ": maintained count " +
@@ -362,20 +345,30 @@ void InvariantAuditor::check_census() const {
   // 6: the completion condition's census. Compliant and strategic
   // leechers count until they finish or are permanently gone; free-riders
   // never count.
-  // This census must scan every leecher slot (not the active registry):
-  // kPending and kChurned peers still count toward completion.
-  std::size_t census = 0;
-  for (PeerId id = 0; id < static_cast<PeerId>(swarm_.leechers()); ++id) {
-    ConstPeer p = swarm_.peer(id);
-    if (p.is_free_rider() || p.finished()) continue;
-    if (p.state() == PeerState::kLeft) continue;
-    ++census;
-  }
+  const std::size_t census = swarm_.recount_compliant_unfinished();
   if (swarm_.compliant_unfinished() != census) {
     fail("compliant-census",
          "compliant_unfinished=" +
              std::to_string(swarm_.compliant_unfinished()) +
              " but the census counts " + std::to_string(census),
+         kNoPeer, 0);
+  }
+}
+
+void InvariantAuditor::check_byte_totals() const {
+  // 10: the O(1) byte totals the metrics sample vs the per-peer counters.
+  const auto str = [](const ByteTotals& t) {
+    return std::to_string(t.uploaded) + "/" +
+           std::to_string(t.leecher_uploaded) + "/" +
+           std::to_string(t.freerider_usable) + "/" +
+           std::to_string(t.downloaded_raw);
+  };
+  const ByteTotals& kept = swarm_.peer_store().byte_totals();
+  const ByteTotals sum = swarm_.peer_store().recount_byte_totals();
+  if (kept != sum) {
+    fail("byte-totals",
+         "uploaded/leecher-uploaded/free-rider-usable/raw-downloaded " +
+             str(kept) + " != per-peer sums " + str(sum),
          kNoPeer, 0);
   }
 }

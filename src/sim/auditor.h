@@ -1,10 +1,10 @@
 // Swarm invariant auditor (debug tooling, CMake option COOPNET_AUDIT).
 //
 // The swarm's bookkeeping is intentionally incremental: slot counters,
-// piece reservations, rarity counts, the compliant-peer census, and the
-// offered/goodput byte identity are all maintained in place by the event
-// handlers, with per-peer epoch counters guarding against events that
-// outlive a churned incarnation. A single missed decrement silently
+// piece reservations, rarity counts, the compliant-peer census, byte
+// totals and the offered/goodput byte identity are all maintained in place
+// by the event handlers, with per-peer epoch counters guarding against
+// events that outlive a churned incarnation. A single missed decrement silently
 // distorts every incentive measurement downstream. The auditor recomputes
 // each of those quantities from first principles -- on every recorded
 // swarm event, or every `check_every`-th one -- and throws a structured
@@ -26,18 +26,21 @@
 //   3. pending[p]        == pieces of in-flight transfers to p plus
 //                           reservations held through a retry backoff
 //                           window, exactly.
-//   4. pieces, locked, pending are pairwise disjoint and their union is
-//      `unavailable`; pieces | locked == `transferable`.
+//   4. pieces, locked, pending are pairwise disjoint; `transferable` and
+//      `unavailable` equal PeerStore::derive_sets: their unions.
 //   5. piece_freq[m]     == 1 (seeder backing) + #active leechers holding
-//                           m usable.
+//                           m usable (Swarm::recount_piece_frequencies).
 //   6. compliant_unfinished == census of non-free-rider leechers that are
-//      neither finished nor permanently gone.
+//      neither finished nor permanently gone (recount_compliant_unfinished).
 //   7. offered_bytes == goodput_bytes + lost bytes + in-flight bytes, and
 //      the swarm's goodput counter matches the per-transfer ledger.
 //   8. reputation[p] >= 0.
 //   9. the store's hungry index holds exactly the active peers whose
-//      `unavailable` set is not complete (also checked after every
-//      checkpoint restore, which rebuilds the index).
+//      `unavailable` set is not complete.
+//  10. the store's byte totals == the sums of the per-peer byte counters
+//      (PeerStore::recount_byte_totals).
+// A checkpoint restore assigns the values 4, 5, 6, 9 and 10 check from
+// the same functions, saves none of them, and then runs check_now().
 #pragma once
 
 #include <cstdint>
@@ -152,8 +155,7 @@ class InvariantAuditor {
   void check_now() const;
 
   /// Identity 9 alone: recounts every peer's hungry bit from its state
-  /// and unavailable set. SwarmCheckpoint::restore runs it once the
-  /// restored store is in place.
+  /// and unavailable set.
   void check_hungry_index() const;
 
   std::uint64_t events_recorded() const { return events_recorded_; }
@@ -194,6 +196,7 @@ class InvariantAuditor {
   void check_peer_invariants() const;
   void check_piece_frequencies() const;
   void check_census() const;
+  void check_byte_totals() const;
   void check_byte_identity() const;
 
   const Swarm& swarm_;

@@ -15,7 +15,7 @@ namespace coopnet::sim {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'O', 'P', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kFormatVersion = 4;
+constexpr std::uint32_t kFormatVersion = 5;
 
 /// Container header: magic, version, flags, fingerprint CRC and length,
 /// section count. Each section adds a 16-byte frame (id, CRC, length).
@@ -26,9 +26,9 @@ constexpr std::size_t kFrameBytes = 4 + 4 + 8;
 /// and one i64.
 constexpr std::size_t kQueueEntryBytes = 8 + 8 + 8 * 4 + 2 * 8 + 8;
 
-/// The swarm section's scalars after the reputation ledger: the census
-/// and the thirteen FaultStats counters.
-constexpr std::size_t kSwarmScalarBytes = 8 + 13 * 8;
+/// The swarm section's scalars after the reputation ledger: the thirteen
+/// FaultStats counters.
+constexpr std::size_t kSwarmScalarBytes = 13 * 8;
 
 // --- section payload helpers ---------------------------------------------
 
@@ -245,11 +245,9 @@ std::vector<SnapshotSection> SwarmCheckpoint::save(const Swarm& swarm) {
   }
   {
     util::ByteSink sink;
-    sink.reserve(8 + 8 * swarm.reputation_.size() + kSwarmScalarBytes +
-                 swarm.piece_freq_.checkpoint_bytes());
+    sink.reserve(8 + 8 * swarm.reputation_.size() + kSwarmScalarBytes);
     sink.put_u64(swarm.reputation_.size());
     sink.put_span(swarm.reputation_.data(), swarm.reputation_.size());
-    sink.put_u64(swarm.compliant_unfinished_);
     const FaultStats& fs = swarm.fault_stats_;
     sink.put_u64(fs.transfer_failures);
     sink.put_u64(fs.transfer_stalls);
@@ -264,7 +262,6 @@ std::vector<SnapshotSection> SwarmCheckpoint::save(const Swarm& swarm) {
     sink.put_u64(fs.seeder_outages);
     sink.put_i64(fs.offered_bytes);
     sink.put_i64(fs.goodput_bytes);
-    swarm.piece_freq_.checkpoint_save(sink);
     sections.push_back({kSectionSwarm, sink.take()});
   }
 #if COOPNET_AUDIT
@@ -316,7 +313,6 @@ void SwarmCheckpoint::restore(Swarm& swarm,
   std::vector<SimEngine::QueueEntry> entries;
   std::uint64_t rng_words[4];
   std::vector<double> reputation;
-  std::uint64_t compliant_unfinished = 0;
   FaultStats stats;
   PeerStore peers;
   try {
@@ -396,7 +392,6 @@ void SwarmCheckpoint::restore(Swarm& swarm,
       }
       reputation.resize(n_rep);
       src.get_span(reputation.data(), n_rep);
-      compliant_unfinished = src.get_u64();
       stats.transfer_failures = src.get_u64();
       stats.transfer_stalls = src.get_u64();
       stats.uploader_vanished = src.get_u64();
@@ -410,8 +405,7 @@ void SwarmCheckpoint::restore(Swarm& swarm,
       stats.seeder_outages = src.get_u64();
       stats.offered_bytes = src.get_i64();
       stats.goodput_bytes = src.get_i64();
-      // The piece-frequency payload follows; parsed during apply (it
-      // loads in place), structurally CRC-guarded like everything else.
+      src.expect_exhausted();
     }
     {
       // Staged: the live store is only replaced once this parses whole.
@@ -436,16 +430,11 @@ void SwarmCheckpoint::restore(Swarm& swarm,
       src.expect_exhausted();
     }
     swarm.store_.adopt(std::move(peers));
-    {
-      util::ByteSource src(sec_swarm.payload, "swarm section");
-      // Skip past the pass-1 scalars to the piece-frequency payload.
-      src.view(8 + 8 * reputation.size() + kSwarmScalarBytes);
-      swarm.piece_freq_.checkpoint_load(src);
-      src.expect_exhausted();
-    }
+    // Derived from the store, never saved: recomputed by the functions
+    // the auditor checks the maintained values against.
+    swarm.rebuild_piece_freq();
+    swarm.compliant_unfinished_ = swarm.recount_compliant_unfinished();
     swarm.reputation_ = std::move(reputation);
-    swarm.compliant_unfinished_ =
-        static_cast<std::size_t>(compliant_unfinished);
     swarm.fault_stats_ = stats;
     swarm.rng_.restore_state(rng_words);
 
@@ -454,7 +443,6 @@ void SwarmCheckpoint::restore(Swarm& swarm,
       util::ByteSource src(sec_audit->payload, "audit section");
       swarm.auditor_->checkpoint_load(src);
       src.expect_exhausted();
-      swarm.auditor_->check_hungry_index();
     }
 #else
     // A non-audit build restoring an audit-build snapshot: the audit
@@ -468,6 +456,10 @@ void SwarmCheckpoint::restore(Swarm& swarm,
     }
     swarm.engine_.set_next_seq(next_seq);
     swarm.engine_.set_processed(processed);
+#if COOPNET_AUDIT
+    // Every identity, on the state exactly as the run continues from it.
+    if (swarm.auditor_) swarm.auditor_->check_now();
+#endif
   } catch (const CheckpointError&) {
     throw;
   } catch (const util::SerializeError& e) {

@@ -2,12 +2,12 @@
 //
 // A snapshot captures everything a run's future depends on -- the engine's
 // event queue (as (time, seq, tag) records; see sim/event_kinds.h),
-// clock and counters, the RNG stream, the struct-of-arrays PeerStore, the
-// rarity index, per-strategy state, the reputation ledger, fault/churn
-// counters, and (in audit builds) the invariant auditor's shadow ledger --
-// such that a restored swarm continues BYTE-IDENTICAL to the uninterrupted
-// run: same reports, same JSONL trace bytes, same audit verdicts (see
-// DESIGN §13).
+// clock and counters, the RNG stream, the PeerStore's run-time columns,
+// per-strategy state, the reputation ledger, fault/churn counters, and
+// (in audit builds) the invariant auditor's shadow ledger -- such that a
+// restored swarm continues BYTE-IDENTICAL to the uninterrupted run (see
+// DESIGN §13). What config + seed or the saved state determine is rebuilt,
+// not saved.
 //
 // Layering: SwarmCheckpoint::save/restore move swarm state to/from typed
 // sections; encode_snapshot/decode_snapshot wrap sections in a versioned,
@@ -57,9 +57,9 @@ enum SnapshotSectionId : std::uint32_t {
   kSectionEngine = 1,    // clock, seq counter, processed count
   kSectionQueue = 2,     // pending events: (time, seq, tag) each
   kSectionRng = 3,       // xoshiro256** state words
-  kSectionPeers = 4,     // PeerStore arrays + active registry + aggregates
+  kSectionPeers = 4,     // PeerStore run-time columns + active registry
   kSectionStrategy = 5,  // ExchangeStrategy::checkpoint_save payload
-  kSectionSwarm = 6,     // reputation ledger, census, fault stats, rarity
+  kSectionSwarm = 6,     // reputation ledger, fault stats
   kSectionMetrics = 7,   // driver-owned: RunMetrics accumulators
   kSectionAudit = 8,     // audit builds: InvariantAuditor shadow ledger
   kSectionTrace = 9,     // driver-owned: trace-sink byte offset

@@ -15,16 +15,19 @@ using util::ByteSink;
 using util::ByteSource;
 using util::SerializeError;
 
-void save_piece_set(ByteSink& sink, const PieceSet& set) {
-  sink.put_span(set.words(), set.word_count());
+/// One column of piece sets: every peer's words, peer after peer.
+void save_piece_sets(ByteSink& sink, const std::vector<PieceSet>& sets) {
+  for (const PieceSet& set : sets) sink.put_span(set.words(), set.word_count());
 }
 
 /// Loads whole words; a bit at or above the set's size is rejected, as
 /// PieceSet::add would reject it.
-void load_piece_set(ByteSource& src, PieceSet& set) {
-  if (!set.assign_words(src.view(set.word_count(), sizeof(std::uint64_t)))) {
-    throw SerializeError("peer piece set: a bit at or above piece " +
-                         std::to_string(set.size()) + " is set");
+void load_piece_sets(ByteSource& src, std::vector<PieceSet>& sets) {
+  for (PieceSet& set : sets) {
+    if (!set.assign_words(src.view(set.word_count(), sizeof(std::uint64_t)))) {
+      throw SerializeError("peer piece set: a bit at or above piece " +
+                           std::to_string(set.size()) + " is set");
+    }
   }
 }
 
@@ -62,10 +65,7 @@ void PeerStore::init(std::size_t count, PieceId pieces) {
   downloaded_usable_bytes_.assign(count, 0);
   downloaded_raw_bytes_.assign(count, 0);
   usable_from_leechers_bytes_.assign(count, 0);
-  total_uploaded_ = 0;
-  leecher_uploaded_ = 0;
-  freerider_usable_ = 0;
-  total_downloaded_raw_ = 0;
+  totals_ = {};
 
   ledger_.assign(count, {});
 
@@ -143,50 +143,62 @@ void PeerStore::forget(PeerId id, PeerId other) {
   if (it != row.end() && it->peer == other) row.erase(it);
 }
 
+void PeerStore::derive_sets(PeerId id, PieceSet& transferable,
+                            PieceSet& unavailable) const {
+  transferable.assign_union(pieces(id), locked(id));
+  unavailable.assign_union(transferable, pending(id));
+}
+
+ByteTotals PeerStore::recount_byte_totals() const {
+  ByteTotals sum;
+  for (std::size_t i = 0; i < size(); ++i) {
+    sum.uploaded += uploaded_bytes_[i];
+    if (kind_[i] != PeerKind::kSeeder) {
+      sum.leecher_uploaded += uploaded_bytes_[i];
+    }
+    if (kind_[i] == PeerKind::kFreeRider) {
+      sum.freerider_usable += usable_from_leechers_bytes_[i];
+    }
+    sum.downloaded_raw += downloaded_raw_bytes_[i];
+  }
+  return sum;
+}
+
 void PeerStore::checkpoint_save(util::ByteSink& sink) const {
   const std::size_t n = size();
-  // Per peer: kind, state, capacity, four int fields, epoch; five piece
-  // sets; three times; four byte counters; the ledger row's length.
+  // Per peer: the state byte, three 4-byte counters, three piece sets, two
+  // times, four byte counters and the ledger row's length.
   const std::size_t words = (std::size_t{piece_space_} + 63) / 64;
-  std::size_t bytes = 8 + 4 + n * (1 + 1 + 8 + 4 * 8 + 4 + 5 * 8 * words +
-                                   3 * 8 + 4 * 8 + 8);
+  std::size_t bytes =
+      8 + 4 + n * (1 + 3 * 4 + 3 * 8 * words + 2 * 8 + 4 * 8 + 8);
   for (const std::vector<EdgeCounters>& row : ledger_) {
     bytes += row.size() * kLedgerRecordBytes;
   }
-  bytes += 4 * 8 + 8 + 4 * active_ids_.size();
+  bytes += 8 + 4 * active_ids_.size();
   sink.reserve(bytes);
   [[maybe_unused]] const std::size_t start = sink.size();
 
   sink.put_u64(n);
   sink.put_u32(piece_space_);
 
-  for (std::size_t i = 0; i < n; ++i) {
-    sink.put_u8(static_cast<std::uint8_t>(kind_[i]));
-    sink.put_u8(static_cast<std::uint8_t>(state_[i]));
-    sink.put_double(capacity_[i]);
-    sink.put_i64(upload_slots_[i]);
-    sink.put_i64(busy_slots_[i]);
-    sink.put_i64(incoming_count_[i]);
-    sink.put_i64(collusion_group_[i]);
-    sink.put_u32(epoch_[i]);
+  static_assert(sizeof(PeerState) == 1);
+  sink.put_bytes(state_.data(), n);
+  sink.put_span(busy_slots_.data(), n);
+  sink.put_span(incoming_count_.data(), n);
+  sink.put_span(epoch_.data(), n);
+  save_piece_sets(sink, pieces_);
+  save_piece_sets(sink, locked_);
+  save_piece_sets(sink, pending_);
+  sink.put_span(bootstrap_time_.data(), n);
+  sink.put_span(finish_time_.data(), n);
+  sink.put_span(uploaded_bytes_.data(), n);
+  sink.put_span(downloaded_usable_bytes_.data(), n);
+  sink.put_span(downloaded_raw_bytes_.data(), n);
+  sink.put_span(usable_from_leechers_bytes_.data(), n);
 
-    save_piece_set(sink, pieces_[i]);
-    save_piece_set(sink, locked_[i]);
-    save_piece_set(sink, pending_[i]);
-    save_piece_set(sink, unavailable_[i]);
-    save_piece_set(sink, transferable_[i]);
-
-    sink.put_double(arrival_time_[i]);
-    sink.put_double(bootstrap_time_[i]);
-    sink.put_double(finish_time_[i]);
-
-    sink.put_i64(uploaded_bytes_[i]);
-    sink.put_i64(downloaded_usable_bytes_[i]);
-    sink.put_i64(downloaded_raw_bytes_[i]);
-    sink.put_i64(usable_from_leechers_bytes_[i]);
-
-    sink.put_u64(ledger_[i].size());
-    for (const EdgeCounters& e : ledger_[i]) {
+  for (const std::vector<EdgeCounters>& row : ledger_) {
+    sink.put_u64(row.size());
+    for (const EdgeCounters& e : row) {
       sink.put_u32(e.peer);
       sink.put_i64(e.deficit);
       sink.put_i64(e.received);
@@ -194,11 +206,6 @@ void PeerStore::checkpoint_save(util::ByteSink& sink) const {
       sink.put_i64(e.prev_round_received);
     }
   }
-
-  sink.put_i64(total_uploaded_);
-  sink.put_i64(leecher_uploaded_);
-  sink.put_i64(freerider_usable_);
-  sink.put_i64(total_downloaded_raw_);
 
   sink.put_u64(active_ids_.size());
   sink.put_span(active_ids_.data(), active_ids_.size());
@@ -220,40 +227,39 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
                          std::to_string(piece_space_));
   }
 
+  const char* states = src.view(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t kind = src.get_u8();
-    if (kind > static_cast<std::uint8_t>(PeerKind::kSeeder)) {
-      throw SerializeError("PeerStore restore: peer kind out of range");
-    }
-    kind_[i] = static_cast<PeerKind>(kind);
-    const std::uint8_t state = src.get_u8();
+    const auto state = static_cast<std::uint8_t>(states[i]);
     if (state > static_cast<std::uint8_t>(PeerState::kLeft)) {
       throw SerializeError("PeerStore restore: peer state out of range");
     }
     state_[i] = static_cast<PeerState>(state);
-    capacity_[i] = src.get_double();
-    upload_slots_[i] = static_cast<int>(src.get_i64());
-    busy_slots_[i] = static_cast<int>(src.get_i64());
-    incoming_count_[i] = static_cast<int>(src.get_i64());
-    collusion_group_[i] = static_cast<int>(src.get_i64());
-    epoch_[i] = src.get_u32();
+  }
+  src.get_span(busy_slots_.data(), n);
+  src.get_span(incoming_count_.data(), n);
+  src.get_span(epoch_.data(), n);
+  load_piece_sets(src, pieces_);
+  load_piece_sets(src, locked_);
+  load_piece_sets(src, pending_);
+  for (PeerId id = 0; id < n; ++id) {
+    derive_sets(id, transferable_[id], unavailable_[id]);
+    // The union is as large as its parts only when they are disjoint, as
+    // auditor identity 4 requires.
+    if (unavailable_[id].count() != pieces_[id].count() +
+                                        locked_[id].count() +
+                                        pending_[id].count()) {
+      throw SerializeError("PeerStore restore: peer " + std::to_string(id) +
+                           "'s pieces, locked and pending sets overlap");
+    }
+  }
+  src.get_span(bootstrap_time_.data(), n);
+  src.get_span(finish_time_.data(), n);
+  src.get_span(uploaded_bytes_.data(), n);
+  src.get_span(downloaded_usable_bytes_.data(), n);
+  src.get_span(downloaded_raw_bytes_.data(), n);
+  src.get_span(usable_from_leechers_bytes_.data(), n);
 
-    load_piece_set(src, pieces_[i]);
-    load_piece_set(src, locked_[i]);
-    load_piece_set(src, pending_[i]);
-    load_piece_set(src, unavailable_[i]);
-    load_piece_set(src, transferable_[i]);
-
-    arrival_time_[i] = src.get_double();
-    bootstrap_time_[i] = src.get_double();
-    finish_time_[i] = src.get_double();
-
-    uploaded_bytes_[i] = src.get_i64();
-    downloaded_usable_bytes_[i] = src.get_i64();
-    downloaded_raw_bytes_[i] = src.get_i64();
-    usable_from_leechers_bytes_[i] = src.get_i64();
-
-    std::vector<EdgeCounters>& row = ledger_[i];
+  for (std::vector<EdgeCounters>& row : ledger_) {
     row.resize(src.get_count(kLedgerRecordBytes));
     std::uint64_t next_min = 0;
     for (EdgeCounters& e : row) {
@@ -264,11 +270,6 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
       e.prev_round_received = src.get_i64();
     }
   }
-
-  total_uploaded_ = src.get_i64();
-  leecher_uploaded_ = src.get_i64();
-  freerider_usable_ = src.get_i64();
-  total_downloaded_raw_ = src.get_i64();
 
   // The active registry's exact transition-history order feeds
   // order-sensitive iteration downstream; restore it verbatim and rebuild
@@ -302,9 +303,15 @@ void PeerStore::checkpoint_load(util::ByteSource& src) {
 
 void PeerStore::adopt(PeerStore&& staged) {
   assert(staged.size() == size() && staged.piece_space_ == piece_space_);
+  staged.kind_ = std::move(kind_);
+  staged.capacity_ = std::move(capacity_);
+  staged.upload_slots_ = std::move(upload_slots_);
+  staged.collusion_group_ = std::move(collusion_group_);
+  staged.arrival_time_ = std::move(arrival_time_);
   staged.nbr_offset_ = std::move(nbr_offset_);
   staged.nbr_data_ = std::move(nbr_data_);
   *this = std::move(staged);
+  totals_ = recount_byte_totals();
 }
 
 }  // namespace coopnet::sim

@@ -12,9 +12,9 @@
 //   * the active registry (`active_ids`) lists exactly the peers whose
 //     state is kActive, in deterministic (transition-history) order --
 //     all state changes must go through set_state;
-//   * the byte aggregates (total/leecher uploaded, free-rider usable)
-//     stay in sync with the per-peer counters -- byte counters must be
-//     credited through the credit_* methods;
+//   * the byte totals equal recount_byte_totals(), the sums of the
+//     per-peer counters -- byte counters must be credited through the
+//     credit_* methods;
 //   * each peer's exchange ledger is sorted by the other peer's id, so
 //     every walk over it runs in ascending id order;
 //   * every neighbor row is strictly ascending (build_neighbors throws
@@ -69,6 +69,15 @@ struct EdgeCounters {
   Bytes received = 0;             // from `peer`, over the whole run
   Bytes round_received = 0;       // from `peer`, this rechoke round
   Bytes prev_round_received = 0;  // from `peer`, the previous round
+};
+
+/// Population-wide sums of the per-peer byte counters.
+struct ByteTotals {
+  Bytes uploaded = 0;
+  Bytes leecher_uploaded = 0;  // by non-seeders
+  Bytes freerider_usable = 0;  // usable bytes free-riders got from leechers
+  Bytes downloaded_raw = 0;
+  bool operator==(const ByteTotals&) const = default;
 };
 
 /// A forward cursor over one ledger row: answers lookups for a
@@ -158,6 +167,10 @@ class PeerStore {
   const PieceSet& transferable(PeerId id) const {
     return at(transferable_, id);
   }
+  /// Writes pieces | locked into `transferable` and pieces | locked |
+  /// pending into `unavailable` (auditor identity 4).
+  void derive_sets(PeerId id, PieceSet& transferable,
+                   PieceSet& unavailable) const;
 
   // --- hungry index ---------------------------------------------------------
   /// True when `id` is active and `unavailable(id)` is not complete: a peer
@@ -186,7 +199,7 @@ class PeerStore {
 
   // --- byte accounting -----------------------------------------------------
   // Reads are plain; writes go through credit_* so the O(1) population
-  // aggregates cannot drift from the per-peer counters.
+  // totals cannot drift from the per-peer counters.
   Bytes uploaded_bytes(PeerId id) const { return at(uploaded_bytes_, id); }
   Bytes downloaded_usable_bytes(PeerId id) const {
     return at(downloaded_usable_bytes_, id);
@@ -199,28 +212,26 @@ class PeerStore {
   }
   void credit_uploaded(PeerId id, Bytes bytes) {
     at(uploaded_bytes_, id) += bytes;
-    total_uploaded_ += bytes;
-    if (kind(id) != PeerKind::kSeeder) leecher_uploaded_ += bytes;
+    totals_.uploaded += bytes;
+    if (kind(id) != PeerKind::kSeeder) totals_.leecher_uploaded += bytes;
   }
   void credit_downloaded_raw(PeerId id, Bytes bytes) {
     at(downloaded_raw_bytes_, id) += bytes;
-    total_downloaded_raw_ += bytes;
+    totals_.downloaded_raw += bytes;
   }
   void credit_downloaded_usable(PeerId id, Bytes bytes) {
     at(downloaded_usable_bytes_, id) += bytes;
   }
   void credit_usable_from_leechers(PeerId id, Bytes bytes) {
     at(usable_from_leechers_bytes_, id) += bytes;
-    if (kind(id) == PeerKind::kFreeRider) freerider_usable_ += bytes;
+    if (kind(id) == PeerKind::kFreeRider) totals_.freerider_usable += bytes;
   }
 
-  /// Population-wide byte aggregates, maintained incrementally by the
-  /// credit_* methods (exact integer sums of the per-peer counters, so
-  /// they are byte-identical to a fresh scan).
-  Bytes total_uploaded_bytes() const { return total_uploaded_; }
-  Bytes leecher_uploaded_bytes() const { return leecher_uploaded_; }
-  Bytes freerider_usable_bytes() const { return freerider_usable_; }
-  Bytes total_downloaded_raw_bytes() const { return total_downloaded_raw_; }
+  /// Population-wide byte totals, maintained incrementally by the credit_*
+  /// methods (exact integer sums, so byte-identical to a fresh scan).
+  const ByteTotals& byte_totals() const { return totals_; }
+  /// The same totals summed afresh (auditor identity 10).
+  ByteTotals recount_byte_totals() const;
 
   // --- exchange ledger ------------------------------------------------------
   /// The peer's ledger, in ascending order of the other peer's id. Look
@@ -271,22 +282,23 @@ class PeerStore {
   std::size_t active_count() const { return active_ids_.size(); }
 
   // --- checkpoint (see sim/checkpoint.h) -----------------------------------
-  /// Serializes every result-bearing field: scalars, piece sets, byte
-  /// counters and their aggregates, the exchange ledgers (rows in
-  /// ascending id order), and the active registry in its exact
-  /// transition-history order. NOT saved: the CSR neighbor arrays
-  /// (rebuilt deterministically by the Swarm constructor from config +
-  /// seed) and the hungry index, which load() rebuilds from the states and
-  /// unavailable sets.
+  /// Serializes each run-time per-peer array as one column at its own
+  /// width, the exchange ledgers (rows in ascending id order), and the
+  /// active registry in its exact transition-history order. NOT saved: the
+  /// build-time fields and CSR arrays, which the Swarm constructor sets
+  /// from config + seed, and the derived sets, hungry index and byte
+  /// totals, which restore recomputes.
   void checkpoint_save(util::ByteSink& sink) const;
-  /// Restores into a store freshly init()'d with the same shape; throws
-  /// util::SerializeError when the serialized shape does not match or a
-  /// ledger row is not strictly ascending and in range. A throw leaves
+  /// Restores into a store freshly init()'d with the same shape and
+  /// derives its sets and hungry bits; throws util::SerializeError when
+  /// the serialized shape does not match, a peer's primary sets overlap,
+  /// or a ledger row is not strictly ascending and in range. A throw leaves
   /// the store half-written, so a restore loads into a staging store and
   /// adopt()s it once the strategy section has loaded too.
   void checkpoint_load(util::ByteSource& src);
   /// Takes every field of `staged`, a store filled by checkpoint_load,
-  /// except the CSR neighbor arrays, which stay this store's own.
+  /// except the build-time fields and CSR arrays, which stay this store's
+  /// own; then recounts the byte totals, which need the kinds.
   void adopt(PeerStore&& staged);
 
  private:
@@ -335,10 +347,7 @@ class PeerStore {
   std::vector<Bytes> downloaded_usable_bytes_;
   std::vector<Bytes> downloaded_raw_bytes_;
   std::vector<Bytes> usable_from_leechers_bytes_;
-  Bytes total_uploaded_ = 0;
-  Bytes leecher_uploaded_ = 0;
-  Bytes freerider_usable_ = 0;
-  Bytes total_downloaded_raw_ = 0;
+  ByteTotals totals_;
 
   std::vector<std::vector<EdgeCounters>> ledger_;  // rows sorted by peer
 

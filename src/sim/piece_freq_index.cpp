@@ -1,9 +1,6 @@
 #include "sim/piece_freq_index.h"
 
 #include <stdexcept>
-#include <string>
-
-#include "util/byteio.h"
 
 namespace coopnet::sim {
 
@@ -64,42 +61,6 @@ PieceId PieceFreqIndex::pick_rarest(const PieceSet& offer,
     }
   }
   return best;
-}
-
-void PieceFreqIndex::checkpoint_save(util::ByteSink& sink) const {
-  sink.put_u32(n_pieces_);
-  sink.put_u32(levels_);
-  sink.put_span(freq_.data(), freq_.size());
-}
-
-void PieceFreqIndex::checkpoint_load(util::ByteSource& src) {
-  const std::uint32_t n = src.get_u32();
-  const std::uint32_t levels = src.get_u32();
-  if (n != n_pieces_ || levels != levels_) {
-    throw util::SerializeError(
-        "PieceFreqIndex restore: serialized shape (" + std::to_string(n) +
-        " pieces, " + std::to_string(levels) + " levels) != configured (" +
-        std::to_string(n_pieces_) + ", " + std::to_string(levels_) + ")");
-  }
-  // Re-derive the level bitmasks from scratch: start from the init()
-  // all-frequencies-zero state and replay one increment per count, which
-  // reuses the single-bit update invariant instead of duplicating it.
-  const PieceId pieces = n_pieces_;
-  const std::uint32_t max = levels_;
-  std::vector<std::uint32_t> counts(pieces);
-  src.get_span(counts.data(), counts.size());
-  for (PieceId p = 0; p < pieces; ++p) {
-    if (counts[p] >= max) {
-      throw util::SerializeError(
-          "PieceFreqIndex restore: piece " + std::to_string(p) +
-          " frequency " + std::to_string(counts[p]) + " exceeds max " +
-          std::to_string(max - 1));
-    }
-  }
-  init(pieces, max - 1);
-  for (PieceId p = 0; p < pieces; ++p) {
-    for (std::uint32_t i = 0; i < counts[p]; ++i) increment(p);
-  }
 }
 
 }  // namespace coopnet::sim

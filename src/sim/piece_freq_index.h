@@ -25,11 +25,6 @@
 #include "sim/types.h"
 #include "util/rng.h"
 
-namespace coopnet::util {
-class ByteSink;
-class ByteSource;
-}  // namespace coopnet::util
-
 namespace coopnet::sim {
 
 /// Per-piece usable-copy counts with cumulative frequency-bucket bitmasks.
@@ -80,17 +75,6 @@ class PieceFreqIndex {
     return at_most_.data() + static_cast<std::size_t>(f) * words_;
   }
   std::size_t word_count() const { return words_; }
-
-  // --- checkpoint (see sim/checkpoint.h) -----------------------------------
-  /// Serializes only the raw frequencies; the level bitmasks are a pure
-  /// function of them ("bit p of row f set iff freq_[p] <= f") and are
-  /// rebuilt on load, which also revalidates every count against
-  /// max_freq. Restores into an index already init()'d with the same
-  /// shape; throws util::SerializeError on a shape or range mismatch.
-  void checkpoint_save(util::ByteSink& sink) const;
-  void checkpoint_load(util::ByteSource& src);
-  /// What checkpoint_save writes, in bytes.
-  std::size_t checkpoint_bytes() const { return 4 + 4 + 4 * freq_.size(); }
 
  private:
   std::uint64_t& level_word(std::uint32_t f, PieceId piece) {

@@ -86,14 +86,16 @@ bool PieceSet::intersects(const PieceSet& other) const {
   return false;
 }
 
-bool PieceSet::subset_of(const PieceSet& other) const {
-  if (other.size_ != size_) {
-    throw std::invalid_argument("PieceSet::subset_of: size mismatch");
+void PieceSet::assign_union(const PieceSet& a, const PieceSet& b) {
+  if (a.size_ != size_ || b.size_ != size_) {
+    throw std::invalid_argument("PieceSet::assign_union: size mismatch");
   }
+  std::size_t count = 0;
   for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] & ~other.words_[w]) return false;
+    words_[w] = a.words_[w] | b.words_[w];
+    count += std::popcount(words_[w]);
   }
-  return true;
+  count_ = static_cast<PieceId>(count);
 }
 
 }  // namespace coopnet::sim

@@ -71,9 +71,10 @@ class PieceSet {
   /// sizes.
   bool intersects(const PieceSet& other) const;
 
-  /// True when every piece of *this is also in `other`. Requires matching
-  /// sizes.
-  bool subset_of(const PieceSet& other) const;
+  /// Makes the set a | b. Requires matching sizes.
+  void assign_union(const PieceSet& a, const PieceSet& b);
+
+  bool operator==(const PieceSet& other) const = default;
 
   /// Calls `fn(piece)` for every piece in the set, ascending. The callback
   /// may not mutate the set.

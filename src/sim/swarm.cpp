@@ -145,12 +145,7 @@ void Swarm::build_population() {
   auto adjacency = build_neighbor_graph(n, config_.graph, large_view, rng_);
 
   store_.init(total, pieces);
-  // Frequencies are bounded by every peer holding a piece plus the seeder
-  // backing added below.
-  piece_freq_.init(static_cast<PieceId>(pieces),
-                   static_cast<std::uint32_t>(total) + 1);
   reputation_.assign(total, 0.0);
-  compliant_unfinished_ = 0;
   freerider_ids_.clear();
   colluder_ids_.clear();
 
@@ -176,11 +171,9 @@ void Swarm::build_population() {
       p.capacity() = capacities[i];
       p.upload_slots() = config_.upload_slots;
       p.arrival_time() = arrivals[i];
-      // Strategic clients are participants (the run waits for them too);
-      // only free-riders are excluded from the completion condition.
-      if (!is_fr[i]) ++compliant_unfinished_;
     }
   }
+  compliant_unfinished_ = recount_compliant_unfinished();
   // Freeze the adjacency into the store's CSR array: leechers keep their
   // generated lists plus the extra seeders spliced in (the builder already
   // appended id n); every seeder knows every leecher.
@@ -207,10 +200,47 @@ void Swarm::build_population() {
           "ascending id order");
     }
   }
+  rebuild_piece_freq();
+}
+
+std::size_t Swarm::recount_compliant_unfinished() const {
+  // Every leecher slot, not the active registry: kPending and kChurned
+  // peers still count toward completion. Strategic clients are
+  // participants (the run waits for them too); only free-riders are
+  // excluded from the completion condition.
+  std::size_t census = 0;
+  for (PeerId id = 0; id < static_cast<PeerId>(leechers()); ++id) {
+    ConstPeer p = peer(id);
+    if (p.is_free_rider() || p.finished()) continue;
+    if (p.state() == PeerState::kLeft) continue;
+    ++census;
+  }
+  return census;
+}
+
+std::vector<std::uint32_t> Swarm::recount_piece_frequencies() const {
   // The seeders' pieces count toward availability exactly once: rarity
   // should rank what *leechers* hold; every piece is equally seeder-backed.
-  for (PieceId piece = 0; piece < piece_freq_.pieces(); ++piece) {
-    piece_freq_.increment(piece);
+  std::vector<std::uint32_t> freq(config_.piece_count(), 1);
+  // A commutative sum, so it can walk the O(active) registry (arbitrary
+  // order) instead of scanning every slot.
+  for (const PeerId id : store_.active_ids()) {
+    if (store_.kind(id) == PeerKind::kSeeder) continue;
+    store_.pieces(id).for_each([&](PieceId piece) { ++freq[piece]; });
+  }
+  return freq;
+}
+
+void Swarm::rebuild_piece_freq() {
+  const std::vector<std::uint32_t> freq = recount_piece_frequencies();
+  // Frequencies are bounded by every peer holding a piece plus the seeder
+  // backing.
+  piece_freq_.init(static_cast<PieceId>(freq.size()),
+                   static_cast<std::uint32_t>(store_.size()) + 1);
+  for (PieceId piece = 0; piece < freq.size(); ++piece) {
+    for (std::uint32_t i = 0; i < freq[piece]; ++i) {
+      piece_freq_.increment(piece);
+    }
   }
 }
 

@@ -153,6 +153,8 @@ class Swarm {
 
   /// Number of compliant leechers that have not yet finished.
   std::size_t compliant_unfinished() const { return compliant_unfinished_; }
+  /// That census counted afresh (auditor identity 6).
+  std::size_t recount_compliant_unfinished() const;
 
   // --- strategy-facing API -------------------------------------------------
   /// Active neighbors of `uploader` that (a) need at least one piece the
@@ -226,6 +228,8 @@ class Swarm {
   }
   /// The rarity index (frequency-bucket bitmasks over piece_frequency).
   const PieceFreqIndex& piece_freq_index() const { return piece_freq_; }
+  /// Every piece_frequency counted afresh (auditor identity 5).
+  std::vector<std::uint32_t> recount_piece_frequencies() const;
   /// The invariant auditor, or nullptr when this build was not configured
   /// with -DCOOPNET_AUDIT=ON or config.audit_every is 0.
   const InvariantAuditor* auditor() const {
@@ -237,16 +241,16 @@ class Swarm {
   }
   // O(1): maintained by the store's credit_* methods as exact integer sums
   // of the per-peer counters (metrics sample these every interval).
-  Bytes total_uploaded_bytes() const { return store_.total_uploaded_bytes(); }
+  Bytes total_uploaded_bytes() const { return store_.byte_totals().uploaded; }
   /// Bytes uploaded by leechers (the seeder's bandwidth is not "users'
   /// upload bandwidth" and is excluded from susceptibility).
   Bytes leecher_uploaded_bytes() const {
-    return store_.leecher_uploaded_bytes();
+    return store_.byte_totals().leecher_uploaded;
   }
   /// Usable bytes free-riders obtained from leechers (susceptibility
   /// numerator).
   Bytes freerider_usable_bytes() const {
-    return store_.freerider_usable_bytes();
+    return store_.byte_totals().freerider_usable;
   }
 
  private:
@@ -270,6 +274,8 @@ class Swarm {
   void whitewash_timer();
   void sybil_timer();
   void update_unavailable_bit(Peer p, PieceId piece);
+  /// Re-inits the rarity index and raises it to recount_piece_frequencies.
+  void rebuild_piece_freq();
 
   /// Executes one popped event: swarm-owned kinds call their handler
   /// directly; strategy and external timers delegate to rebuild_timer /

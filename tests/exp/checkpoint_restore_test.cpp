@@ -208,10 +208,10 @@ TEST(CheckpointRestore, ACorruptSnapshotRestartsTheCellFromScratch) {
       static_cast<char>(corrupt[corrupt.size() / 2] ^ 0xFF);
   // Snapshots from older builds: the header's format version (the
   // little-endian u32 after the 8-byte magic, not covered by any CRC)
-  // rewritten to 1, 2 and 3.
-  ASSERT_EQ(snaps.front()[8], 4) << "current format version moved";
+  // rewritten to 1, 2, 3 and 4.
+  ASSERT_EQ(snaps.front()[8], 5) << "current format version moved";
   std::vector<std::string> rejected = {corrupt};
-  for (const char version : {1, 2, 3}) {
+  for (const char version : {1, 2, 3, 4}) {
     std::string old = snaps.front();
     old[8] = version;
     rejected.push_back(old);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -172,7 +173,7 @@ TEST(CheckpointContainer, RejectsASnapshotFromADifferentConfiguration) {
 void expect_version_rejected(std::uint8_t version) {
   const SwarmConfig config = tiny_config();
   std::string bytes = mid_cell_snapshot(config);
-  ASSERT_EQ(bytes[8], 4) << "current format version moved; update this test";
+  ASSERT_EQ(bytes[8], 5) << "current format version moved; update this test";
   bytes[8] = static_cast<char>(version);
 
   try {
@@ -181,7 +182,7 @@ void expect_version_rejected(std::uint8_t version) {
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find(
                   "format version " + std::to_string(version) +
-                  " != supported 4"),
+                  " != supported 5"),
               std::string::npos)
         << e.what();
   }
@@ -203,6 +204,13 @@ TEST(CheckpointContainer, RejectsASnapshotFromFormatVersion3) {
   // free-slot registry in the peers section, and a neighbor index beside
   // each BitTorrent pick.
   expect_version_rejected(3);
+}
+
+TEST(CheckpointContainer, RejectsASnapshotFromFormatVersion4) {
+  // Version 4 stored the build-time per-peer fields, the derived piece
+  // sets and byte totals, the census and the rarity counts, and wrote the
+  // peers section peer by peer instead of column by column.
+  expect_version_rejected(4);
 }
 
 TEST(CheckpointContainer, RestoreRequiresEverySwarmSection) {
@@ -335,19 +343,51 @@ void set_u32_at(std::string& bytes, std::size_t offset, std::uint32_t v) {
   }
 }
 
+void set_u64_at(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+/// Expects `swarm` as its constructor left it: nothing queued, every peer
+/// pending with an empty ledger and no bytes uploaded.
+void expect_untouched(const Swarm& swarm) {
+  EXPECT_EQ(swarm.engine().pending(), 0u);
+  for (PeerId id = 0; id < swarm.peer_count(); ++id) {
+    EXPECT_TRUE(swarm.peer_store().ledger(id).empty()) << id;
+    EXPECT_EQ(swarm.peer_store().state(id), PeerState::kPending) << id;
+    EXPECT_EQ(swarm.peer_store().uploaded_bytes(id), 0) << id;
+  }
+}
+
+/// Offset, within a peers section, of the first column after the u64 peer
+/// count and u32 piece space: n state bytes; slot, incoming and epoch
+/// columns of n 4-byte values; then the pieces, locked and pending columns
+/// of n sets of `words` u64 each.
+constexpr std::size_t kColumnsStart = 8 + 4;
+
+std::size_t piece_words(const std::string& peers) {
+  return (u32_at(peers, 8) + 63) / 64;
+}
+
+/// Offset of peer `id`'s set in the piece-set column `column` (0 pieces,
+/// 1 locked, 2 pending; column 3, peer 0 is where the pending column ends).
+std::size_t piece_set_at(const std::string& peers, std::size_t column,
+                         PeerId id) {
+  const std::uint64_t n = u64_at(peers, 0);
+  const std::size_t words = piece_words(peers);
+  return kColumnsStart + n * (1 + 3 * 4) + (column * n + id) * words * 8;
+}
+
 /// Offset, within a peers section, of the first exchange-ledger row that
-/// holds at least two records. Walks PeerStore::checkpoint_save's per-peer
-/// layout: kind and state bytes, capacity, four int counters and the
-/// epoch; five piece sets; three times; four byte counters; then the
-/// ledger row, a u64 count of {u32 peer, four i64}.
+/// holds at least two records. Walks PeerStore::checkpoint_save's column
+/// layout: the three piece-set columns; two time columns and four byte
+/// counter columns of n 8-byte values; then the ledger rows, each a u64
+/// count of {u32 peer, four i64}.
 std::size_t two_record_ledger_row(const std::string& peers) {
   const std::uint64_t n = u64_at(peers, 0);
-  const std::size_t words = (u32_at(peers, 8) + 63) / 64;
-  const std::size_t before_ledger =
-      (1 + 1 + 8 + 4 * 8 + 4) + 5 * words * 8 + 3 * 8 + 4 * 8;
-  std::size_t offset = 12;
+  std::size_t offset = piece_set_at(peers, 3, 0) + n * (2 + 4) * 8;
   for (std::uint64_t i = 0; i < n; ++i) {
-    offset += before_ledger;
     const std::uint64_t records = u64_at(peers, offset);
     if (records >= 2) return offset;
     offset += 8 + records * kLedgerRecordBytes;
@@ -397,13 +437,7 @@ TEST(CheckpointContainer, RestoreRejectsALedgerRowThatIsNotStrictlyAscending) {
                 std::string::npos)
           << e.what();
     }
-    // Untouched: nothing queued, and every peer as the constructor left it.
-    EXPECT_EQ(swarm.engine().pending(), 0u);
-    for (PeerId id = 0; id < swarm.peer_count(); ++id) {
-      EXPECT_TRUE(swarm.peer_store().ledger(id).empty()) << id;
-      EXPECT_EQ(swarm.peer_store().state(id), PeerState::kPending) << id;
-      EXPECT_EQ(swarm.peer_store().uploaded_bytes(id), 0) << id;
-    }
+    expect_untouched(swarm);
   }
 }
 
@@ -443,12 +477,7 @@ void expect_strategy_id_rejected(const SwarmConfig& config,
               std::string::npos)
         << e.what();
   }
-  EXPECT_EQ(swarm.engine().pending(), 0u);
-  for (PeerId id = 0; id < swarm.peer_count(); ++id) {
-    EXPECT_TRUE(swarm.peer_store().ledger(id).empty()) << id;
-    EXPECT_EQ(swarm.peer_store().state(id), PeerState::kPending) << id;
-    EXPECT_EQ(swarm.peer_store().uploaded_bytes(id), 0) << id;
-  }
+  expect_untouched(swarm);
 
   // The pristine sections restore: the rewritten id alone was at fault.
   Swarm target(config, strategy::make_strategy(config.algorithm));
@@ -604,6 +633,141 @@ TEST(CheckpointContainer, RestoreRejectsATChainIdOutsideItsRange) {
   SCOPED_TRACE("link sender");
   expect_strategy_id_rejected(cell.config, cell.sections, link + 4,
                               cell.peers);
+}
+
+// --- state restore derives ---------------------------------------------------
+
+TEST(CheckpointContainer, RestoreRejectsOverlappingPieceSets) {
+  // Restore derives unavailable = pieces | locked | pending, which is only
+  // right when the three are disjoint: a piece that is both usable and
+  // pending must be rejected, not unioned away.
+  const SwarmConfig config = tiny_config();
+  std::vector<SnapshotSection> sections = mid_cell_sections(config);
+  std::string& peers = sections[section_index(sections, kSectionPeers)].payload;
+  const std::size_t words = piece_words(peers);
+  bool rewritten = false;
+  for (PeerId id = 0; id < u64_at(peers, 0) && !rewritten; ++id) {
+    for (std::size_t w = 0; w < words && !rewritten; ++w) {
+      const std::size_t held = piece_set_at(peers, 0, id) + 8 * w;
+      const std::size_t pending = piece_set_at(peers, 2, id) + 8 * w;
+      const std::uint64_t bits = u64_at(peers, held);
+      if (bits == 0) continue;
+      set_u64_at(peers, pending,
+                 u64_at(peers, pending) |
+                     std::uint64_t{1} << std::countr_zero(bits));
+      rewritten = true;
+    }
+  }
+  ASSERT_TRUE(rewritten) << "no peer holds a piece at the snapshot point";
+  // Encoding the rewritten sections gives the peers section a valid CRC,
+  // so only restore's own check stands between it and the swarm.
+  const std::vector<SnapshotSection> decoded =
+      decode_snapshot(config, encode_snapshot(config, sections));
+
+  Swarm swarm(config, strategy::make_strategy(config.algorithm));
+  swarm.start_restored();
+  try {
+    SwarmCheckpoint::restore(swarm, decoded);
+    FAIL() << "restored a peer whose pieces and pending sets overlap";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("sets overlap"), std::string::npos)
+        << e.what();
+  }
+  expect_untouched(swarm);
+}
+
+/// Snapshots `live`, restores the snapshot into a fresh swarm and requires
+/// every value the snapshot does not hold -- the build-time fields, the
+/// derived sets and hungry bits, the byte totals, the rarity index and the
+/// census -- to equal the live swarm's.
+void expect_restore_rebuilds(const Swarm& live) {
+  const SwarmConfig& config = live.config();
+  const std::vector<SnapshotSection> sections = decode_snapshot(
+      config, encode_snapshot(config, SwarmCheckpoint::save(live)));
+  Swarm restored(config, strategy::make_strategy(config.algorithm));
+  restored.start_restored();
+  SwarmCheckpoint::restore(restored, sections);
+
+  const PeerStore& want = live.peer_store();
+  const PeerStore& got = restored.peer_store();
+  for (PeerId id = 0; id < want.size(); ++id) {
+    SCOPED_TRACE("peer " + std::to_string(id));
+    EXPECT_TRUE(got.transferable(id) == want.transferable(id));
+    EXPECT_TRUE(got.unavailable(id) == want.unavailable(id));
+    EXPECT_EQ(got.hungry(id), want.hungry(id));
+    EXPECT_EQ(got.kind(id), want.kind(id));
+    EXPECT_EQ(got.capacity(id), want.capacity(id));
+    EXPECT_EQ(got.upload_slots(id), want.upload_slots(id));
+    EXPECT_EQ(got.collusion_group(id), want.collusion_group(id));
+    EXPECT_EQ(got.arrival_time(id), want.arrival_time(id));
+  }
+  EXPECT_EQ(got.byte_totals().uploaded, want.byte_totals().uploaded);
+  EXPECT_EQ(got.byte_totals().leecher_uploaded,
+            want.byte_totals().leecher_uploaded);
+  EXPECT_EQ(got.byte_totals().freerider_usable,
+            want.byte_totals().freerider_usable);
+  EXPECT_EQ(got.byte_totals().downloaded_raw,
+            want.byte_totals().downloaded_raw);
+
+  const PieceFreqIndex& want_index = live.piece_freq_index();
+  const PieceFreqIndex& got_index = restored.piece_freq_index();
+  for (PieceId piece = 0; piece < want_index.pieces(); ++piece) {
+    EXPECT_EQ(restored.piece_frequency(piece), live.piece_frequency(piece))
+        << "piece " << piece;
+  }
+  ASSERT_EQ(got_index.max_freq(), want_index.max_freq());
+  for (std::uint32_t f = 0; f <= want_index.max_freq(); ++f) {
+    for (std::size_t w = 0; w < want_index.word_count(); ++w) {
+      EXPECT_EQ(got_index.level_words(f)[w], want_index.level_words(f)[w])
+          << "level " << f << ", word " << w;
+    }
+  }
+  EXPECT_EQ(restored.compliant_unfinished(), live.compliant_unfinished());
+}
+
+TEST(CheckpointContainer, RestoreRebuildsWhatTheSnapshotLeavesOut) {
+  {
+    SCOPED_TRACE("churned FairTorrent, whitewashing large-view free-riders");
+    SwarmConfig config =
+        SwarmConfig::paper_scale(core::Algorithm::kFairTorrent, 11);
+    config.n_peers = 200;
+    config.file_bytes = 8LL * 1024 * 1024;
+    config.faults = moderate_churn();
+    config.faults.transfer_loss_rate = 0.05;
+    config.free_rider_fraction = 0.2;
+    config.attack.whitewashing = true;
+    config.attack.large_view = true;
+    config.max_time = 400.0;
+    Swarm live(config, strategy::make_strategy(config.algorithm));
+    live.start();
+    live.advance_until(60.0);
+    ASSERT_FALSE(live.finished());
+    ASSERT_GT(live.fault_stats().churn_departures, 0u);
+    ASSERT_GT(live.freerider_usable_bytes(), 0);
+    ASSERT_LT(live.leecher_uploaded_bytes(), live.total_uploaded_bytes());
+    expect_restore_rebuilds(live);
+  }
+  {
+    SCOPED_TRACE("T-Chain colluders");
+    SwarmConfig config = tiny_config(7, core::Algorithm::kTChain);
+    config.n_peers = 20;
+    config.file_bytes = 4LL * 1024 * 1024;
+    config.free_rider_fraction = 0.2;
+    config.attack.collusion = true;
+    const double end = sim_duration(config);
+    Swarm live(config, strategy::make_strategy(config.algorithm));
+    live.start();
+    bool locked = false;
+    for (int step = 1; step < 20 && !locked; ++step) {
+      live.advance_until(end * step / 20.0);
+      for (PeerId id = 0; id < live.peer_count() && !locked; ++id) {
+        locked = !live.peer_store().locked(id).empty();
+      }
+    }
+    ASSERT_TRUE(locked) << "no peer held a locked piece";
+    ASSERT_FALSE(live.finished());
+    expect_restore_rebuilds(live);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Pins the checkpoint config fingerprint. canonical_config_string is what
-// a v4 snapshot, a fleet HELLO and a sweep journal compare configs by, so
+// a v5 snapshot, a fleet HELLO and a sweep journal compare configs by, so
 // its bytes are a compatibility contract: every pinned configuration (see
 // pinned_configs.h) must render exactly as committed in
 // tests/golden/config_fingerprints.txt, and a snapshot committed as
-// tests/golden/snapshot_v4_tiny.bin must still decode, restore and finish
+// tests/golden/snapshot_v5_tiny.bin must still decode, restore and finish
 // with the same report as an uninterrupted run.
 //
 // Regenerate only for an intended format change (and bump the snapshot
@@ -131,7 +131,7 @@ std::string tiny_snapshot(const SwarmConfig& config, double straight_end) {
   return encode_snapshot(config, sections);
 }
 
-TEST(ConfigFingerprint, CommittedV4SnapshotStillRestores) {
+TEST(ConfigFingerprint, CommittedV5SnapshotStillRestores) {
   const SwarmConfig config = tiny_config();
   Swarm straight(config, strategy::make_strategy(config.algorithm));
   metrics::RunMetrics straight_metrics;
@@ -139,7 +139,7 @@ TEST(ConfigFingerprint, CommittedV4SnapshotStillRestores) {
   straight.run();
   const std::string expected = report_of(straight, straight_metrics);
 
-  const std::string path = golden_path("snapshot_v4_tiny.bin");
+  const std::string path = golden_path("snapshot_v5_tiny.bin");
   if (regen_requested()) {
     util::write_file_atomic(path,
                             tiny_snapshot(config, straight.engine().now()));
@@ -187,14 +187,14 @@ TEST(ConfigFingerprint, CommittedV4SnapshotStillRestores) {
 }
 
 // Encoding is a pure function of the swarm state: saving the same state
-// again must produce the committed v4 bytes exactly, not merely bytes
+// again must produce the committed v5 bytes exactly, not merely bytes
 // that decode to the same run.
-TEST(ConfigFingerprint, CommittedV4SnapshotReencodesByteForByte) {
+TEST(ConfigFingerprint, CommittedV5SnapshotReencodesByteForByte) {
   const SwarmConfig config = tiny_config();
   Swarm straight(config, strategy::make_strategy(config.algorithm));
   straight.run();
 
-  const std::string path = golden_path("snapshot_v4_tiny.bin");
+  const std::string path = golden_path("snapshot_v5_tiny.bin");
   const std::string golden = read_file(path);
   ASSERT_FALSE(golden.empty()) << "missing " << path;
   const std::string bytes = tiny_snapshot(config, straight.engine().now());

@@ -252,8 +252,12 @@ TEST(PeerStoreHungry, CheckpointLoadRebuildsTheIndex) {
   PeerStore store;
   store.init(5, kPieces);
   for (PeerId id = 0; id < 5; ++id) store.set_state(id, PeerState::kActive);
+  // Peer 1 holds every piece; the load derives its unavailable set from
+  // that.
   for (PieceId piece = 0; piece < kPieces; ++piece) {
+    store.pieces(1).add(piece);
     store.unavailable(1).add(piece);
+    store.transferable(1).add(piece);
   }
   store.refresh_hungry(1);
   store.set_state(4, PeerState::kChurned);

@@ -271,9 +271,10 @@ TEST(ByteIo, PeerStoreRejectsAPieceBitAtOrAboveTheSize) {
   store.checkpoint_save(sink);
   const std::string bytes = sink.take();
 
-  // Peer 0's pieces set follows the section header (count, piece space)
-  // and the peer's scalars (kind, state, capacity, four ints, epoch).
-  constexpr std::size_t kSecondWord = (8 + 4) + (1 + 1 + 8 + 4 * 8 + 4) + 8;
+  // The pieces column, peer 0 first, follows the section header (count,
+  // piece space) and the state, slot, incoming and epoch columns (1 + 3 * 4
+  // bytes per peer).
+  constexpr std::size_t kSecondWord = (8 + 4) + 2 * (1 + 3 * 4) + 8;
   ASSERT_EQ(static_cast<unsigned char>(bytes[kSecondWord]), 1u << 5)
       << "piece 69 is bit 5 of the second word";
   {
