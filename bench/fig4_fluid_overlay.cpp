@@ -9,9 +9,9 @@
 //                      [--seed S] [--max-time T] [--jobs K] (--help: all)
 //
 // Defaults to --scale mid (300 peers, 32 MB) so the artifact renders in
-// about a minute; both backends consume the identical SwarmConfig,
-// scheduled through the same mixed-backend run_cells_mixed path the
-// sweep tools use.
+// about a minute; both backends consume the identical SwarmConfig. The
+// event cells run as one supervised run_cells sweep, and each fluid
+// prediction is one run_fluid_scenario call.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -58,12 +58,10 @@ int run(const util::Cli& cli) {
   const sim::SwarmConfig base = kScenario.from_cli(cli);
 
   std::vector<sim::SwarmConfig> cells;
-  std::vector<exp::Backend> backends;
   for (core::Algorithm algo : core::kAllAlgorithms) {
     sim::SwarmConfig config = base;
     config.algorithm = algo;
     cells.push_back(config);
-    backends.push_back(exp::Backend::kEvent);
   }
   std::printf("Figure 4 fluid overlay: N = %zu, file = %lld MiB, seed = "
               "%llu\n",
@@ -72,7 +70,7 @@ int run(const util::Cli& cli) {
               static_cast<unsigned long long>(base.seed));
 
   const exp::SweepResult sweep =
-      exp::run_cells_mixed(cells, backends, exp::jobs_from_cli(cli));
+      exp::run_cells(cells, exp::jobs_from_cli(cli));
   bench::print_sweep_timing(sweep.timing);
   const auto sim_reports = sweep.reports();
 

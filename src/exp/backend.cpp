@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <cmath>
 #include <iterator>
 #include <stdexcept>
 #include <string_view>
-
-#include "metrics/json.h"
 
 namespace coopnet::exp {
 
@@ -149,88 +145,6 @@ core::FluidSpec fluid_spec_from(const sim::SwarmConfig& config) {
 
 core::FluidReport run_fluid_scenario(const sim::SwarmConfig& config) {
   return core::fluid_run(fluid_spec_from(config));
-}
-
-metrics::RunReport fluid_as_run_report(const core::FluidReport& fluid) {
-  metrics::RunReport report;
-  report.algorithm = fluid.algorithm;
-  report.compliant_population =
-      static_cast<std::size_t>(std::llround(fluid.compliant_population));
-  report.freerider_population =
-      static_cast<std::size_t>(std::llround(fluid.freerider_population));
-  report.sim_end_time = fluid.end_time;
-  report.completed_fraction = fluid.completed_fraction;
-  report.completion_summary.count =
-      static_cast<std::size_t>(std::llround(fluid.completed_compliant));
-  report.completion_summary.mean = fluid.mean_completion_time;
-  report.completion_summary.median = fluid.mean_completion_time;
-  report.completion_summary.min = fluid.mean_completion_time;
-  report.completion_summary.max = fluid.mean_completion_time;
-  report.completion_summary.p25 = fluid.mean_completion_time;
-  report.completion_summary.p75 = fluid.mean_completion_time;
-  report.completion_summary.p90 = fluid.mean_completion_time;
-  report.completion_summary.p99 = fluid.mean_completion_time;
-  // Everyone active at t = 0+ is "bootstrapped" in the fluid limit (the
-  // model has no piece-level cold start).
-  report.bootstrapped_fraction = fluid.completed > 0.0 ? 1.0 : 0.0;
-  report.goodput_ratio = fluid.goodput_ratio;
-  report.faults.offered_bytes =
-      static_cast<sim::Bytes>(std::llround(fluid.offered_bytes));
-  report.faults.goodput_bytes =
-      static_cast<sim::Bytes>(std::llround(fluid.goodput_bytes));
-  return report;
-}
-
-namespace {
-
-// The fluid counterpart of run_supervised_cell: a fluid cell either
-// yields its projected report or is quarantined with the exception text.
-CellOutcome run_fluid_cell(std::size_t index,
-                           const sim::SwarmConfig& config) {
-  const auto start = std::chrono::steady_clock::now();
-  CellOutcome out;
-  out.index = index;
-  out.seed = config.seed;
-  out.algorithm = core::to_string(config.algorithm);
-  try {
-    out.report = fluid_as_run_report(run_fluid_scenario(config));
-    out.report_json = metrics::to_json(out.report);
-    out.has_report = true;
-    out.status = CellOutcome::Status::kOk;
-  } catch (const std::exception& e) {
-    out.status = CellOutcome::Status::kFailed;
-    out.error = e.what();
-  }
-  out.wall_seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-  return out;
-}
-
-}  // namespace
-
-SweepResult run_cells_mixed(const std::vector<sim::SwarmConfig>& cells,
-                            const std::vector<Backend>& backends,
-                            std::size_t jobs) {
-  if (backends.size() > 1 && backends.size() != cells.size()) {
-    throw std::invalid_argument(
-        "run_cells_mixed: backends must be empty, one (broadcast), or "
-        "one per cell");
-  }
-  const auto fluid = [&backends](std::size_t i) {
-    return !backends.empty() &&
-           backends[backends.size() == 1 ? 0 : i] == Backend::kFluid;
-  };
-  if (jobs == 0) jobs = default_jobs();
-  const auto start = std::chrono::steady_clock::now();
-  SweepResult result;
-  result.outcomes.resize(cells.size());
-  for_each_cell(cells.size(), jobs, [&](std::size_t i) {
-    result.outcomes[i] = fluid(i) ? run_fluid_cell(i, cells[i])
-                                  : run_supervised_cell(i, cells[i], {});
-  });
-  result.tally_timing(jobs, start);
-  return result;
 }
 
 }  // namespace coopnet::exp

@@ -1,16 +1,14 @@
 // Backend selection: the same fully-specified scenario cell can run on
 // the discrete-event simulator (exact, O(events)) or the mean-field fluid
-// backend (analytic, O(steps), independent of N). Sweeps mix backends per
-// cell; cross-validation at overlapping N quantifies the fluid backend's
-// extrapolation error (tests/core/fluid_crossval_test.cpp, DESIGN §12).
+// backend (analytic, O(steps), independent of N). Cross-validation at
+// overlapping N quantifies the fluid backend's extrapolation error
+// (tests/core/fluid_crossval_test.cpp, DESIGN §12).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "core/fluid_model.h"
-#include "exp/supervise.h"
-#include "metrics/report.h"
 #include "sim/config.h"
 
 namespace coopnet::exp {
@@ -44,27 +42,5 @@ std::vector<std::string> fluid_unmodelled_flags();
 
 /// Runs one cell on the fluid backend (fluid_spec_from + fluid_run).
 core::FluidReport run_fluid_scenario(const sim::SwarmConfig& config);
-
-/// Projects a fluid report onto the RunReport shape so mixed-backend
-/// sweeps collect into one table: populations and completed fraction map
-/// directly, completion_summary carries the mean completion time (count =
-/// rounded completions; spread fields are zero -- the fluid limit has no
-/// per-peer variance), and goodput_ratio maps from the flow accounting.
-/// Per-peer lists and fairness series stay empty.
-metrics::RunReport fluid_as_run_report(const core::FluidReport& fluid);
-
-/// Runs every cell with a per-cell backend choice and returns one outcome
-/// per cell, in input order: `backends[i]` decides the engine for
-/// `cells[i]` (one entry may be broadcast to every cell; an empty vector
-/// means all-event). Event cells run through run_supervised_cell with the
-/// default (untriggered) Supervision and fluid cells are folded into the
-/// same CellOutcome shape, so a mixed sweep has run_cells' contract: a
-/// failing cell is quarantined, `timing` is filled for every sweep, and
-/// reports() returns the reports or throws with the degradation summary.
-/// Cells fan out through for_each_cell, so `jobs = N` output stays
-/// bit-identical to `jobs = 1`.
-SweepResult run_cells_mixed(const std::vector<sim::SwarmConfig>& cells,
-                            const std::vector<Backend>& backends,
-                            std::size_t jobs);
 
 }  // namespace coopnet::exp

@@ -1,13 +1,13 @@
 #include "exp/schedule.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
-#include <future>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace coopnet::exp {
 
@@ -19,7 +19,10 @@ std::uint64_t cell_seed(std::uint64_t base_seed, std::uint64_t cell_index) {
   return util::splitmix64(state);
 }
 
-std::size_t default_jobs() { return util::ThreadPool::default_workers(); }
+std::size_t default_jobs() {
+  // The standard lets hardware_concurrency() return 0 when it is unknown.
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 double SweepTiming::throughput() const {
   return wall_seconds > 0.0 ? static_cast<double>(cells) / wall_seconds
@@ -45,23 +48,31 @@ void for_each_cell(std::size_t n, std::size_t jobs,
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  util::ThreadPool pool(std::min(jobs, n));
-  std::vector<std::future<void>> pending;
-  pending.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pending.push_back(pool.submit([&body, i] { body(i); }));
-  }
-  // Drain every future so all cells finish (or fail) before the first
-  // failing cell's exception -- in index order -- is rethrown.
-  std::exception_ptr first_error;
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  // Each worker claims the next unclaimed index until none is left, so
+  // every cell runs exactly once and a throwing cell stops no other. A
+  // cell's exception lands in its own slot; after the join the first one
+  // in index order is rethrown.
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(n);
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        body(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  {
+    // jthreads join on scope exit, also when starting a later one throws.
+    std::vector<std::jthread> workers;
+    for (std::size_t w = std::min(jobs, n); w > 0; --w) {
+      workers.emplace_back(work);
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace coopnet::exp

@@ -35,7 +35,7 @@ struct SweepTiming {
   /// Outcome counts. `completed` cells produced a report; `failed` threw
   /// or were cancelled by a watchdog; `skipped` were resumed from a
   /// journal or never started. Filled for every run_cells (supervise.h)
-  /// and run_cells_mixed (backend.h) sweep, degraded or not.
+  /// sweep, degraded or not.
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::size_t skipped = 0;
@@ -49,8 +49,8 @@ struct SweepTiming {
 };
 
 /// Runs `body(i)` once for every i in [0, n). `jobs == 1` or `n <= 1` runs
-/// inline on the calling thread (no threads are created); otherwise a
-/// ThreadPool of min(jobs, n) workers runs the bodies. `jobs == 0` means
+/// inline on the calling thread (no threads are created); otherwise
+/// min(jobs, n) threads claim the indices in turn. `jobs == 0` means
 /// default_jobs(). A body that writes only slot i of a pre-sized vector
 /// needs no locking. If bodies throw, the first exception in index order
 /// is rethrown once the started cells have finished (the inline loop

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -435,9 +436,10 @@ SweepResult run_cells(const std::vector<sim::SwarmConfig>& cells,
 
 SweepControl sweep_control_from_cli(const util::Cli& cli) {
   SweepControl control;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   if (cli.has("cell-timeout")) {
-    const double t = cli.get_double("cell-timeout", 0.0);
-    if (std::isnan(t) || std::isinf(t) || t <= 0.0) {
+    const double t = cli.get_double_in("cell-timeout", 0.0, 0.0, kInf);
+    if (t == 0.0) {
       throw std::invalid_argument(
           "--cell-timeout must be a finite number of seconds > 0 (got " +
           cli.get_string("cell-timeout", "") +
@@ -445,16 +447,8 @@ SweepControl sweep_control_from_cli(const util::Cli& cli) {
     }
     control.supervision.cell_timeout = t;
   }
-  if (cli.has("event-budget")) {
-    const long budget = cli.get_int("event-budget", 0);
-    if (budget <= 0) {
-      throw std::invalid_argument(
-          "--event-budget must be >= 1 engine event (got " +
-          cli.get_string("event-budget", "") +
-          "); omit the flag to disable the per-cell event budget");
-    }
-    control.supervision.event_budget = static_cast<std::uint64_t>(budget);
-  }
+  control.supervision.event_budget = cli.get_count(
+      "event-budget", 0, std::numeric_limits<std::size_t>::max());
   control.journal_path = cli.get_string("journal", "");
   if (cli.has("journal") && control.journal_path.empty()) {
     throw std::invalid_argument(
@@ -477,8 +471,8 @@ SweepControl sweep_control_from_cli(const util::Cli& cli) {
     }
   }
   if (cli.has("checkpoint-every")) {
-    const double every = cli.get_double("checkpoint-every", 0.0);
-    if (std::isnan(every) || std::isinf(every) || every <= 0.0) {
+    const double every = cli.get_double_in("checkpoint-every", 0.0, 0.0, kInf);
+    if (every == 0.0) {
       throw std::invalid_argument(
           "--checkpoint-every must be a finite number of SIMULATED "
           "seconds > 0 (got " +
@@ -533,14 +527,12 @@ std::vector<util::CliFlag> jobs_flags() {
 }
 
 std::size_t jobs_from_cli(const util::Cli& cli) {
-  const long jobs = cli.get_int("jobs", 0);
-  if (jobs < 0 || static_cast<unsigned long>(jobs) > kMaxJobs) {
-    throw std::invalid_argument(
-        "--jobs must be between 1 and " + std::to_string(kMaxJobs) +
-        " (got " + cli.get_string("jobs", "") +
-        "); omit it or pass 0 to use every hardware thread");
+  // 0 keeps its meaning of every hardware thread; any other value is a
+  // count in [1, kMaxJobs].
+  if (!cli.has("jobs") || cli.get_string("jobs", "") == "0") {
+    return default_jobs();
   }
-  return jobs == 0 ? default_jobs() : static_cast<std::size_t>(jobs);
+  return cli.get_count("jobs", 1, kMaxJobs);
 }
 
 SweepJournal open_sweep_journal(const SweepControl& control,

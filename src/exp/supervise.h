@@ -254,8 +254,8 @@ CellOutcome run_supervised_cell(std::size_t index,
 /// `journal`, each terminal outcome (ok / failed / timed-out) is appended
 /// and fsync'd as it lands; with `resume`, journaled cells are skipped and
 /// their recorded outcomes merged back in input order. Cells fan out
-/// through for_each_cell: jobs == 1 runs inline, jobs > 1 uses a
-/// ThreadPool, jobs == 0 means default_jobs(), and results are
+/// through for_each_cell: jobs == 1 runs inline, jobs > 1 starts up to
+/// that many threads, jobs == 0 means default_jobs(), and results are
 /// bit-identical across jobs values. `timing` is filled for every sweep.
 SweepResult run_cells(const std::vector<sim::SwarmConfig>& cells,
                       std::size_t jobs, const Supervision& supervision = {},

@@ -1,6 +1,7 @@
 #include "fleet/options.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/parse.h"
@@ -129,23 +130,18 @@ FleetControl fleet_control_from_cli(const util::Cli& cli) {
   }
 
   control.worker_name = cli.get_string("fleet-name", control.worker_name);
-  const long lease_cells =
-      cli.get_int("lease-cells",
-                  static_cast<long>(control.lease.cells_per_lease));
-  if (lease_cells < 1) {
-    throw std::invalid_argument("--lease-cells must be >= 1");
-  }
-  control.lease.cells_per_lease = static_cast<std::size_t>(lease_cells);
-  control.lease.lease_duration =
-      cli.get_double("lease-timeout", control.lease.lease_duration);
-  const long attempts = cli.get_int(
-      "max-cell-attempts", static_cast<long>(control.lease.max_attempts));
-  if (attempts < 1) {
-    throw std::invalid_argument("--max-cell-attempts must be >= 1");
-  }
-  control.lease.max_attempts = static_cast<int>(attempts);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  control.lease.cells_per_lease =
+      cli.get_count("lease-cells", control.lease.cells_per_lease,
+                    std::numeric_limits<std::size_t>::max());
+  control.lease.lease_duration = cli.get_double_in(
+      "lease-timeout", control.lease.lease_duration, 0.0, kInf);
+  control.lease.max_attempts = static_cast<int>(
+      cli.get_count("max-cell-attempts",
+                    static_cast<std::size_t>(control.lease.max_attempts),
+                    std::numeric_limits<int>::max()));
   control.heartbeat_interval =
-      cli.get_double("heartbeat", control.heartbeat_interval);
+      cli.get_double_in("heartbeat", control.heartbeat_interval, 0.0, kInf);
 
   control.validate();
   return control;

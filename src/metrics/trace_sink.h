@@ -1,12 +1,10 @@
-// Streaming JSONL trace sink: the bounded-memory counterpart of TraceLog.
+// Streaming JSONL trace: every transfer, bootstrap and finish event of a
+// run, written as it happens.
 //
-// TraceLog keeps every event in memory (fine for one run, tens of MB at
-// paper scale); a long sweep or an audited run that may die mid-flight
-// wants the trace on disk as it happens. TraceSink writes one JSON object
-// per line and flushes after every event, so the trace survives a crash
-// or an InvariantViolation with at most the current line at risk, and
-// memory stays O(1) regardless of run length. Chains to a second observer
-// (e.g. RunMetrics) exactly like TraceLog.
+// TraceSink writes one JSON object per line and flushes after every
+// event, so the trace survives a crash or an InvariantViolation with at
+// most the current line at risk, and memory stays O(1) regardless of run
+// length. Chains to a second observer (e.g. RunMetrics).
 #pragma once
 
 #include <cstdint>
@@ -14,10 +12,21 @@
 #include <ostream>
 #include <string>
 
-#include "metrics/trace_log.h"
 #include "sim/swarm.h"
 
 namespace coopnet::metrics {
+
+/// One lifecycle event of a run.
+struct TraceEvent {
+  enum class Kind { kTransfer, kBootstrap, kFinish };
+  Kind kind = Kind::kTransfer;
+  double time = 0.0;
+  sim::PeerId peer = sim::kNoPeer;  // receiver / subject
+  sim::PeerId from = sim::kNoPeer;  // transfer source (kTransfer only)
+  sim::PieceId piece = sim::kNoPiece;
+  sim::Bytes bytes = 0;
+  bool locked = false;
+};
 
 /// Writes every transfer/bootstrap/finish event to a stream as JSON lines:
 ///   {"kind":"transfer","time":...,"peer":4,"from":17,"piece":3,

@@ -1,9 +1,7 @@
 #include "util/cli.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <sstream>
 #include <stdexcept>
@@ -127,11 +125,14 @@ std::string Cli::usage(const std::string& about) const {
 std::string Cli::undeclared() const {
   for (const auto& [name, value] : options_) {
     if (name == "help" || declared(name) != nullptr) continue;
+    // A declared flag the name is a prefix of ("--trace" for
+    // "--trace-out") is nearer than any edit.
+    const auto distance = [&name](const std::string& flag) {
+      return flag.rfind(name, 0) == 0 ? 0 : edit_distance(name, flag);
+    };
     std::string nearest = "help";
     for (const CliFlag& flag : declared_) {
-      if (edit_distance(name, flag.name) < edit_distance(name, nearest)) {
-        nearest = flag.name;
-      }
+      if (distance(flag.name) < distance(nearest)) nearest = flag.name;
     }
     return "unknown flag --" + name + " (did you mean --" + nearest + "?)";
   }
@@ -189,30 +190,6 @@ std::optional<std::string> Cli::value(const std::string& name) const {
 std::string Cli::get_string(const std::string& name,
                             const std::string& fallback) const {
   return get(name).value_or(fallback);
-}
-
-long Cli::get_int(const std::string& name, long fallback) const {
-  auto v = value(name);
-  if (!v) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long out = std::strtol(v->c_str(), &end, 10);
-  if (errno == ERANGE || end == v->c_str() || *end != '\0') {
-    throw std::invalid_argument("Cli: bad integer for --" + name);
-  }
-  return out;
-}
-
-double Cli::get_double(const std::string& name, double fallback) const {
-  auto v = value(name);
-  if (!v) return fallback;
-  // Strict finite grammar: "inf", "nan", hex-floats ("0x1p4") and
-  // overflowing values are configuration mistakes, not numbers.
-  double out = 0.0;
-  if (!parse_double(*v, &out)) {
-    throw std::invalid_argument("Cli: bad number for --" + name);
-  }
-  return out;
 }
 
 std::uint64_t Cli::get_u64(const std::string& name,

@@ -49,23 +49,25 @@ class Cli {
   /// Value of `--name`, if one was supplied.
   std::optional<std::string> get(const std::string& name) const;
 
-  /// Typed getters with defaults; throw std::invalid_argument on a
-  /// malformed value, including an empty one (`--n=` or a bare `--n`).
+  /// Getters with defaults. get_string falls back when the value is
+  /// absent or empty; get_bool reads a bare `--flag` as true. The numeric
+  /// getters below throw std::invalid_argument on a malformed value,
+  /// including an empty one (`--n=` or a bare `--n`), naming the legal
+  /// range.
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
-  long get_int(const std::string& name, long fallback) const;
-  double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
   /// Value of `--name` as any std::uint64_t (seeds): digits only, so a
   /// sign or an overflow is an error instead of a wrap.
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
 
-  /// get_double with range validation: the parsed value (or the fallback,
-  /// which is NOT exempt) must lie in [min_value, max_value]. Rates and
-  /// probabilities go through this so a negative --arrival-rate or a
-  /// probability of 1.5 fails fast with the legal range in the message
-  /// instead of silently producing a nonsense scenario.
+  /// Value of `--name` as a finite number (no "inf", "nan" or hex float)
+  /// in [min_value, max_value]; the fallback is NOT exempt from the
+  /// range. Rates and probabilities go through this so a negative
+  /// --arrival-rate or a probability of 1.5 fails fast with the legal
+  /// range in the message instead of silently producing a nonsense
+  /// scenario.
   double get_double_in(const std::string& name, double fallback,
                        double min_value, double max_value) const;
 

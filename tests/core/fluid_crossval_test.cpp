@@ -42,6 +42,7 @@
 
 #include "core/algorithm.h"
 #include "exp/backend.h"
+#include "exp/supervise.h"
 #include "metrics/json.h"
 #include "metrics/report.h"
 #include "sim/config.h"
@@ -127,45 +128,36 @@ std::string cell_label(const CellKey& key) {
 
 struct GridResults {
   std::vector<CellKey> keys;
-  std::vector<metrics::RunReport> sim;    // same order as keys
-  std::vector<metrics::RunReport> fluid;  // same order as keys
+  std::vector<metrics::RunReport> sim;  // same order as keys
+  std::vector<FluidReport> fluid;       // same order as keys
 };
 
-// Runs the whole grid exactly once for the suite: one run_cells_mixed
-// call over 72 cells (36 event + 36 fluid), exercising the production
-// mixed-backend scheduler the sweep tools use.
+// Runs the whole grid exactly once for the suite: the 36 event cells as
+// one supervised run_cells sweep, then the same 36 configs on the fluid
+// backend.
 const GridResults& grid() {
   static const GridResults results = [] {
     GridResults r;
     std::vector<sim::SwarmConfig> cells;
-    std::vector<exp::Backend> backends;
     for (Algorithm algo : kAllAlgorithms) {
       for (bool churn : {false, true}) {
         for (std::size_t n : kGridN) {
           r.keys.push_back({algo, churn, n});
           cells.push_back(crossval_config(algo, churn, n));
-          backends.push_back(exp::Backend::kEvent);
         }
       }
     }
-    const std::size_t half = cells.size();
-    for (std::size_t i = 0; i < half; ++i) {
-      cells.push_back(cells[i]);
-      backends.push_back(exp::Backend::kFluid);
+    r.sim = exp::run_cells(cells, /*jobs=*/0).reports();
+    for (const sim::SwarmConfig& config : cells) {
+      r.fluid.push_back(exp::run_fluid_scenario(config));
     }
-    auto reports =
-        exp::run_cells_mixed(cells, backends, /*jobs=*/0).reports();
-    r.sim.assign(reports.begin(), reports.begin() + half);
-    r.fluid.assign(reports.begin() + half, reports.end());
     return r;
   }();
   return results;
 }
 
-double gap_of(const metrics::RunReport& sim,
-              const metrics::RunReport& fluid) {
-  return std::abs(sim.completion_summary.mean /
-                      fluid.completion_summary.mean -
+double gap_of(const metrics::RunReport& sim, const FluidReport& fluid) {
+  return std::abs(sim.completion_summary.mean / fluid.mean_completion_time -
                   1.0);
 }
 
@@ -181,7 +173,7 @@ TEST(FluidCrossval, SimulatorAgreesWithFluidAcrossGrid) {
   for (std::size_t i = 0; i < r.keys.size(); ++i) {
     const CellKey& key = r.keys[i];
     const metrics::RunReport& sim = r.sim[i];
-    const metrics::RunReport& fluid = r.fluid[i];
+    const FluidReport& fluid = r.fluid[i];
 
     // Completed fractions agree on every cell, including the Reciprocity
     // no-completion one (0 vs <= 0.03 there -- qualitative agreement,
@@ -201,14 +193,14 @@ TEST(FluidCrossval, SimulatorAgreesWithFluidAcrossGrid) {
       continue;
     }
     ASSERT_GT(sim.completion_summary.count, 0u) << cell_label(key);
-    ASSERT_GT(fluid.completion_summary.mean, 0.0) << cell_label(key);
-    ASSERT_TRUE(std::isfinite(fluid.completion_summary.mean))
+    ASSERT_GT(fluid.mean_completion_time, 0.0) << cell_label(key);
+    ASSERT_TRUE(std::isfinite(fluid.mean_completion_time))
         << cell_label(key);
     const Bands& bands = key.churn ? kChurnBands.at(key.algo)
                                    : kCleanBands.at(key.algo);
     EXPECT_LE(gap_of(sim, fluid), bands.at(key.n))
         << cell_label(key) << ": sim mean " << sim.completion_summary.mean
-        << " vs fluid mean " << fluid.completion_summary.mean;
+        << " vs fluid mean " << fluid.mean_completion_time;
 
     const std::string series =
         to_string(key.algo) + (key.churn ? "/churn" : "/clean");
@@ -261,31 +253,6 @@ TEST(FluidCrossval, MillionPeerExtrapolationGate) {
   // Identical reports bit-for-bit on a second run (pure function).
   const FluidReport again = exp::run_fluid_scenario(config);
   EXPECT_EQ(metrics::to_json(report), metrics::to_json(again));
-}
-
-// Mixed-backend scheduling must be jobs-invariant like run_cells: the
-// serialized reports from a sequential pass and a 4-worker pass must be
-// byte-identical, fluid and event cells interleaved.
-TEST(FluidCrossval, MixedSchedulerIsJobsInvariant) {
-  std::vector<sim::SwarmConfig> cells;
-  std::vector<exp::Backend> backends;
-  for (Algorithm algo :
-       {Algorithm::kBitTorrent, Algorithm::kTChain, Algorithm::kAltruism}) {
-    for (exp::Backend backend :
-         {exp::Backend::kEvent, exp::Backend::kFluid}) {
-      cells.push_back(crossval_config(algo, /*churn=*/true, 200));
-      backends.push_back(backend);
-    }
-  }
-  const auto sequential =
-      exp::run_cells_mixed(cells, backends, /*jobs=*/1).reports();
-  const auto parallel =
-      exp::run_cells_mixed(cells, backends, /*jobs=*/4).reports();
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(metrics::to_json(sequential[i]), metrics::to_json(parallel[i]))
-        << "cell " << i;
-  }
 }
 
 }  // namespace

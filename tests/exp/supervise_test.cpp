@@ -266,11 +266,16 @@ TEST(SweepControlFromCli, RejectsBadValuesWithActionableMessages) {
             std::string::npos);
   EXPECT_NE(message_of({"--cell-timeout", "-3"}).find("-3"),
             std::string::npos);
-  // "nan" is now rejected one layer down, by the hardened Cli::get_double
-  // (it never parses), rather than by supervise's own finiteness check.
+  // "nan" never parses: Cli::get_double_in rejects it, and every out of
+  // range value, with the legal range.
   EXPECT_NE(message_of({"--cell-timeout", "nan"}).find("cell-timeout"),
             std::string::npos);
   EXPECT_NE(message_of({"--event-budget", "0"}).find("--event-budget"),
+            std::string::npos);
+  EXPECT_NE(message_of({"--cell-timeout", "0"}).find("> 0"),
+            std::string::npos);
+  EXPECT_NE(message_of({"--event-budget", "18446744073709551616"})
+                .find("--event-budget"),
             std::string::npos);
   EXPECT_NE(message_of({"--journal"}).find("path"), std::string::npos);
   EXPECT_NE(message_of({"--resume"}).find("journal"), std::string::npos);

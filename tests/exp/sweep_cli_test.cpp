@@ -122,6 +122,20 @@ TEST(CoopnetRunCli, RejectsValuesOutsideTheFieldsRange) {
   ::rmdir(dir.c_str());
 }
 
+// The in-memory CSV trace is gone; the old switch is an undeclared flag
+// whose diagnostic names the streamed trace that replaces it.
+TEST(CoopnetRunCli, OldTraceSwitchNamesTraceOut) {
+  const std::string dir = make_temp_dir("coopnet_trace");
+  ASSERT_FALSE(dir.empty());
+  const Outcome run = run_binary(
+      {COOPNET_RUN_BIN, "--algo", "Altruism", "--n", "20", "--trace"}, dir);
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_NE(run.err.find("unknown flag --trace (did you mean --trace-out?)"),
+            std::string::npos)
+      << run.err;
+  ::rmdir(dir.c_str());
+}
+
 TEST(CoopnetRunCli, SwitchesAndNewFlagsChangeTheRun) {
   const std::string dir = make_temp_dir("coopnet_switches");
   ASSERT_FALSE(dir.empty());

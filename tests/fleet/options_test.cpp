@@ -6,6 +6,7 @@
 
 #include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fleet/options.h"
@@ -59,6 +60,41 @@ TEST(FleetOptionsTest, WorkerRequiresHostAndRolesAreExclusive) {
   EXPECT_THROW(
       from_args({"--fleet-listen=0", "--fleet-connect=localhost:1"}),
       std::invalid_argument);
+}
+
+// A count past int's range must be an error naming the legal range, not
+// wrap: 4294967297 = 2^32 + 1 would otherwise become 1 attempt.
+TEST(FleetOptionsTest, RejectsCountsPastTheirRangeInsteadOfWrapping) {
+  const auto message_of = [](std::initializer_list<const char*> args) {
+    try {
+      from_args(args);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string wrapped =
+      message_of({"--fleet-listen=0", "--max-cell-attempts", "4294967297"});
+  EXPECT_NE(wrapped.find("--max-cell-attempts=4294967297"),
+            std::string::npos)
+      << wrapped;
+  EXPECT_NE(wrapped.find("[1, 2147483647]"), std::string::npos) << wrapped;
+  EXPECT_EQ(from_args({"--fleet-listen=0", "--max-cell-attempts", "7"})
+                .lease.max_attempts,
+            7);
+
+  for (const char* bad : {"0", "-1", "2.5", "99999999999999999999"}) {
+    EXPECT_THROW(from_args({"--fleet-listen=0", "--lease-cells", bad}),
+                 std::invalid_argument)
+        << bad;
+  }
+  for (const char* flag : {"--lease-timeout", "--heartbeat"}) {
+    for (const char* bad : {"-1", "nan", "inf", "0x1p4"}) {
+      EXPECT_THROW(from_args({"--fleet-listen=0", flag, bad}),
+                   std::invalid_argument)
+          << flag << " " << bad;
+    }
+  }
 }
 
 }  // namespace

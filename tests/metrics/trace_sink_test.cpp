@@ -1,5 +1,5 @@
 // Streaming JSONL trace sink: line format, per-event streaming, chaining,
-// file output, and agreement with the in-memory TraceLog.
+// file output, time order and exactly-once delivery under faults.
 #include "metrics/trace_sink.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "metrics/run_metrics.h"
-#include "metrics/trace_log.h"
 #include "sim/faults.h"
 #include "strategy/factory.h"
 
@@ -53,32 +52,123 @@ TEST(TraceSink, WritesOneJsonObjectPerLine) {
       "{\"kind\":\"finish\",\"time\":123456.78125,\"peer\":4}\n");
 }
 
+// Counts what a chained observer receives and records each event's time,
+// in delivery order.
+struct CountingObserver : sim::SwarmObserver {
+  std::size_t transfers = 0, bootstraps = 0, finishes = 0;
+  sim::Bytes bytes = 0;
+  std::vector<double> times;
+  void on_transfer(const sim::Swarm&, const sim::Transfer& t) override {
+    ++transfers;
+    bytes += t.bytes;
+    times.push_back(t.end);
+  }
+  void on_bootstrap(const sim::Swarm& swarm, sim::ConstPeer) override {
+    ++bootstraps;
+    times.push_back(swarm.engine().now());
+  }
+  void on_finish(const sim::Swarm& swarm, sim::ConstPeer) override {
+    ++finishes;
+    times.push_back(swarm.engine().now());
+  }
+};
+
+std::size_t count_kind(const std::vector<std::string>& lines,
+                       const std::string& kind) {
+  std::size_t n = 0;
+  for (const auto& line : lines) {
+    if (line.find("\"kind\":\"" + kind + "\"") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+// The value of a line's "time" field, parsed back to a double.
+double time_of(const std::string& line) {
+  const auto start = line.find("\"time\":") + 7;
+  return std::stod(line.substr(start, line.find(',', start) - start));
+}
+
 TEST(TraceSink, StreamsEveryEventOfARun) {
   auto config = sink_config();
-  // One run observed by both the sink and the in-memory log: they must
-  // agree event-for-event.
   sim::Swarm swarm(config, strategy::make_strategy(config.algorithm));
   std::ostringstream out;
   TraceSink sink(out);
-  TraceLog log;
-  sink.chain(&log);
+  CountingObserver counter;
+  sink.chain(&counter);
+  swarm.set_observer(&sink);
+  swarm.run();
+
+  // One JSON object per line, one line per event the observer saw.
+  const auto lines = lines_of(out.str());
+  EXPECT_EQ(sink.events_written(), lines.size());
+  ASSERT_EQ(lines.size(),
+            counter.transfers + counter.bootstraps + counter.finishes);
+  for (const auto& line : lines) {
+    EXPECT_EQ(line.front(), '{');
+    EXPECT_EQ(line.back(), '}');
+  }
+  EXPECT_EQ(count_kind(lines, "transfer"), counter.transfers);
+  // Every leecher bootstraps and finishes under altruism.
+  EXPECT_EQ(count_kind(lines, "bootstrap"), swarm.leechers());
+  EXPECT_EQ(count_kind(lines, "finish"), swarm.leechers());
+  // The traced bytes are the swarm's raw download accounting.
+  sim::Bytes raw = 0;
+  for (const auto& p : swarm.peers()) raw += p.downloaded_raw_bytes();
+  EXPECT_EQ(counter.bytes, raw);
+}
+
+// chain() must deliver every event exactly once to both the file and the
+// chained observer -- including under faults, where retries, churn and
+// vanished uploaders produce completion events that must NOT be
+// double-reported.
+TEST(TraceSink, ChainDeliversEveryEventExactlyOnceUnderFaults) {
+  auto config = sink_config();
+  config.faults = sim::moderate_churn();
+  config.faults.transfer_loss_rate = 0.10;
+  config.faults.transfer_stall_rate = 0.05;
+  config.faults.stall_timeout = 20.0;
+  config.max_time = 20000.0;
+  sim::Swarm swarm(config, strategy::make_strategy(config.algorithm));
+  std::ostringstream out;
+  TraceSink sink(out);
+  CountingObserver counter;
+  sink.chain(&counter);
   swarm.set_observer(&sink);
   swarm.run();
 
   const auto lines = lines_of(out.str());
-  EXPECT_EQ(sink.events_written(), log.events().size());
-  ASSERT_EQ(lines.size(), log.events().size());
+  ASSERT_GT(counter.transfers, 0u);
+  EXPECT_EQ(count_kind(lines, "transfer"), counter.transfers);
+  EXPECT_EQ(count_kind(lines, "bootstrap"), counter.bootstraps);
+  EXPECT_EQ(count_kind(lines, "finish"), counter.finishes);
+  EXPECT_EQ(lines.size(),
+            counter.transfers + counter.bootstraps + counter.finishes);
+  // Delivered payload seen by observers matches the swarm's goodput ledger.
+  EXPECT_EQ(counter.bytes, swarm.fault_stats().goodput_bytes);
+}
+
+// Times are written at %.17g, so each parses back to the exact double the
+// simulator delivered -- late in a long run too, where six significant
+// digits would collapse sub-second spacing -- and they never go backwards.
+TEST(TraceSink, TimesParseBackExactlyAndInOrder) {
+  auto config = sink_config();
+  config.max_time = 200000.0;
+  sim::Swarm swarm(config, strategy::make_strategy(config.algorithm));
+  std::ostringstream out;
+  TraceSink sink(out);
+  CountingObserver counter;
+  sink.chain(&counter);
+  swarm.set_observer(&sink);
+  swarm.run();
+
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), counter.times.size());
+  double prev = 0.0;
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(lines[i].front(), '{');
-    EXPECT_EQ(lines[i].back(), '}');
-    const char* kind =
-        log.events()[i].kind == TraceEvent::Kind::kTransfer ? "transfer"
-        : log.events()[i].kind == TraceEvent::Kind::kBootstrap
-            ? "bootstrap"
-            : "finish";
-    EXPECT_NE(lines[i].find(std::string("\"kind\":\"") + kind + "\""),
-              std::string::npos)
-        << "line " << i;
+    const double t = time_of(lines[i]);
+    EXPECT_EQ(t, counter.times[i]) << "line " << i;
+    EXPECT_GE(t, prev) << "line " << i;
+    prev = t;
   }
 }
 

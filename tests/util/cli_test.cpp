@@ -16,13 +16,13 @@ Cli make(std::initializer_list<const char*> args) {
 
 TEST(Cli, EqualsSyntax) {
   const auto cli = make({"--n=42", "--name=abc"});
-  EXPECT_EQ(cli.get_int("n", 0), 42);
+  EXPECT_EQ(cli.get_count("n", 1, 100), 42u);
   EXPECT_EQ(cli.get_string("name", ""), "abc");
 }
 
 TEST(Cli, SpaceSyntax) {
   const auto cli = make({"--n", "42"});
-  EXPECT_EQ(cli.get_int("n", 0), 42);
+  EXPECT_EQ(cli.get_count("n", 1, 100), 42u);
 }
 
 TEST(Cli, BareFlag) {
@@ -36,7 +36,7 @@ TEST(Cli, FlagFollowedByFlagDoesNotConsume) {
   const auto cli = make({"--a", "--b=1"});
   EXPECT_TRUE(cli.has("a"));
   EXPECT_FALSE(cli.get("a").has_value());
-  EXPECT_EQ(cli.get_int("b", 0), 1);
+  EXPECT_EQ(cli.get_count("b", 2, 100), 1u);
 }
 
 TEST(Cli, Positional) {
@@ -48,8 +48,9 @@ TEST(Cli, Positional) {
 
 TEST(Cli, DefaultsWhenAbsent) {
   const auto cli = make({});
-  EXPECT_EQ(cli.get_int("n", 7), 7);
-  EXPECT_EQ(cli.get_double("x", 2.5), 2.5);
+  EXPECT_EQ(cli.get_count("n", 7, 100), 7u);
+  EXPECT_EQ(cli.get_u64("seed", 9), 9u);
+  EXPECT_EQ(cli.get_double_in("x", 2.5, 0.0, 10.0), 2.5);
   EXPECT_EQ(cli.get_string("s", "d"), "d");
   EXPECT_FALSE(cli.get_bool("b", false));
   EXPECT_TRUE(cli.get_bool("b", true));
@@ -64,8 +65,10 @@ TEST(Cli, BoolSpellings) {
 }
 
 TEST(Cli, MalformedValuesThrow) {
-  EXPECT_THROW(make({"--n=abc"}).get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW(make({"--x=1.2.3"}).get_double("x", 0), std::invalid_argument);
+  EXPECT_THROW(make({"--n=abc"}).get_count("n", 1, 100),
+               std::invalid_argument);
+  EXPECT_THROW(make({"--x=1.2.3"}).get_double_in("x", 0.0, 0.0, 10.0),
+               std::invalid_argument);
   EXPECT_THROW(make({"--b=maybe"}).get_bool("b", false),
                std::invalid_argument);
 }
@@ -83,7 +86,7 @@ TEST(Cli, GetDoubleInRange) {
   // out-of-range default is a bug, not a user error.
   EXPECT_THROW(cli.get_double_in("absent", 7.0, 0.0, 1.0),
                std::invalid_argument);
-  // The strict finite grammar of get_double still applies underneath.
+  // The strict finite grammar applies underneath.
   EXPECT_THROW(make({"--p=inf"}).get_double_in("p", 0.0, 0.0, 1e9),
                std::invalid_argument);
   EXPECT_THROW(make({"--p=0.5x"}).get_double_in("p", 0.0, 0.0, 1.0),
@@ -91,8 +94,9 @@ TEST(Cli, GetDoubleInRange) {
 }
 
 TEST(Cli, GetDouble) {
-  const auto cli = make({"--x=2.5"});
-  EXPECT_EQ(cli.get_double("x", 0.0), 2.5);
+  const auto cli = make({"--x=2.5", "--y=-1e3"});
+  EXPECT_EQ(cli.get_double_in("x", 0.0, 0.0, 10.0), 2.5);
+  EXPECT_EQ(cli.get_double_in("y", 0.0, -1e9, 1e9), -1000.0);
 }
 
 Cli declared(std::initializer_list<const char*> args) {
@@ -113,6 +117,13 @@ TEST(Cli, RunRejectsAnUndeclaredFlagNamingTheNearest) {
   EXPECT_NE(err.find("--max-incomming"), std::string::npos) << err;
   EXPECT_NE(err.find("did you mean --max-incoming?"), std::string::npos)
       << err;
+
+  // A truncated flag names the flag it truncates, however far the edit.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(declared({"--max"}).run("about", ok_body), 2);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "did you mean --max-incoming?"),
+            std::string::npos);
 
   ::testing::internal::CaptureStderr();
   EXPECT_EQ(declared({"stray"}).run("about", ok_body), 2);
@@ -155,9 +166,11 @@ TEST(Cli, DeclaringAFlagTwiceIsAProgrammingError) {
 }
 
 TEST(Cli, EmptyValuesAreErrorsNotDefaults) {
-  EXPECT_THROW(make({"--n="}).get_int("n", 7), std::invalid_argument);
+  EXPECT_THROW(make({"--n="}).get_count("n", 7, 100), std::invalid_argument);
   EXPECT_THROW(make({"--n"}).get_count("n", 7, 100), std::invalid_argument);
-  EXPECT_THROW(make({"--x="}).get_double("x", 1.0), std::invalid_argument);
+  EXPECT_THROW(make({"--s="}).get_u64("s", 7), std::invalid_argument);
+  EXPECT_THROW(make({"--x="}).get_double_in("x", 1.0, 0.0, 10.0),
+               std::invalid_argument);
 }
 
 TEST(Cli, GetU64TakesTheWholeRangeAndNoSign) {

@@ -224,10 +224,13 @@ TEST(ParseCallSites, CliCountRejectsAdversarialTokens) {
 }
 
 TEST(ParseCallSites, CliDoubleRejectsNonFiniteAndHex) {
-  EXPECT_DOUBLE_EQ(make_cli("horizon", "2.5").get_double("horizon", 0.0),
-                   2.5);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(
+      make_cli("horizon", "2.5").get_double_in("horizon", 0.0, -inf, inf),
+      2.5);
   for (const char* bad : {"nan", "inf", "-inf", "0x1p4", "1.5x", "1e999"}) {
-    EXPECT_THROW(make_cli("horizon", bad).get_double("horizon", 0.0),
+    EXPECT_THROW(make_cli("horizon", bad).get_double_in("horizon", 0.0,
+                                                        -inf, inf),
                  std::invalid_argument)
         << "cli accepted double token: '" << bad << "'";
   }

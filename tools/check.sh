@@ -27,8 +27,8 @@ run_pass() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" ${CTEST_ARGS}
 }
 
-# TSan over exactly the code that runs multi-threaded: the ThreadPool
-# primitive and the parallel experiment runner (--jobs).
+# TSan over exactly the code that runs multi-threaded: the cell fan-out
+# (exp::for_each_cell) and the parallel experiment runner (--jobs).
 # Targeted build + -R filter keeps the pass minutes, not hours; the
 # unbuilt suites surface as *_NOT_BUILT entries that the filter excludes.
 tsan_pass() {
@@ -37,10 +37,10 @@ tsan_pass() {
   cmake -B "${dir}" -S . -DCOOPNET_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   echo "=== build ${dir} (concurrency suites) ==="
   cmake --build "${dir}" -j "${JOBS}" --target \
-    test_thread_pool test_parallel_determinism
+    test_for_each_cell test_parallel_determinism
   echo "=== ctest ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-    -R 'ThreadPool|ParallelDeterminism'
+    -R 'ForEachCell|ParallelDeterminism'
 }
 
 # The fluid backend's CLI round trip at the N = 10^6 extrapolation cell

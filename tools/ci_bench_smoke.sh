@@ -94,15 +94,15 @@ run micro_swarm "${BENCH}/micro_swarm" --max-n 100 \
 # gate consumes is complete even in the smoke pass.
 run micro_fluid "${BENCH}/micro_fluid" \
   --json-out "${BUILD_DIR}/bench-smoke/BENCH_fluid.json"
-# Sim-vs-fluid overlay at toy scale: keeps the mixed-backend artifact
-# path alive without paying for the mid-scale default.
+# Sim-vs-fluid overlay at toy scale: keeps the event sweep plus fluid
+# prediction path alive without paying for the mid-scale default.
 run fig4_fluid_overlay "${BENCH}/fig4_fluid_overlay" "${SMALL[@]}"
 # Tiny scale-leg pass: proves the --peers path (and its BENCH_*.json
 # artifact) cannot rot without waiting for the dedicated scale-smoke job.
 run micro_swarm_scale "${BENCH}/micro_swarm" --peers 500 --horizon 60 \
   --json-out "${BUILD_DIR}/bench-smoke/BENCH_swarm_scale.json"
 run micro_pool "${BENCH}/micro_pool" \
-  --benchmark_filter='BM_CellSeed|BM_PoolSubmitValue' \
+  --benchmark_filter='BM_CellSeed|BM_ReplicatedSweep/2$' \
   --benchmark_min_time=0.01
 
 if [[ ${fail} -ne 0 ]]; then

@@ -1,8 +1,9 @@
 // coopnet_run -- the general-purpose scenario runner.
 //
 // Every SwarmConfig field is a flag; output is a human summary, optionally
-// the full JSON report (--json) or a per-transfer trace CSV (--trace).
-// Replicate with --reps to get mean +/- 95% CI per metric.
+// the full JSON report (--json) and a streamed JSON-lines event trace
+// (--trace-out FILE). Replicate with --reps to get mean +/- 95% CI per
+// metric.
 //
 //   coopnet_run --algo T-Chain --n 500 --file-mb 64 --free-riders 0.2
 //               --attack collusion --large-view --reps 5
@@ -31,7 +32,6 @@
 #include "exp/schedule.h"
 #include "exp/supervise.h"
 #include "metrics/json.h"
-#include "metrics/trace_log.h"
 #include "metrics/trace_sink.h"
 #include "sim/auditor.h"
 #include "sim/checkpoint.h"
@@ -76,9 +76,9 @@ std::vector<util::CliFlag> run_flags() {
        "population ODE system (DESIGN section 12) instead of simulating "
        "discrete events: O(steps) regardless of --n, so --n 1000000 runs in "
        "milliseconds. Cross-validated against the event backend at "
-       "N=500..5000; single run only (--reps, supervision, --trace, --audit "
-       "need events), and a flag for a field it does not model is an "
-       "error"},
+       "N=500..5000; single run only (--reps, supervision, --trace-out, "
+       "--audit need events), and a flag for a field it does not model is "
+       "an error"},
       {"output", "reps", "R",
        "replications, 1.." + std::to_string(kMaxReps) +
            " (mean +/- 95% CI; default 1)"},
@@ -86,7 +86,6 @@ std::vector<util::CliFlag> run_flags() {
       {"output", "json-out", "FILE",
        "write the JSON report(s) to FILE atomically (temp file + fsync + "
        "rename; never torn)"},
-      {"output", "trace", "", "print the transfer trace CSV (single run only)"},
       {"output", "trace-out", "FILE",
        "stream the event trace to FILE as JSON lines (bounded memory, "
        "flushed per event; single run)"},
@@ -189,7 +188,7 @@ int run_replicated_cli(const util::Cli& cli, const sim::SwarmConfig& config,
 // a compact summary and honors --json/--json-out with the FluidReport
 // schema (%.17g doubles; golden-pinned under tests/golden/fluid_*.json).
 int run_fluid(const util::Cli& cli, const sim::SwarmConfig& config) {
-  for (const char* flag : {"reps", "trace", "trace-out", "audit", "journal",
+  for (const char* flag : {"reps", "trace-out", "audit", "journal",
                            "resume", "cell-timeout", "event-budget",
                            "checkpoint-every", "checkpoint", "restore"}) {
     if (cli.has(flag)) {
@@ -279,10 +278,9 @@ int run(const util::Cli& cli) {
                               control);
   }
 
-  // Single run: one exp::CellRun, optionally with the in-memory trace
-  // and/or a streaming JSONL sink attached (sink -> log -> collector, each
-  // chaining on), and optionally checkpointed (--checkpoint) or restored
-  // (--restore).
+  // Single run: one exp::CellRun, optionally with a streaming JSONL sink
+  // chained in front of its collector, and optionally checkpointed
+  // (--checkpoint) or restored (--restore).
   const std::string ckpt_file = cli.get_string("checkpoint", "");
   if (cli.has("checkpoint") && ckpt_file.empty()) {
     throw std::invalid_argument(
@@ -297,12 +295,6 @@ int run(const util::Cli& cli) {
   if (cli.has("restore") && restore_file.empty()) {
     throw std::invalid_argument(
         "--restore needs the snapshot file of the interrupted run");
-  }
-  if (cli.has("restore") && cli.has("trace")) {
-    throw std::invalid_argument(
-        "--trace keeps the whole trace in memory and cannot span a "
-        "restore; use --trace-out FILE (it is truncated to the snapshot "
-        "offset and continued byte-identically)");
   }
   if (control.supervision.any() || !ckpt_file.empty() ||
       !restore_file.empty()) {
@@ -339,13 +331,7 @@ int run(const util::Cli& cli) {
                                           sections);
   }
 
-  metrics::TraceLog trace(cli.has("trace"));
   std::unique_ptr<metrics::TraceSink> sink;
-  sim::SwarmObserver* head = nullptr;
-  if (cli.has("trace")) {
-    trace.chain(&cell->metrics());
-    head = &trace;
-  }
   if (cli.has("trace-out")) {
     const std::string trace_path = cli.get_string("trace-out", "");
     if (restore_file.empty()) {
@@ -359,15 +345,14 @@ int run(const util::Cli& cli) {
           "run did not stream --trace-out); drop --trace-out or restart "
           "from scratch");
     }
-    sink->chain(head != nullptr ? head : &cell->metrics());
-    head = sink.get();
+    sink->chain(&cell->metrics());
+    cell->swarm().set_observer(sink.get());
   } else if (trace_offset) {
     std::fprintf(stderr,
                  "coopnet_run: warning: the snapshot recorded a streamed "
                  "trace but --trace-out is absent; the trace file will "
                  "not be continued\n");
   }
-  if (head != nullptr) cell->swarm().set_observer(head);
 
   cell->run(ckpt_file.empty() ? 0.0 : control.checkpoint.every, [&] {
     std::vector<sim::SnapshotSection> snap = cell->save();
@@ -407,9 +392,6 @@ int run(const util::Cli& cli) {
   if (cli.has("json-out")) {
     util::write_file_atomic(cli.get_string("json-out", ""),
                             metrics::to_json(report) + "\n");
-  }
-  if (cli.has("trace")) {
-    std::printf("%s", trace.to_csv().c_str());
   }
   if (g_signal != 0) {
     std::fprintf(stderr, "coopnet_run: interrupted by signal %d\n",
